@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fix lint-bench ci bench bench-all bench-smoke serve serve-smoke sketch-smoke shard-smoke delta-smoke load-smoke clean
+.PHONY: all build vet test race lint lint-fix lint-bench ci bench bench-all serve serve-smoke sketch-smoke shard-smoke delta-smoke load-smoke clean
 
 all: ci
 
@@ -48,9 +48,10 @@ lint-bench:
 
 # ci is the gate the workflow runs: lint (fmt + vet + analyzers +
 # suppression audit), the lint timing budget, build, the full suite under
-# the race detector, then the sketch, bench-fixture, serving and load
-# smoke tests.
-ci: lint lint-bench build race sketch-smoke shard-smoke delta-smoke bench-smoke serve-smoke load-smoke
+# the race detector (which includes the bench-smoke selection fixture,
+# cmd/lcrbbench TestBenchSmokeFixture), then the sketch, shard, delta,
+# serving and load smoke tests.
+ci: lint lint-bench build race sketch-smoke shard-smoke delta-smoke serve-smoke load-smoke
 
 # sketch-smoke runs the fast RR-set sketch end-to-end check: build
 # bit-identity across worker counts, an α-achieving zero-simulation solve,
@@ -72,14 +73,6 @@ shard-smoke:
 # batches must re-draw zero realizations (the footprint-pruning ceiling).
 delta-smoke:
 	$(GO) run ./cmd/lcrbbench -delta-smoke
-
-# bench-smoke re-solves the pinned greedy-RIS instance and fails if the
-# selection (protectors, gains, evaluation count, fingerprint) drifts from
-# the committed BENCH_smoke.json — the determinism gate for the bitset
-# coverage kernels. Regenerate intentionally with:
-#   go run ./cmd/lcrbbench -bench-smoke BENCH_smoke.json -bench-smoke-update
-bench-smoke:
-	$(GO) run ./cmd/lcrbbench -bench-smoke BENCH_smoke.json
 
 # serve boots the lcrbd solve daemon on the default address with fast
 # defaults; Ctrl-C drains, a second Ctrl-C force-quits.

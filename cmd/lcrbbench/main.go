@@ -70,8 +70,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		smoke     = fs.Bool("sketch-smoke", false, "skip the experiments: run the fast RR-set sketch end-to-end check")
 		shardSmk  = fs.Bool("shard-smoke", false, "skip the experiments: run the sharded scatter-gather solve check with a scripted shard kill")
 		deltaSmk  = fs.Bool("delta-smoke", false, "skip the experiments: run the dynamic-graph check — repair vs rebuild oracle and shard bit-identity across a 50-batch mutation stream")
-		benchFix  = fs.String("bench-smoke", "", "skip the experiments: re-solve the pinned RIS instance and fail if the selection drifts from this committed fixture")
-		benchUpd  = fs.Bool("bench-smoke-update", false, "with -bench-smoke: rewrite the fixture instead of comparing")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,12 +82,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *deltaSmk {
 		return runDeltaSmoke(ctx, stdout, stderr)
-	}
-	if *benchFix != "" {
-		return runBenchSmoke(ctx, *benchFix, *benchUpd, stdout)
-	}
-	if *benchUpd {
-		return fmt.Errorf("-bench-smoke-update requires -bench-smoke")
 	}
 	if *perfPath != "" {
 		return runPerf(ctx, *perfPath, *perfScale, *workers, stdout, stderr)

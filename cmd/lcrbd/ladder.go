@@ -89,7 +89,7 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 		}
 		return out, nil
 	case "scbg":
-		sres, serr := core.SCBGContext(ctx, prob, core.SCBGOptions{Alpha: req.Alpha})
+		sres, serr := s.runSCBG(ctx, req, prob)
 		if serr != nil && (sres == nil || sres.UncoverableEnds == 0) {
 			return s.degradeToHeuristic(req, inst, prob, resp,
 				fmt.Sprintf("scbg failed (%v): served %s ranking", serr, heuristic.Proximity{}.Name()))
@@ -146,7 +146,7 @@ func (s *server) solveLadder(ctx context.Context, req *resolvedRequest, inst *ex
 		return a, nil
 	}
 	runSCBG := func(ctx context.Context) (*ladderAnswer, error) {
-		sres, err := core.SCBGContext(ctx, prob, core.SCBGOptions{Alpha: req.Alpha})
+		sres, err := s.runSCBG(ctx, req, prob)
 		if err != nil && (sres == nil || sres.UncoverableEnds == 0) {
 			return nil, err
 		}
@@ -219,6 +219,17 @@ func (s *server) runGreedy(ctx context.Context, req *resolvedRequest, prob *core
 		opts.Realization = s.chaos.sigma.Realization(diffusion.OPOAORealization())
 	}
 	return core.GreedyContext(ctx, prob, opts)
+}
+
+// runSCBG is the SCBG cover rung. Like greedy it gives up deadlineMargin
+// before the request deadline, so the heuristic bottom rung answers in time.
+func (s *server) runSCBG(ctx context.Context, req *resolvedRequest, prob *core.Problem) (*core.SCBGResult, error) {
+	if d, ok := ctx.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, d.Add(-s.cfg.deadlineMargin))
+		defer cancel()
+	}
+	return core.SCBGContext(ctx, prob, core.SCBGOptions{Alpha: req.Alpha})
 }
 
 // runHeuristic ranks protectors with a cheap structural selector. It runs

@@ -30,8 +30,9 @@ type serverConfig struct {
 	workers int
 	// defaultTimeout bounds a request that sets no timeoutMillis.
 	defaultTimeout time.Duration
-	// deadlineMargin is the headroom greedy reserves before the request
-	// deadline so the fallback ladder still has time to answer.
+	// deadlineMargin is the headroom the exact rungs (greedy and SCBG)
+	// reserve before the request deadline so the heuristic bottom rung
+	// still has time to answer.
 	deadlineMargin time.Duration
 	// hedgeDelay is how long the auto ladder lets greedy run before
 	// hedging with SCBG.
@@ -446,14 +447,23 @@ func requestTenant(r *http.Request, req *resolvedRequest) string {
 	return resilience.DefaultTenant
 }
 
+// coalesceGrace is how long a waiter keeps waiting past the request
+// deadline. The ladder answers by deadline − deadlineMargin, but a deadline
+// shorter than the margin leaves only the heuristic bottom rung, which is
+// uncancellable and may finish just after the deadline; the waiter must
+// still be there to take its degraded answer.
+const coalesceGrace = time.Second
+
 // solveCoalesced runs the solve through the single-flight group: concurrent
-// requests with equal fingerprints share one execution. The waiter blocks
-// under its own request context plus the request timeout; the leader runs
-// under the drain context with the same timeout, so one impatient client
-// detaches (with its own context error) without killing the solve the
-// remaining waiters share.
+// requests with equal fingerprints share one execution. The leader runs
+// under the drain context until the request deadline, and its ladder
+// answers deadlineMargin before it. The waiter blocks under its own request
+// context until the deadline plus coalesceGrace, so it outlives the ladder
+// it waits on, and one impatient client detaches (with its own context
+// error) without killing the solve the remaining waiters share.
 func (s *server) solveCoalesced(ctx context.Context, req *resolvedRequest) (*solveResponse, error) {
-	waitCtx, cancel := context.WithTimeout(ctx, req.timeout)
+	deadline := time.Now().Add(req.timeout)
+	waitCtx, cancel := context.WithDeadline(ctx, deadline.Add(coalesceGrace))
 	defer cancel()
 	key := req.fingerprint()
 	if s.dynEligible(req) {
@@ -464,7 +474,7 @@ func (s *server) solveCoalesced(ctx context.Context, req *resolvedRequest) (*sol
 	}
 	v, _, err := s.flights.DoContext(waitCtx, key, func(run context.Context) (any, error) {
 		s.solves.Add(1)
-		solveCtx, cancel := context.WithTimeout(run, req.timeout)
+		solveCtx, cancel := context.WithDeadline(run, deadline)
 		defer cancel()
 		return s.solve(solveCtx, req)
 	})

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -103,6 +104,50 @@ func TestSolveDegradesUnderTinyDeadline(t *testing.T) {
 	}
 	if len(body["protectors"].([]any)) == 0 {
 		t.Fatalf("degraded answer has no protectors: %v", body)
+	}
+}
+
+// TestSolveCoalescedDegradesUnderTinyDeadline is the coalesced variant:
+// identical 1 ms requests fired together share flights, and every caller —
+// leader or waiter — receives the ladder's degraded 200, because waiters
+// wait past the deadline for the answer the ladder serves at it.
+func TestSolveCoalescedDegradesUnderTinyDeadline(t *testing.T) {
+	cfg := testConfig()
+	cfg.maxInflight = 16
+	cfg.maxWaiting = 16
+	s := newServer(cfg, nil, t.Logf)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	defer s.stop()
+
+	if status, body := postSolve(t, ts.URL, `{"algorithm":"scbg"}`); status != http.StatusOK {
+		t.Fatalf("warmup: status %d body %v", status, body)
+	}
+	const n = 8
+	for round := 0; round < 20 && s.flights.Coalesced() == 0; round++ {
+		start := make(chan struct{})
+		errs := make(chan string, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				status, body := postSolve(t, ts.URL, `{"algorithm":"greedy","timeoutMillis":1,"samples":5}`)
+				if status != http.StatusOK || body["degraded"] != true {
+					errs <- fmt.Sprintf("status %d body %v (want degraded 200)", status, body)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Errorf("round %d: %s", round, e)
+		}
+	}
+	if s.flights.Coalesced() == 0 {
+		t.Fatal("no request ever joined another's flight: the test never exercised a coalesced waiter")
 	}
 }
 

@@ -176,16 +176,19 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 			return
 		}
 		r := redraw[slot]
-		pairs, _, foot, err := sampleRealization(sc, newP, realSeeds[r], int32(r), set.MaxHops)
+		pairs, _, foot, err := sc.sample(realSeeds[r], int32(r))
 		if err != nil {
 			errs[slot] = fmt.Errorf("sketch: repair realization %d: %w", r, err)
 			return
 		}
 		results[slot] = redrawn{pairs: pairs, foot: foot}
 	}
+	em, err := newEdgeMap(newP.Graph)
+	if err != nil {
+		return nil, nil, err
+	}
 	runStriped(len(redraw), workers, func(w, stride int) {
-		sc := newScratch(newP)
-		sc.enableFootprints(newP)
+		sc := newScratch(newP, em, set.MaxHops, true)
 		for slot := w; slot < len(redraw); slot += stride {
 			drawOne(sc, slot)
 			if errs[slot] != nil {

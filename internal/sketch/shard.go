@@ -90,7 +90,10 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 		return nil, core.ErrNoBridgeEnds
 	}
 
-	b := newSetBuilder(p, opts, 1)
+	b, err := newSetBuilder(p, opts, 1)
+	if err != nil {
+		return nil, err
+	}
 	// Draw the full seed stream so realization r's seed is the one the
 	// single build would use, then sample only this shard's residues.
 	for len(b.realSeeds) < opts.Samples {
@@ -106,7 +109,7 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 		ShardSamples: ShardRealizations(opts.Samples, index, count),
 		Fingerprint:  ShardFingerprint(p, opts, index, count),
 	}
-	sc := newScratch(p)
+	sc := b.newScratch()
 	for r := index; r < opts.Samples; r += count {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -118,7 +121,7 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 		if err := opts.Fault.Check(); err != nil {
 			return nil, fmt.Errorf("sketch: shard build realization %d: %w", r, err)
 		}
-		pairs, base, _, err := sampleRealization(sc, p, b.realSeeds[r], int32(r), opts.MaxHops)
+		pairs, base, _, err := sc.sample(b.realSeeds[r], int32(r))
 		if err != nil {
 			return nil, fmt.Errorf("sketch: shard build realization %d: %w", r, err)
 		}

@@ -60,13 +60,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"lcrb/internal/core"
 	"lcrb/internal/diffusion"
+	"lcrb/internal/graph"
 	"lcrb/internal/rng"
 )
 
@@ -295,7 +297,10 @@ func BuildContext(ctx context.Context, p *core.Problem, opts Options) (*Set, err
 		workers = 1
 	}
 
-	b := newSetBuilder(p, opts, workers)
+	b, err := newSetBuilder(p, opts, workers)
+	if err != nil {
+		return nil, err
+	}
 	if adaptive {
 		return b.buildAdaptive(ctx)
 	}
@@ -310,6 +315,7 @@ type setBuilder struct {
 	p       *core.Problem
 	opts    Options
 	workers int
+	em      *edgeMap
 	// seedSrc streams realization seeds; realSeeds[i] is realization i's,
 	// drawn sequentially exactly like the greedy's common-random-numbers
 	// seeds: a pure function of Options.Seed.
@@ -324,21 +330,21 @@ type setBuilder struct {
 	deadline time.Time
 }
 
-func newSetBuilder(p *core.Problem, opts Options, workers int) *setBuilder {
-	b := &setBuilder{p: p, opts: opts, workers: workers, seedSrc: rng.New(opts.Seed)}
+func newSetBuilder(p *core.Problem, opts Options, workers int) (*setBuilder, error) {
+	em, err := newEdgeMap(p.Graph)
+	if err != nil {
+		return nil, err
+	}
+	b := &setBuilder{p: p, opts: opts, workers: workers, em: em, seedSrc: rng.New(opts.Seed)}
 	if opts.MaxDuration > 0 {
 		b.deadline = time.Now().Add(opts.MaxDuration)
 	}
-	return b
+	return b, nil
 }
 
 // newScratch returns a per-worker scratch in the builder's footprint mode.
 func (b *setBuilder) newScratch() *scratch {
-	sc := newScratch(b.p)
-	if b.opts.Footprints {
-		sc.enableFootprints(b.p)
-	}
-	return sc
+	return newScratch(b.p, b.em, b.opts.MaxHops, b.opts.Footprints)
 }
 
 // grow samples realizations [len(perReal), total). All-or-nothing per the
@@ -368,7 +374,7 @@ func (b *setBuilder) grow(ctx context.Context, total int) error {
 		if err := b.opts.Fault.Check(); err != nil {
 			return fmt.Errorf("sketch: build realization %d: %w", i, err)
 		}
-		pairs, base, foot, err := sampleRealization(sc, b.p, b.realSeeds[i], int32(i), b.opts.MaxHops)
+		pairs, base, foot, err := sc.sample(b.realSeeds[i], int32(i))
 		if err != nil {
 			return fmt.Errorf("sketch: build realization %d: %w", i, err)
 		}
@@ -455,16 +461,59 @@ func (b *setBuilder) buildFixed(ctx context.Context) (*Set, error) {
 	return set, nil
 }
 
-// scratch is the per-worker reusable state of the backward searches.
+// edgeMap links the two CSR directions of a graph for the sampler's step
+// masks, which are indexed by in-edge slot: inOff[x] is the slot of In(x)[0]
+// among all in-edges, and outToIn[k] is the in-edge slot of the k-th
+// out-edge in (source, target) order. Built once per build in O(V + E) and
+// shared read-only by every worker.
+type edgeMap struct {
+	inOff   []int32
+	outToIn []int32
+}
+
+func newEdgeMap(g *graph.Graph) (*edgeMap, error) {
+	if g.NumEdges() > math.MaxInt32 {
+		return nil, fmt.Errorf("sketch: graph has %d edges, more than the sampler's int32 edge slots", g.NumEdges())
+	}
+	n := g.NumNodes()
+	em := &edgeMap{inOff: make([]int32, n+1), outToIn: make([]int32, g.NumEdges())}
+	for x := int32(0); x < n; x++ {
+		em.inOff[x+1] = em.inOff[x] + g.InDegree(x)
+	}
+	// In(x) is ascending, so walking sources in ascending order meets x's
+	// in-edges in row order: each takes the next free slot of x's row.
+	next := slices.Clone(em.inOff[:n])
+	k := 0
+	for w := int32(0); w < n; w++ {
+		for _, x := range g.Out(w) {
+			em.outToIn[k] = next[x]
+			next[x]++
+			k++
+		}
+	}
+	return em, nil
+}
+
+// scratch is the per-worker reusable state of the sampler.
 type scratch struct {
-	// best[v] is the latest hop by which a protector must activate v for
-	// the current end to be saved; valid when stamp[v] == cur.
-	best  []int32
-	stamp []int32
-	cur   int32
+	p  *core.Problem
+	em *edgeMap
+	// masks holds the step schedule of the realization in flight, words
+	// uint64s per in-edge: bit s of in-edge w→x (word s/64, bit s%64) is set
+	// when the realization has w target x at step s. Step 0 is never
+	// scheduled, so bit 0 stays clear.
+	masks   []uint64
+	words   int
+	maxHops int
+	// need[v] is the search state of node v, valid when its stamp is cur.
+	need []needSlot
+	cur  int32
 	// buckets[t] queues nodes whose best need is t, processed from high
 	// to low so the first pop of a node carries its final (maximum) need.
 	buckets [][]int32
+	// members marks the nodes the search in flight finalized, one bit per
+	// node; the emit scans and clears only the words it touched.
+	members []uint64
 	// Footprint collection (Options.Footprints): fpSeen[v] == fpCur marks v
 	// already in fpOut for the realization in flight; fpOut accumulates the
 	// footprint across the forward pass and every backward search.
@@ -473,14 +522,31 @@ type scratch struct {
 	fpOut  []int32
 }
 
-func newScratch(p *core.Problem) *scratch {
-	n := p.Graph.NumNodes()
-	return &scratch{best: make([]int32, n), stamp: make([]int32, n)}
-}
+// needSlot is one node's backward-search state: best is the latest hop by
+// which a protector must activate the node for the current end to be
+// saved, encoded as -1 - best once the node is finalized; stamp names the
+// search that wrote it. The two share a slot so a relay test loads one
+// cache line.
+type needSlot struct{ stamp, best int32 }
 
-// enableFootprints switches the scratch to footprint-collecting mode.
-func (sc *scratch) enableFootprints(p *core.Problem) {
-	sc.fpSeen = make([]int32, p.Graph.NumNodes())
+// newScratch returns a scratch for sampling p's realizations up to maxHops
+// hops, collecting footprints when asked. em must be p.Graph's edge map.
+func newScratch(p *core.Problem, em *edgeMap, maxHops int, footprints bool) *scratch {
+	n := p.Graph.NumNodes()
+	words := maxHops/64 + 1 // bits 0..maxHops
+	sc := &scratch{
+		p:       p,
+		em:      em,
+		masks:   make([]uint64, len(em.outToIn)*words),
+		words:   words,
+		maxHops: maxHops,
+		need:    make([]needSlot, n),
+		members: make([]uint64, n/64+1),
+	}
+	if footprints {
+		sc.fpSeen = make([]int32, n)
+	}
+	return sc
 }
 
 // fpMark adds v to the realization's footprint once.
@@ -491,11 +557,11 @@ func (sc *scratch) fpMark(v int32) {
 	}
 }
 
-// sampleRealization computes the pairs of one realization: a forward
-// temporal-arrival pass for the rumor clock, then one backward RR search
-// per coverable end. When the scratch collects footprints, the returned
-// footprint is the sorted set of nodes whose adjacency this realization
-// read with effect; otherwise nil.
+// sample computes the pairs of one realization: a forward temporal-arrival
+// pass for the rumor clock, the realization's step schedule, then one
+// backward RR search per coverable end. When the scratch collects
+// footprints, the returned footprint is the sorted set of nodes whose
+// adjacency this realization read with effect; otherwise nil.
 //
 // The footprint contract (what Repair's skip argument needs): re-sampling
 // this realization on a graph whose mutations avoid every footprint node
@@ -509,9 +575,11 @@ func (sc *scratch) fpMark(v int32) {
 // scanned for relays. (3) Every non-rumor in-neighbour considered as a
 // relay — its out-degree, out-row and rumor arrival are read. Rumor-seed
 // neighbours are skipped before any read, and their seed status is part of
-// the problem, not the graph.
-func sampleRealization(sc *scratch, p *core.Problem, realSeed uint64, realIdx int32, maxHops int) ([]Pair, int, []int32, error) {
-	arrR, err := diffusion.OPOAOArrivals(p.Graph, p.Rumors, realSeed, maxHops)
+// the problem, not the graph. The step schedule draws every node's steps,
+// but a search reads only the entries of considered relays.
+func (sc *scratch) sample(realSeed uint64, realIdx int32) ([]Pair, int, []int32, error) {
+	p := sc.p
+	arrR, err := diffusion.OPOAOArrivals(p.Graph, p.Rumors, realSeed, sc.maxHops)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -524,6 +592,13 @@ func sampleRealization(sc *scratch, p *core.Problem, realSeed uint64, realIdx in
 			}
 		}
 	}
+	lastT := int32(0)
+	for _, e := range p.Ends {
+		lastT = max(lastT, arrR[e])
+	}
+	if lastT > 0 {
+		sc.schedule(realSeed, lastT, arrR)
+	}
 	var pairs []Pair
 	base := 0
 	for ei, e := range p.Ends {
@@ -532,32 +607,69 @@ func sampleRealization(sc *scratch, p *core.Problem, realSeed uint64, realIdx in
 			base++ // rumor never arrives: saved under every protector set
 			continue
 		}
-		nodes := sc.rrSet(p, realSeed, e, tR, arrR)
+		nodes := sc.rrSet(e, tR, arrR)
 		pairs = append(pairs, Pair{Realization: realIdx, End: int32(ei), Nodes: nodes})
 	}
 	var foot []int32
 	if sc.fpSeen != nil {
-		foot = append(foot, sc.fpOut...)
-		sort.Slice(foot, func(i, j int) bool { return foot[i] < foot[j] })
+		foot = slices.Clone(sc.fpOut)
+		slices.Sort(foot)
 	}
 	return pairs, base, foot, nil
 }
 
+// schedule fills the step masks with realization realSeed's steps 1..lastT,
+// the most any search asks for: n·lastT FixedChoice draws shared by every
+// backward search of the realization. Rumor seeds (arrival 0) never relay,
+// so their out-edges stay empty.
+func (sc *scratch) schedule(realSeed uint64, lastT int32, arrR []int32) {
+	g := sc.p.Graph
+	clear(sc.masks)
+	k := 0
+	for w := int32(0); w < g.NumNodes(); w++ {
+		deg := g.OutDegree(w)
+		if deg > 0 && arrR[w] != 0 {
+			slots := sc.em.outToIn[k : k+int(deg)]
+			for s := int32(1); s <= lastT; s++ {
+				i := int(slots[diffusion.FixedChoice(realSeed, w, s, deg)])*sc.words + int(s>>6)
+				sc.masks[i] |= 1 << uint(s&63)
+			}
+		}
+		k += int(deg)
+	}
+}
+
+// latestStep returns the latest step s ≤ t at which the realization in
+// flight has the given in-edge's source target its head, or 0 if none.
+func (sc *scratch) latestStep(edge int, t int32) int32 {
+	lo := edge * sc.words
+	i := lo + int(t>>6)
+	m := sc.masks[i] & (uint64(2)<<uint(t&63) - 1)
+	for m == 0 {
+		if i == lo {
+			return 0
+		}
+		i--
+		m = sc.masks[i]
+	}
+	return int32((i-lo)<<6 + bits.Len64(m) - 1)
+}
+
 // rrSet runs the backward temporal search from end e with rumor arrival
-// hop tR: it returns every node u (rumor seeds excluded) from which a lone
-// protector cascade reaches e by hop tR in this realization.
+// hop tR: it returns, ascending, every node u (rumor seeds excluded) from
+// which a lone protector cascade reaches e by hop tR in this realization.
 //
 // The search propagates "need" values: need(x) is the latest hop by which
 // the protector cascade must activate x so the label still reaches e in
 // time. need(e) = tR; an in-neighbour w of x can relay at the largest
-// scheduled step t ≤ need(x) with FixedChoice(realSeed, w, t, deg(w))
-// targeting x, giving need(w) = t − 1, further capped by the rumor's own
-// arrival at w (a node the rumor claims first cannot relay the protector).
-// Needs are integers in [0, tR], so a bucket queue processed from high to
-// low finalizes each node at its maximum need — a Dijkstra over at most
-// tR+1 distinct priorities.
-func (sc *scratch) rrSet(p *core.Problem, realSeed uint64, e, tR int32, arrR []int32) []int32 {
-	g := p.Graph
+// scheduled step t ≤ need(x) at which w targets x — one masked
+// highest-bit lookup in the step schedule — giving need(w) = t − 1,
+// further capped by the rumor's own arrival at w (a node the rumor claims
+// first cannot relay the protector). Needs are integers in [0, tR], so a
+// bucket queue processed from high to low finalizes each node at its
+// maximum need — a Dijkstra over at most tR+1 distinct priorities.
+func (sc *scratch) rrSet(e, tR int32, arrR []int32) []int32 {
+	g := sc.p.Graph
 	sc.cur++
 	if int(tR)+1 > len(sc.buckets) {
 		sc.buckets = make([][]int32, tR+1)
@@ -567,61 +679,58 @@ func (sc *scratch) rrSet(p *core.Problem, realSeed uint64, e, tR int32, arrR []i
 		buckets[t] = buckets[t][:0]
 	}
 	push := func(v, need int32) {
-		sc.best[v] = need
-		sc.stamp[v] = sc.cur
+		sc.need[v] = needSlot{stamp: sc.cur, best: need}
 		buckets[need] = append(buckets[need], v)
 	}
 	// visited is encoded as a negative best value after the first pop.
 	push(e, tR)
 
-	var out []int32
+	count, lo, hi := 0, len(sc.members), -1
 	for t := tR; t >= 0; t-- {
 		for bi := 0; bi < len(buckets[t]); bi++ {
 			x := buckets[t][bi]
-			if sc.best[x] != t { // stale entry: finalized at a higher need
+			if sc.need[x].best != t { // stale entry: finalized at a higher need
 				continue
 			}
-			sc.best[x] = -1 - t // mark finalized
-			out = append(out, x)
+			sc.need[x].best = -1 - t // mark finalized
+			wi := int(x >> 6)
+			sc.members[wi] |= 1 << uint(x&63)
+			count, lo, hi = count+1, min(lo, wi), max(hi, wi)
 			if sc.fpSeen != nil {
 				sc.fpMark(x) // finalized: its in-row is scanned below
 			}
 			if t == 0 {
 				continue // relaying to x would need activation before hop 0
 			}
-			for _, w := range g.In(x) {
-				if p.IsRumor(w) {
-					continue // the rumor's own seeds never relay cascade P
-				}
-				if sc.fpSeen != nil {
+			slot := int(sc.em.inOff[x])
+			for i, w := range g.In(x) {
+				if sc.fpSeen != nil && arrR[w] != 0 {
 					sc.fpMark(w) // considered relay: degree/out-row/arrival read
 				}
-				if sc.stamp[w] == sc.cur && sc.best[w] < 0 {
-					continue // already finalized at its maximum need
-				}
-				deg := g.OutDegree(w)
-				// Latest step ≤ t at which the realization schedules w to
-				// target x; the horizon is ≤ 31 hops, so the scan is short.
-				cand := int32(-1)
-				for step := t; step >= 1; step-- {
-					if g.Out(w)[diffusion.FixedChoice(realSeed, w, step, deg)] == x {
-						cand = step - 1
-						break
-					}
-				}
-				if cand < 0 {
+				// The masks are contiguous along x's in-row, so the step
+				// lookup comes before any per-w load. Rumor seeds never
+				// relay cascade P; their schedule is empty.
+				step := sc.latestStep(slot+i, t)
+				if step == 0 {
 					continue
 				}
+				cand := step - 1
 				if rw := arrR[w]; rw >= 0 && rw < cand {
 					cand = rw // the rumor claims w at rw: P must win w first
 				}
-				if sc.stamp[w] == sc.cur && sc.best[w] >= cand {
-					continue
+				if nw := sc.need[w]; nw.stamp == sc.cur && (nw.best < 0 || nw.best >= cand) {
+					continue // finalized, or already queued at a need ≥ cand
 				}
 				push(w, cand)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]int32, 0, count)
+	for wi := lo; wi <= hi; wi++ {
+		for m := sc.members[wi]; m != 0; m &= m - 1 {
+			out = append(out, int32(wi<<6+bits.TrailingZeros64(m)))
+		}
+		sc.members[wi] = 0
+	}
 	return out
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fix lint-bench ci bench bench-all serve serve-smoke sketch-smoke shard-smoke delta-smoke load-smoke clean
+.PHONY: all build vet test race lint lint-fix lint-bench ci bench bench-all serve serve-smoke load-smoke clean
 
 all: ci
 
@@ -48,31 +48,13 @@ lint-bench:
 
 # ci is the gate the workflow runs: lint (fmt + vet + analyzers +
 # suppression audit), the lint timing budget, build, the full suite under
-# the race detector (which includes the bench-smoke selection fixture,
-# cmd/lcrbbench TestBenchSmokeFixture), then the sketch, shard, delta,
-# serving and load smoke tests.
-ci: lint lint-bench build race sketch-smoke shard-smoke delta-smoke serve-smoke load-smoke
-
-# sketch-smoke runs the fast RR-set sketch end-to-end check: build
-# bit-identity across worker counts, an α-achieving zero-simulation solve,
-# and an atomic save/load round trip.
-sketch-smoke:
-	$(GO) run ./cmd/lcrbbench -sketch-smoke
-
-# shard-smoke runs the sharded scatter-gather solve tier end-to-end: a
-# 1-coordinator/3-shard in-process solve that must be bit-identical to the
-# single-store solver, then a scripted mid-solve shard kill whose degraded
-# answer must match the 2-shard rebuild oracle with honest loss tags.
-shard-smoke:
-	$(GO) run ./cmd/lcrbbench -shard-smoke
-
-# delta-smoke runs the dynamic-graph pipeline end-to-end: a 50-batch
-# mutation stream where, at every version, the incrementally repaired
-# sketch store must be DeepEqual to a full rebuild, the greedy answer must
-# be bit-identical across shard counts 1 and 2, and scripted localized
-# batches must re-draw zero realizations (the footprint-pruning ceiling).
-delta-smoke:
-	$(GO) run ./cmd/lcrbbench -delta-smoke
+# the race detector, then the serving and load smoke tests. The sketch,
+# shard and delta gates are ordinary Go tests inside the race run: the
+# selection fixture (cmd/lcrbbench TestBenchSmokeFixture), sketch
+# worker-count identity and store round trip (internal/sketch), shard-count
+# identity and honest shard loss (internal/shardsolve), and repair ≡
+# rebuild (internal/sketch, lcrb TestFacadeDynamicGraph).
+ci: lint lint-bench build race serve-smoke load-smoke
 
 # serve boots the lcrbd solve daemon on the default address with fast
 # defaults; Ctrl-C drains, a second Ctrl-C force-quits.
@@ -91,12 +73,10 @@ serve-smoke:
 load-smoke:
 	sh scripts/load_smoke.sh
 
-# bench runs the greedy σ̂ micro-benchmark (serial vs parallel workers) and
-# the end-to-end perf harness, which writes BENCH_greedy.json and fails if
-# the parallel selection is not bit-identical to the serial one.
+# bench runs the greedy σ̂ micro-benchmark, serial against parallel
+# workers. BENCH_perf.json records a longer run of it with its environment.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkGreedySigma -benchtime 1x ./internal/core/
-	$(GO) run ./cmd/lcrbbench -perf BENCH_greedy.json
 
 # bench-all runs every benchmark in the repo once.
 bench-all:

@@ -7,6 +7,10 @@ import (
 	"reflect"
 	"testing"
 
+	"lcrb/internal/community"
+	"lcrb/internal/core"
+	"lcrb/internal/gen"
+	"lcrb/internal/rng"
 	"lcrb/internal/sketch"
 )
 
@@ -38,6 +42,32 @@ type benchSmokeFixture struct {
 	BaselinePairs int     `json:"baseline_pairs"`
 	Achieved      bool    `json:"achieved"`
 	Fingerprint   string  `json:"fingerprint"`
+}
+
+// perfInstance builds the benchmark's Hep LCRB instance at the given
+// scale: community closest to 80 members, |C|/10 rumor seeds (min 2).
+func perfInstance(scale float64, seed uint64) (*gen.Network, *core.Problem, []int32, int, error) {
+	net, err := gen.Hep(scale, seed)
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	part := community.Louvain(net.Graph, community.LouvainOptions{Seed: seed})
+	comm := part.ClosestBySize(80)
+	members := part.Members(comm)
+	src := rng.New(seed + 100)
+	k := int32(len(members) / 10)
+	if k < 2 {
+		k = 2
+	}
+	var rumors []int32
+	for _, i := range src.SampleInt32(int32(len(members)), k) {
+		rumors = append(rumors, members[i])
+	}
+	prob, err := core.NewProblem(net.Graph, part.Assign(), comm, rumors)
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	return net, prob, rumors, len(members), nil
 }
 
 // TestBenchSmokeFixture is the selection-determinism gate: it re-solves

@@ -57,34 +57,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("lcrbbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment: fig4..fig9, table1, opoao, doam, alpha, detector, noise, nullmodel, extended, transfer or all")
-		scale     = fs.Float64("scale", 0.1, "network scale (1.0 = paper size; expect long runtimes)")
-		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		quiet     = fs.Bool("quiet", false, "suppress progress output on stderr")
-		timeout   = fs.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
-		ckptPath  = fs.String("checkpoint", "", "snapshot completed experiments to this file after each job")
-		resume    = fs.Bool("resume", false, "replay completed experiments from -checkpoint and continue")
-		workers   = fs.Int("workers", 0, "parallel evaluation goroutines (0/1 = serial, -1 = all cores); results are identical for every value")
-		perfPath  = fs.String("perf", "", "skip the experiments: run the serial-vs-parallel greedy benchmark and write its JSON report to this file")
-		perfScale = fs.Float64("perf-scale", 0.08, "network scale of the -perf benchmark instance")
-		smoke     = fs.Bool("sketch-smoke", false, "skip the experiments: run the fast RR-set sketch end-to-end check")
-		shardSmk  = fs.Bool("shard-smoke", false, "skip the experiments: run the sharded scatter-gather solve check with a scripted shard kill")
-		deltaSmk  = fs.Bool("delta-smoke", false, "skip the experiments: run the dynamic-graph check — repair vs rebuild oracle and shard bit-identity across a 50-batch mutation stream")
+		exp      = fs.String("exp", "all", "experiment: fig4..fig9, table1, opoao, doam, alpha, detector, noise, nullmodel, extended, transfer or all")
+		scale    = fs.Float64("scale", 0.1, "network scale (1.0 = paper size; expect long runtimes)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		quiet    = fs.Bool("quiet", false, "suppress progress output on stderr")
+		timeout  = fs.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
+		ckptPath = fs.String("checkpoint", "", "snapshot completed experiments to this file after each job")
+		resume   = fs.Bool("resume", false, "replay completed experiments from -checkpoint and continue")
+		workers  = fs.Int("workers", 0, "parallel evaluation goroutines (0/1 = serial, -1 = all cores); results are identical for every value")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *smoke {
-		return runSketchSmoke(ctx, stdout, stderr)
-	}
-	if *shardSmk {
-		return runShardSmoke(ctx, stdout, stderr)
-	}
-	if *deltaSmk {
-		return runDeltaSmoke(ctx, stdout, stderr)
-	}
-	if *perfPath != "" {
-		return runPerf(ctx, *perfPath, *perfScale, *workers, stdout, stderr)
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc

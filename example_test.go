@@ -78,26 +78,3 @@ func ExampleNewTrace() {
 	// Output:
 	// [0 1 2 3]
 }
-
-// ExampleLocateSource recovers a planted originator from the infected set.
-func ExampleLocateSource() {
-	// A symmetric star: the hub is the obvious center.
-	b := lcrb.NewGraphBuilder(5)
-	for leaf := int32(1); leaf < 5; leaf++ {
-		b.AddEdge(0, leaf)
-		b.AddEdge(leaf, 0)
-	}
-	g, _ := b.Build()
-
-	res, _ := lcrb.Simulate(lcrb.DOAM{}, g, []int32{0}, nil, 0, lcrb.SimOptions{})
-	var infected []int32
-	for v, st := range res.Status {
-		if st == lcrb.Infected {
-			infected = append(infected, int32(v))
-		}
-	}
-	cands, _ := lcrb.LocateSource(g, infected, lcrb.JordanCenter, 1)
-	fmt.Println("estimated source:", cands[0].Node)
-	// Output:
-	// estimated source: 0
-}

@@ -35,9 +35,9 @@ func benchProblem(b *testing.B) *Problem {
 
 // BenchmarkGreedySigma times the full LCRB-P greedy (CELF) with serial and
 // parallel σ̂ evaluation. The selections are bit-identical across the
-// sub-benchmarks; only wall-clock differs. `make bench` runs this plus the
-// end-to-end perf harness (cmd/lcrbbench -perf) that writes
-// BENCH_greedy.json.
+// sub-benchmarks (TestGreedyBitIdenticalAcrossWorkers); only wall-clock
+// differs. `make bench` runs it once; BENCH_perf.json records a
+// -benchtime 3x -count 5 run with its environment.
 func BenchmarkGreedySigma(b *testing.B) {
 	p := benchProblem(b)
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {

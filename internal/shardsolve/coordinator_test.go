@@ -9,6 +9,7 @@ import (
 
 	"lcrb/internal/community"
 	"lcrb/internal/core"
+	"lcrb/internal/dyngraph"
 	"lcrb/internal/gen"
 	"lcrb/internal/resilience"
 	"lcrb/internal/sketch"
@@ -99,38 +100,79 @@ func assertSameGreedy(t *testing.T, got *Result, want *core.GreedyResult) {
 // TestShardedBitIdentity is the headline acceptance check: with no
 // faults, the sharded solve returns a GreedyResult identical to the
 // single-store solver — Protectors, Gains, Evaluations, σ̂ — for shard
-// counts 1, 2, 3 and GOMAXPROCS.
+// counts 1, 2, 3 and GOMAXPROCS, on a static instance and on a snapshot
+// after a delta that appends a node.
 func TestShardedBitIdentity(t *testing.T) {
-	p := testProblem(t, 300, 40, 41)
-	opts := sketch.Options{Samples: 48, Seed: 7}
-	full, err := sketch.Build(p, opts)
+	static := testProblem(t, 300, 40, 41)
+	// The post-delta instance is what shard hosts rebuild after a delta
+	// propagates: one generated batch that appends a node, with the
+	// newcomer outside every community (-1). Stream seed 5 wires the new
+	// node in as a relay, so it lands in the RR sets and a slice build
+	// that skipped it would diverge.
+	stream, err := dyngraph.GenerateStream(static.Graph, 1, 5, dyngraph.StreamConfig{AddNodeEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alpha := range []float64{0.7, 0.9} {
-		want, err := sketch.SolveGreedyRIS(p, full, sketch.SolveOptions{Alpha: alpha})
+	m, err := dyngraph.NewMaster(static.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := m.ApplyDelta(stream[0].Delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := append([]int32(nil), static.Assign...)
+	for int32(len(assign)) < snap.Graph.NumNodes() {
+		assign = append(assign, -1)
+	}
+	grown, err := core.NewProblem(snap.Graph, assign, static.RumorCommunity, static.Rumors)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts := sketch.Options{Samples: 48, Seed: 7}
+	cases := []struct {
+		name string
+		p    *core.Problem
+	}{{"static", static}, {"post-delta", grown}}
+	for _, tc := range cases {
+		name, p := tc.name, tc.p
+		full, err := sketch.Build(p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := []int{1, 2, 3, runtime.GOMAXPROCS(0)}
-		for _, count := range counts {
-			hosts := buildHosts(t, p, opts, count, 0)
-			c := fastCoordinator(NewInProc(hosts, nil), count)
-			got, err := c.Solve(Spec{Alpha: alpha})
+		appended := false
+		for _, pr := range full.Pairs {
+			appended = appended || pr.Nodes[len(pr.Nodes)-1] >= static.Graph.NumNodes()
+		}
+		if p == grown && !appended {
+			t.Fatal("post-delta: no RR set contains the appended node, so the case exercises nothing")
+		}
+		for _, alpha := range []float64{0.7, 0.9} {
+			want, err := sketch.SolveGreedyRIS(p, full, sketch.SolveOptions{Alpha: alpha})
 			if err != nil {
-				t.Fatalf("alpha %v count %d: %v", alpha, count, err)
+				t.Fatal(err)
 			}
-			assertSameGreedy(t, got, want)
-			if got.Degraded != "" || got.Shards.LostRealizations != 0 {
-				t.Fatalf("alpha %v count %d: fault-free solve tagged %q with %d lost realizations",
-					alpha, count, got.Degraded, got.Shards.LostRealizations)
-			}
-			if got.Shards.Total != count || got.Shards.Live != count {
-				t.Fatalf("alpha %v count %d: census %+v", alpha, count, got.Shards)
-			}
-			if got.Samples != 48 || got.EffectiveSamples != 48 {
-				t.Fatalf("alpha %v count %d: samples %d/%d, want 48/48",
-					alpha, count, got.EffectiveSamples, got.Samples)
+			counts := []int{1, 2, 3, runtime.GOMAXPROCS(0)}
+			for _, count := range counts {
+				hosts := buildHosts(t, p, opts, count, 0)
+				c := fastCoordinator(NewInProc(hosts, nil), count)
+				got, err := c.Solve(Spec{Alpha: alpha})
+				if err != nil {
+					t.Fatalf("%s alpha %v count %d: %v", name, alpha, count, err)
+				}
+				assertSameGreedy(t, got, want)
+				if got.Degraded != "" || got.Shards.LostRealizations != 0 {
+					t.Fatalf("%s alpha %v count %d: fault-free solve tagged %q with %d lost realizations",
+						name, alpha, count, got.Degraded, got.Shards.LostRealizations)
+				}
+				if got.Shards.Total != count || got.Shards.Live != count {
+					t.Fatalf("%s alpha %v count %d: census %+v", name, alpha, count, got.Shards)
+				}
+				if got.Samples != 48 || got.EffectiveSamples != 48 {
+					t.Fatalf("%s alpha %v count %d: samples %d/%d, want 48/48",
+						name, alpha, count, got.EffectiveSamples, got.Samples)
+				}
 			}
 		}
 	}

@@ -14,8 +14,8 @@
 // footprint is hit re-draw from their original CRN seed (the seed stream is
 // a pure function of Set.Seed, independent of the graph), which makes the
 // patched sketch bit-for-bit the sketch a full rebuild at the new version
-// would produce. The delta-smoke CI gate holds Repair to that oracle on
-// every batch of a scripted mutation stream.
+// would produce. TestRepairMatchesRebuildOracleGeneratedStream holds Repair
+// to that oracle on every batch of a generated mutation stream.
 //
 // One global precondition guards the whole scheme: the bridge-end set. Pair
 // End indices point into Problem.Ends, and per-realization baselines are

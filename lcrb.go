@@ -23,8 +23,6 @@
 //     persistent sketch store for fast serving (internal/sketch)
 //   - the MaxDegree/Proximity/Random/NoBlocking baselines (internal/heuristic)
 //   - the paper's full evaluation: Figures 4-9 and Table I (internal/experiment)
-//   - rumor-source localization, the paper's future-work direction
-//     (internal/sourceloc)
 //   - resilience primitives for serving solves: retry, circuit breaker,
 //     admission gate, hedging (internal/resilience, served by cmd/lcrbd)
 //   - the sharded scatter-gather RIS solve tier: realization-partitioned
@@ -66,7 +64,6 @@ import (
 	"lcrb/internal/rng"
 	"lcrb/internal/shardsolve"
 	"lcrb/internal/sketch"
-	"lcrb/internal/sourceloc"
 )
 
 // Re-exported graph types. A Graph is an immutable directed graph over
@@ -189,22 +186,6 @@ type (
 	// GVS is the greedy viral stopper (simulation-driven extension
 	// baseline); it has its own Select method rather than a Rank.
 	GVS = heuristic.GVS
-)
-
-// Re-exported source-localization types.
-type (
-	// SourceCandidate is a ranked rumor-source estimate.
-	SourceCandidate = sourceloc.Candidate
-	// SourceMethod selects the source-localization estimator.
-	SourceMethod = sourceloc.Method
-)
-
-// Source-localization methods.
-const (
-	// JordanCenter ranks by minimum eccentricity.
-	JordanCenter = sourceloc.JordanCenter
-	// DistanceCenter ranks by minimum total distance.
-	DistanceCenter = sourceloc.DistanceCenter
 )
 
 // ErrNoBridgeEnds is returned by the solvers when the instance has no
@@ -615,12 +596,6 @@ func SelectHeuristic(sel Selector, sctx SelectorContext, k int, seed uint64) ([]
 // SelectHeuristicContext is SelectHeuristic with cancellation support.
 func SelectHeuristicContext(ctx context.Context, sel Selector, sctx SelectorContext, k int, seed uint64) ([]int32, error) {
 	return heuristic.SelectContext(ctx, sel, sctx, k, rng.New(seed))
-}
-
-// LocateSource ranks the infected nodes as candidate rumor originators
-// (the paper's future-work direction) and returns the topK most central.
-func LocateSource(g *Graph, infected []int32, method SourceMethod, topK int) ([]SourceCandidate, error) {
-	return sourceloc.Estimate(g, infected, method, topK)
 }
 
 // PageRank computes the PageRank vector of g with the default damping

@@ -12,7 +12,7 @@ import (
 )
 
 // TestFacadeEndToEnd drives the whole pipeline through the public API:
-// generate -> detect -> problem -> both solvers -> simulate -> locate.
+// generate -> detect -> problem -> both solvers -> simulate.
 func TestFacadeEndToEnd(t *testing.T) {
 	net, err := lcrb.GenerateHep(0.04, 99)
 	if err != nil {
@@ -59,25 +59,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if sim.Infected+sim.Protected == 0 {
 		t.Fatal("simulation activated nothing")
-	}
-
-	// Source localization on the unblocked cascade.
-	open, err := lcrb.Simulate(lcrb.DOAM{}, net.Graph, rumors, nil, 0, lcrb.SimOptions{MaxHops: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var infected []int32
-	for v, st := range open.Status {
-		if st == lcrb.Infected {
-			infected = append(infected, int32(v))
-		}
-	}
-	cands, err := lcrb.LocateSource(net.Graph, infected, lcrb.JordanCenter, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) == 0 {
-		t.Fatal("no source candidates")
 	}
 }
 

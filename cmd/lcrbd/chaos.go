@@ -19,18 +19,15 @@ type chaosFaults struct {
 	// sigma fires inside the greedy's σ̂ Monte-Carlo realizations,
 	// exercising the fallback ladder (greedy → SCBG → heuristic).
 	sigma *diffusion.Fault
-	// checkpoint fires before a drain-time checkpoint write, exercising
-	// the write's error path without losing the response.
-	checkpoint *diffusion.Fault
 }
 
 // parseChaos parses a comma-separated fault list. Each element is
 //
 //	stage:failon[/every][:panic]
 //
-// where stage is load, sigma or checkpoint; failon is the 1-based
-// invocation index that fails; every optionally repeats the fault on every
-// every-th invocation after failon; and the literal suffix ":panic" makes
+// where stage is load or sigma; failon is the 1-based invocation index
+// that fails; every optionally repeats the fault on every every-th
+// invocation after failon; and the literal suffix ":panic" makes
 // the injected failure a panic instead of an error, exercising the
 // containment paths. Example:
 //
@@ -76,10 +73,8 @@ func parseChaos(spec string) (*chaosFaults, error) {
 			cf.load = f
 		case "sigma":
 			cf.sigma = f
-		case "checkpoint":
-			cf.checkpoint = f
 		default:
-			return nil, fmt.Errorf("chaos spec %q: unknown stage %q (want load, sigma or checkpoint)", elem, parts[0])
+			return nil, fmt.Errorf("chaos spec %q: unknown stage %q (want load or sigma)", elem, parts[0])
 		}
 	}
 	return cf, nil

@@ -5,18 +5,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"lcrb/internal/core"
 )
 
 // TestParseChaos covers the spec grammar.
 func TestParseChaos(t *testing.T) {
-	cf, err := parseChaos("load:1,sigma:3/5:panic,checkpoint:2/2")
+	cf, err := parseChaos("load:1,sigma:3/5:panic")
 	if err != nil {
 		t.Fatalf("parseChaos: %v", err)
 	}
@@ -26,12 +23,13 @@ func TestParseChaos(t *testing.T) {
 	if cf.sigma == nil || cf.sigma.FailOn != 3 || cf.sigma.Every != 5 || !cf.sigma.Panic {
 		t.Fatalf("sigma fault = %+v", cf.sigma)
 	}
-	if cf.checkpoint == nil || cf.checkpoint.FailOn != 2 || cf.checkpoint.Every != 2 {
-		t.Fatalf("checkpoint fault = %+v", cf.checkpoint)
+	every, err := parseChaos("load:2/2")
+	if err != nil || every.load == nil || every.load.FailOn != 2 || every.load.Every != 2 || every.load.Panic || every.sigma != nil {
+		t.Fatalf("load:2/2 = %+v, %v", every, err)
 	}
 
 	empty, err := parseChaos("")
-	if err != nil || empty.load != nil || empty.sigma != nil || empty.checkpoint != nil {
+	if err != nil || empty.load != nil || empty.sigma != nil {
 		t.Fatalf("empty spec = %+v, %v", empty, err)
 	}
 
@@ -63,7 +61,6 @@ func TestChaosStorm(t *testing.T) {
 	cfg := testConfig()
 	cfg.maxInflight = 8
 	cfg.maxWaiting = 64
-	cfg.hedgeDelay = 50 * time.Millisecond
 	s := newServer(cfg, chaos, t.Logf)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
@@ -82,7 +79,7 @@ func TestChaosStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Vary seed, algorithm and deadline so the storm hits every
-			// ladder rung: exact, hedged, deadline-degraded, shed.
+			// ladder rung: exact, SCBG-degraded, deadline-degraded, shed.
 			req := fmt.Sprintf(`{"algorithm":%q,"seed":%d,"samples":3,"timeoutMillis":%d}`,
 				[]string{"auto", "greedy", "scbg"}[i%3], 1+uint64(i%2), []int{4000, 50, 1}[i%3])
 			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(req))
@@ -196,79 +193,5 @@ func TestChaosDrainCancelsInFlight(t *testing.T) {
 	}
 	if !body["degraded"].(bool) {
 		t.Fatalf("drain-canceled solve not tagged degraded: %v", body)
-	}
-}
-
-// TestChaosCheckpointFault drives maybeCheckpoint directly with a partial
-// greedy prefix: an injected checkpoint fault (including a panic-shaped
-// one) is logged and swallowed, and the healthy path writes the file.
-func TestChaosCheckpointFault(t *testing.T) {
-	var mu sync.Mutex
-	var logs []string
-	logf := func(format string, a ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		logs = append(logs, fmt.Sprintf(format, a...))
-	}
-	logged := func(substr string) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, l := range logs {
-			if strings.Contains(l, substr) {
-				return true
-			}
-		}
-		return false
-	}
-	req, err := decodeSolveRequest(strings.NewReader(`{"algorithm":"greedy"}`), testConfig())
-	if err != nil {
-		t.Fatalf("decodeSolveRequest: %v", err)
-	}
-	partial := &core.GreedyResult{Partial: true, Protectors: []int32{3, 1, 4}}
-
-	// Injected error: logged, no file, response path unaffected.
-	chaos, err := parseChaos("checkpoint:1/1")
-	if err != nil {
-		t.Fatalf("parseChaos: %v", err)
-	}
-	cfg := testConfig()
-	cfg.checkpointDir = t.TempDir()
-	s := newServer(cfg, chaos, logf)
-	s.draining.Store(true)
-	s.maybeCheckpoint(req, partial)
-	if !logged("checkpoint fault") {
-		t.Fatalf("checkpoint fault never logged; logs: %q", logs)
-	}
-	if entries, _ := os.ReadDir(cfg.checkpointDir); len(entries) != 0 {
-		t.Fatalf("fault still wrote checkpoint files: %v", entries)
-	}
-
-	// Injected panic: contained, logged.
-	chaosPanic, err := parseChaos("checkpoint:1/1:panic")
-	if err != nil {
-		t.Fatalf("parseChaos: %v", err)
-	}
-	sp := newServer(cfg, chaosPanic, logf)
-	sp.draining.Store(true)
-	sp.maybeCheckpoint(req, partial)
-	if !logged("checkpoint panic contained") {
-		t.Fatalf("checkpoint panic never logged; logs: %q", logs)
-	}
-
-	// Healthy path: the partial prefix lands on disk.
-	ok := newServer(cfg, nil, logf)
-	ok.draining.Store(true)
-	ok.maybeCheckpoint(req, partial)
-	entries, err := os.ReadDir(cfg.checkpointDir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("checkpoint files = %v (%v), want exactly one", entries, err)
-	}
-
-	// Not draining: no checkpoint even with a partial prefix.
-	idle := newServer(cfg, nil, logf)
-	idle.cfg.checkpointDir = t.TempDir()
-	idle.maybeCheckpoint(req, partial)
-	if entries, _ := os.ReadDir(idle.cfg.checkpointDir); len(entries) != 0 {
-		t.Fatalf("idle server wrote checkpoint: %v", entries)
 	}
 }

@@ -136,9 +136,9 @@ func (s *server) dynEligible(req *resolvedRequest) bool {
 // problemFor builds a request's problem on the served snapshot and reports
 // the staleness of the answer: behindBatches counts the applied batches the
 // snapshot trails the master by. Serving while behind is counted.
-func (d *dynTier) problemFor(req *resolvedRequest) (*core.Problem, *experiment.Instance, *stalenessInfo, error) {
+func (d *dynTier) problemFor(req *resolvedRequest) (*core.Problem, *stalenessInfo, error) {
 	if err := d.ensureInit(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	d.mu.Lock()
 	snap := d.served
@@ -154,9 +154,9 @@ func (d *dynTier) problemFor(req *resolvedRequest) (*core.Problem, *experiment.I
 	}
 	prob, err := d.inst.NewProblemOn(snap.Graph, req.RumorFraction, d.s.requestRNG(req))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("build problem: %w", err)
+		return nil, nil, fmt.Errorf("build problem: %w", err)
 	}
-	return prob, d.inst, st, nil
+	return prob, st, nil
 }
 
 // servedVersion returns the served snapshot version, 0 before first init —

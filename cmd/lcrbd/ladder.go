@@ -3,15 +3,10 @@ package main
 import (
 	"context"
 	"fmt"
-	"path/filepath"
-	"sync/atomic"
 
-	"lcrb/internal/checkpoint"
 	"lcrb/internal/core"
 	"lcrb/internal/diffusion"
-	"lcrb/internal/experiment"
 	"lcrb/internal/heuristic"
-	"lcrb/internal/resilience"
 	"lcrb/internal/rng"
 )
 
@@ -22,20 +17,20 @@ func (s *server) requestRNG(req *resolvedRequest) *rng.Source {
 	return rng.New(req.Seed + 100)
 }
 
-// solve runs one request through the deadline-aware ladder:
+// solve runs one request down its ladder. auto and ris share one:
 //
 //	warm RR-set sketch (RIS max coverage, zero simulations)
-//	  → exact solver (greedy, hedged with SCBG for "auto")
-//	    → SCBG cover on greedy interruption
-//	      → Proximity/MaxDegree heuristic, which always answers
+//	  → SCBG cover while the sketch is cold, disabled or failed
+//	    → Proximity/MaxDegree heuristic, which always answers
 //
-// Every rung past the exact ones tags the response Degraded with the
+// Explicit greedy runs CELF greedy → SCBG cover on interruption →
+// heuristic. Every rung past the first tags the response Degraded with the
 // reason, so a client under deadline pressure receives an honest cheaper
 // answer instead of a bare 5xx. Only instance-build failures (circuit
 // open, generator broken) and dead-before-start contexts surface as
 // errors.
 func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveResponse, error) {
-	prob, inst, staleness, err := s.problem(req)
+	prob, staleness, err := s.problem(req)
 	if err != nil {
 		return nil, err
 	}
@@ -51,47 +46,13 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 
 	switch req.Algorithm {
 	case "greedy":
-		return s.solveLadder(ctx, req, inst, prob, resp, false)
-	case "auto":
-		// The fast rung: a warm sketch answers with pure max coverage and
-		// zero simulations. A miss warms the store in the background and
-		// falls through to the Monte-Carlo ladder; a solve failure (e.g.
-		// cancellation) falls through too rather than failing the request.
-		if ans, rerr := s.runRIS(ctx, req, prob, resp); rerr == nil && ans != nil {
-			return ans, nil
-		} else if rerr != nil {
-			s.logf("lcrbd: ris rung failed, falling through: %v", rerr)
-		}
-		return s.solveLadder(ctx, req, inst, prob, resp, true)
-	case "ris":
-		// Explicitly requested RIS: serve from the warm store, or degrade
-		// honestly — tagged, never silent — while a background build warms
-		// it for the next request.
-		ans, rerr := s.runRIS(ctx, req, prob, resp)
-		if rerr == nil && ans != nil {
-			return ans, nil
-		}
-		reason := "sketch store cold: build started in background"
-		if !s.sketches.enabled() {
-			reason = "sketch rung disabled (-sketch-samples 0)"
-		} else if rerr != nil {
-			reason = fmt.Sprintf("ris solve failed (%v)", rerr)
-		}
-		out, lerr := s.solveLadder(ctx, req, inst, prob, resp, true)
-		if lerr != nil {
-			return nil, lerr
-		}
-		out.Degraded = true
-		if out.DegradedReason != "" {
-			out.DegradedReason = reason + "; " + out.DegradedReason
-		} else {
-			out.DegradedReason = reason + ": served " + out.Algorithm
-		}
-		return out, nil
+		return s.solveGreedy(ctx, req, prob, resp)
+	case "auto", "ris":
+		return s.solveRIS(ctx, req, prob, resp)
 	case "scbg":
 		sres, serr := s.runSCBG(ctx, req, prob)
 		if serr != nil && (sres == nil || sres.UncoverableEnds == 0) {
-			return s.degradeToHeuristic(req, inst, prob, resp,
+			return s.degradeToHeuristic(req, prob, resp,
 				fmt.Sprintf("scbg failed (%v): served %s ranking", serr, heuristic.Proximity{}.Name()))
 		}
 		fillSCBG(resp, prob, req.Alpha, sres)
@@ -107,7 +68,7 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 		if req.Algorithm == "maxdegree" {
 			sel = heuristic.MaxDegree{}
 		}
-		ps, herr := s.runHeuristic(sel, inst, prob, req)
+		ps, herr := s.runHeuristic(sel, prob, req)
 		if herr != nil {
 			return nil, herr
 		}
@@ -119,87 +80,59 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 	}
 }
 
-// ladderAnswer is what a successful exact rung returns through the hedge.
-type ladderAnswer struct {
-	resp    solveResponse
-	partial []int32 // greedy's partial prefix, kept for drain checkpoints
+// solveRIS serves auto and ris from a warm sketch. A cold store (whose
+// miss starts a background build), a disabled rung or a failed RIS solve
+// degrades to the SCBG cover, tagged with the sketch reason.
+func (s *server) solveRIS(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse) (*solveResponse, error) {
+	ans, err := s.runRIS(ctx, req, prob, resp)
+	if err == nil && ans != nil {
+		return ans, nil
+	}
+	reason := "sketch store cold: build started in background"
+	if !s.sketches.enabled() {
+		reason = "sketch rung disabled (-sketch-samples 0)"
+	} else if err != nil {
+		reason = fmt.Sprintf("ris solve failed (%v)", err)
+	}
+	out, serr := s.degradeToSCBG(ctx, req, prob, resp, reason)
+	if serr != nil {
+		return s.degradeToHeuristic(req, prob, resp, fmt.Sprintf("%s; scbg failed (%v)", reason, serr))
+	}
+	return out, nil
 }
 
-// solveLadder runs the greedy rung (optionally hedged with SCBG) and
-// degrades on interruption or σ̂ failure.
-func (s *server) solveLadder(ctx context.Context, req *resolvedRequest, inst *experiment.Instance, prob *core.Problem, resp *solveResponse, hedged bool) (*solveResponse, error) {
-	var partial atomic.Pointer[core.GreedyResult]
-	runGreedy := func(ctx context.Context) (*ladderAnswer, error) {
-		res, err := s.runGreedy(ctx, req, prob)
-		if res != nil && res.Partial {
-			partial.Store(res)
-		}
-		if err != nil {
-			return nil, err
-		}
-		a := &ladderAnswer{}
-		a.resp = *resp
-		a.resp.Algorithm = "greedy"
-		a.resp.Protectors = res.Protectors
-		a.resp.ProtectedEnds = res.ProtectedEnds
-		a.resp.Achieved = res.Achieved
-		return a, nil
+// solveGreedy runs the explicitly requested CELF greedy. An interrupted
+// greedy (deadline, drain or σ̂ fault) degrades to the SCBG cover, and
+// when SCBG fails too, to the heuristic bottom rung.
+func (s *server) solveGreedy(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse) (*solveResponse, error) {
+	res, err := s.runGreedy(ctx, req, prob)
+	if err == nil {
+		out := *resp
+		out.Algorithm = "greedy"
+		out.Protectors = res.Protectors
+		out.ProtectedEnds = res.ProtectedEnds
+		out.Achieved = res.Achieved
+		return &out, nil
 	}
-	runSCBG := func(ctx context.Context) (*ladderAnswer, error) {
-		sres, err := s.runSCBG(ctx, req, prob)
-		if err != nil && (sres == nil || sres.UncoverableEnds == 0) {
-			return nil, err
-		}
-		a := &ladderAnswer{}
-		a.resp = *resp
-		fillSCBG(&a.resp, prob, req.Alpha, sres)
-		return a, nil
+	if out, serr := s.degradeToSCBG(ctx, req, prob, resp, fmt.Sprintf("greedy interrupted (%v)", err)); serr == nil {
+		return out, nil
 	}
+	return s.degradeToHeuristic(req, prob, resp, fmt.Sprintf("exact solvers unavailable (%v)", err))
+}
 
-	var answer *ladderAnswer
-	var err error
-	if hedged {
-		// "auto" races the exact greedy against the cheaper SCBG cover:
-		// SCBG launches hedgeDelay in (or immediately once greedy fails),
-		// and the first rung to finish wins while the loser is canceled.
-		h := resilience.Hedge{Delay: s.cfg.hedgeDelay, Attempts: 2, Stats: s.hedge}
-		var v any
-		v, err = h.DoContext(ctx, func(ctx context.Context, attempt int) (any, error) {
-			if attempt == 0 {
-				return runGreedy(ctx)
-			}
-			return runSCBG(ctx)
-		})
-		if err == nil {
-			answer = v.(*ladderAnswer)
-			if answer.resp.Algorithm == "scbg" {
-				answer.resp.Degraded = true
-				answer.resp.DegradedReason = "deadline pressure: SCBG cover finished first"
-			}
-		}
-	} else {
-		answer, err = runGreedy(ctx)
-		if err != nil {
-			reason := fmt.Sprintf("greedy interrupted (%v)", err)
-			var serr error
-			answer, serr = runSCBG(ctx)
-			if serr == nil {
-				answer.resp.Degraded = true
-				answer.resp.DegradedReason = reason + ": served SCBG cover"
-				err = nil
-			}
-		}
+// degradeToSCBG serves the SCBG cover tagged Degraded with reason. A cover
+// that leaves some ends uncoverable still answers; any other SCBG failure
+// is returned for the caller to fall through to the heuristic.
+func (s *server) degradeToSCBG(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse, reason string) (*solveResponse, error) {
+	sres, err := s.runSCBG(ctx, req, prob)
+	if err != nil && (sres == nil || sres.UncoverableEnds == 0) {
+		return nil, err
 	}
-
-	if err != nil {
-		// Both exact rungs failed — deadline, drain, or injected σ̂
-		// faults. The heuristic bottom rung always answers.
-		s.maybeCheckpoint(req, partial.Load())
-		return s.degradeToHeuristic(req, inst, prob, resp,
-			fmt.Sprintf("exact solvers unavailable (%v)", err))
-	}
-	s.maybeCheckpoint(req, partial.Load())
-	return &answer.resp, nil
+	out := *resp
+	fillSCBG(&out, prob, req.Alpha, sres)
+	out.Degraded = true
+	out.DegradedReason = reason + ": served SCBG cover"
+	return &out, nil
 }
 
 // runGreedy is the exact rung: CELF greedy with the request deadline folded
@@ -235,9 +168,9 @@ func (s *server) runSCBG(ctx context.Context, req *resolvedRequest, prob *core.P
 // runHeuristic ranks protectors with a cheap structural selector. It runs
 // uncancellable (the work is bounded and fast) so the bottom rung of the
 // ladder answers even when the request deadline is already gone.
-func (s *server) runHeuristic(sel heuristic.Selector, inst *experiment.Instance, prob *core.Problem, req *resolvedRequest) ([]int32, error) {
-	// prob.Graph, not inst.Net.Graph: in dynamic mode the served snapshot
-	// is the graph the answer is for (they are one and the same statically).
+func (s *server) runHeuristic(sel heuristic.Selector, prob *core.Problem, req *resolvedRequest) ([]int32, error) {
+	// prob.Graph is the graph the answer is for: in dynamic mode, the
+	// served snapshot rather than the instance's original network.
 	hctx := heuristic.Context{Graph: prob.Graph, Rumors: prob.Rumors, BridgeEnds: prob.Ends}
 	budget := len(prob.Rumors)
 	if budget < 1 {
@@ -250,9 +183,9 @@ func (s *server) runHeuristic(sel heuristic.Selector, inst *experiment.Instance,
 // degradeToHeuristic serves the ladder's bottom rung: Proximity, then
 // MaxDegree if Proximity itself fails. Only when both cheap heuristics
 // fail does the request surface an error.
-func (s *server) degradeToHeuristic(req *resolvedRequest, inst *experiment.Instance, prob *core.Problem, resp *solveResponse, reason string) (*solveResponse, error) {
+func (s *server) degradeToHeuristic(req *resolvedRequest, prob *core.Problem, resp *solveResponse, reason string) (*solveResponse, error) {
 	for _, sel := range []heuristic.Selector{heuristic.Proximity{}, heuristic.MaxDegree{}} {
-		ps, err := s.runHeuristic(sel, inst, prob, req)
+		ps, err := s.runHeuristic(sel, prob, req)
 		if err != nil {
 			s.logf("lcrbd: heuristic %s failed: %v", sel.Name(), err)
 			continue
@@ -272,46 +205,4 @@ func fillSCBG(resp *solveResponse, prob *core.Problem, alpha float64, sres *core
 	resp.Algorithm = "scbg"
 	resp.Protectors = sres.Protectors
 	resp.Achieved = sres.CoveredEnds >= prob.RequiredEnds(alpha)
-}
-
-// maybeCheckpoint persists a greedy partial prefix when the solve was cut
-// short by a drain, so the operator can resume the expensive selection
-// after restart. It never affects the response: checkpoint failures —
-// including injected chaos faults and panics — are logged and swallowed.
-func (s *server) maybeCheckpoint(req *resolvedRequest, res *core.GreedyResult) {
-	if s.cfg.checkpointDir == "" || res == nil || len(res.Protectors) == 0 || !s.draining.Load() {
-		return
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.logf("lcrbd: checkpoint panic contained: %v", rec)
-		}
-	}()
-	if err := s.chaos.checkpoint.Check(); err != nil {
-		s.logf("lcrbd: checkpoint fault: %v", err)
-		return
-	}
-	fp := fmt.Sprintf("lcrbd solve dataset=%s scale=%g seed=%d community-size=%d rumor-frac=%g alpha=%g samples=%d hops=%d",
-		req.Dataset, req.Scale, req.Seed, req.CommunitySize, req.RumorFraction, req.Alpha, req.Samples, req.MaxHops)
-	sweep := &checkpoint.Sweep{Version: checkpoint.Version, Fingerprint: fp}
-	sweep.Mark(checkpoint.Unit{Name: "protectors", Output: encodeProtectors(res.Protectors)})
-	path := filepath.Join(s.cfg.checkpointDir, fmt.Sprintf("solve-seed%d-%s.json", req.Seed, req.Dataset))
-	if err := checkpoint.Save(path, sweep); err != nil {
-		s.logf("lcrbd: checkpoint save: %v", err)
-		return
-	}
-	s.logf("lcrbd: drain checkpoint: %d protectors -> %s", len(res.Protectors), path)
-}
-
-// encodeProtectors renders a protector set for checkpoint storage, in the
-// same space-separated format lcrbrun resumes from.
-func encodeProtectors(ps []int32) string {
-	out := ""
-	for i, p := range ps {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%d", p)
-	}
-	return out
 }

@@ -1,11 +1,13 @@
 // Command lcrbd serves rumor-blocking solves over HTTP with a
-// deadline-aware fallback ladder: an instant RR-set sketch answer when the
-// warm store matches, an exact CELF greedy answer when the request budget
-// allows, an SCBG cover or a Proximity/MaxDegree ranking — honestly tagged
-// "degraded" — when it does not. The daemon never answers
-// a bare 503: overload sheds with a typed 429, a broken instance builder
-// opens a circuit with a typed 503, and SIGTERM drains in-flight solves
-// (checkpointing interrupted greedy prefixes) before exiting 0.
+// deadline-aware fallback ladder. The default algorithm, auto (the same
+// ladder as ris), answers from a warm RR-set sketch when the store matches,
+// and otherwise serves an SCBG cover or, when SCBG cannot answer, a
+// Proximity/MaxDegree ranking, honestly tagged "degraded" with the reason.
+// An explicit greedy request runs the paper's CELF greedy and degrades the
+// same way when its budget runs out. The daemon never answers a bare 503:
+// overload sheds with a typed 429, a broken instance builder opens a
+// circuit with a typed 503, and SIGTERM drains in-flight solves before
+// exiting 0.
 //
 // Under concurrent load the daemon stays fair and cheap: identical
 // concurrent solves coalesce into one execution (single flight), admission
@@ -80,12 +82,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workers     = fs.Int("workers", 0, "σ̂ evaluation goroutines per solve (0/1 = serial, -1 = all cores)")
 		deadline    = fs.Duration("deadline", 10*time.Second, "default per-request solve deadline")
 		margin      = fs.Duration("deadline-margin", 200*time.Millisecond, "headroom greedy reserves before the deadline for fallbacks")
-		hedgeDelay  = fs.Duration("hedge-delay", 2*time.Second, "how long auto lets greedy run before hedging with SCBG")
 		maxInflight = fs.Int64("max-inflight", 4, "concurrent solves admitted")
 		maxWaiting  = fs.Int("max-waiting", 8, "solves queued behind the in-flight ones before shedding")
 		drain       = fs.Duration("drain", 15*time.Second, "drain window for in-flight solves on shutdown")
-		ckptDir     = fs.String("checkpoint-dir", "", "directory for drain-time checkpoints of interrupted solves")
-		chaosSpec   = fs.String("chaos", "", "fault injection: stage:failon[/every][:panic],... (stages: load, sigma, checkpoint)")
+		chaosSpec   = fs.String("chaos", "", "fault injection: stage:failon[/every][:panic],... (stages: load, sigma)")
 		portFile    = fs.String("port-file", "", "write the bound port here once listening (for scripts)")
 		sketchN     = fs.Int("sketch-samples", 128, "RR-set sketch realizations for the fast rung (0 disables it)")
 		sketchEps   = fs.Float64("sketch-eps", 0, "adaptive sketch sizing to relative error ε in (0,1); overrides -sketch-samples")
@@ -147,10 +147,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workers:        *workers,
 		defaultTimeout: *deadline,
 		deadlineMargin: *margin,
-		hedgeDelay:     *hedgeDelay,
 		maxInflight:    *maxInflight,
 		maxWaiting:     *maxWaiting,
-		checkpointDir:  *ckptDir,
 		sketchSamples:  *sketchN,
 		sketchEps:      *sketchEps,
 		sketchDir:      *sketchDir,
@@ -187,8 +185,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	// Drain: stop admitting (readyz flips, new solves answer a typed
 	// 503), give in-flight solves the drain window, and before the window
-	// closes cancel them (hardStop) so they degrade or checkpoint and
-	// still write a response instead of holding Shutdown open.
+	// closes cancel them (hardStop) so they degrade and still write a
+	// response instead of holding Shutdown open.
 	s.draining.Store(true)
 	logf("lcrbd: draining for up to %v", *drain)
 	soft := *drain - *drain/4

@@ -470,7 +470,6 @@ func TestChaosStormOverload(t *testing.T) {
 	cfg := testConfig()
 	cfg.maxInflight = 8
 	cfg.maxWaiting = 8
-	cfg.hedgeDelay = 50 * time.Millisecond
 	cfg.tenants = map[string]int64{"gold": 3, "bronze": 1}
 	s := newServer(cfg, chaos, t.Logf)
 	ts := httptest.NewServer(s.handler())

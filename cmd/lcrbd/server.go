@@ -34,16 +34,10 @@ type serverConfig struct {
 	// reserve before the request deadline so the heuristic bottom rung
 	// still has time to answer.
 	deadlineMargin time.Duration
-	// hedgeDelay is how long the auto ladder lets greedy run before
-	// hedging with SCBG.
-	hedgeDelay time.Duration
 	// maxInflight and maxWaiting bound admission: maxInflight solves run,
 	// maxWaiting queue, the rest shed with a typed 429.
 	maxInflight int64
 	maxWaiting  int
-	// checkpointDir, when set, receives checkpoints of solves interrupted
-	// by a drain.
-	checkpointDir string
 	// sketchSamples is the realization count of RR-set sketch builds for
 	// the ladder's fast rung; 0 disables the rung entirely (unless
 	// sketchEps enables it adaptively).
@@ -87,11 +81,13 @@ type solveRequest struct {
 	// Alpha is the protection level for greedy (default 0.9).
 	Alpha float64 `json:"alpha"`
 	// Algorithm is auto (default), greedy, ris, scbg, proximity or
-	// maxdegree. auto serves from a warm RR-set sketch when one matches,
-	// then races greedy against SCBG under the deadline and degrades to a
-	// heuristic rather than failing. ris requires the sketch rung: a cold
-	// or stale store degrades (tagged) to the ladder while a build warms
-	// the store in the background.
+	// maxdegree. auto and ris are one ladder: a warm RR-set sketch answers
+	// exactly; a cold or stale store (which starts a background build), a
+	// disabled sketch rung or a failed RIS solve serves the SCBG cover,
+	// tagged degraded with the sketch reason; the Proximity/MaxDegree
+	// heuristic answers when SCBG cannot. greedy runs the Monte-Carlo
+	// CELF greedy and degrades to SCBG, then the heuristic, when
+	// interrupted.
 	Algorithm string `json:"algorithm"`
 	// Samples is the σ̂ Monte-Carlo sample count (default 10).
 	Samples int `json:"samples"`
@@ -195,8 +191,8 @@ type server struct {
 	breaker  *resilience.Breaker
 	sketches *sketchStore
 	// shards is the sharded RIS solve tier (nil when -shards is unset);
-	// hedge aggregates hedge outcomes across the auto ladder and the shard
-	// coordinator for /v1/stats.
+	// hedge aggregates the shard coordinator's hedged scatter outcomes for
+	// /v1/stats.
 	shards *shardTier
 	// dyn is the dynamic-graph tier (nil without -dynamic).
 	dyn   *dynTier
@@ -223,8 +219,8 @@ type server struct {
 	streams  atomic.Int64
 
 	// hardDrain is canceled when the drain window is nearly exhausted;
-	// in-flight solves observe it and degrade or checkpoint instead of
-	// holding the shutdown open.
+	// in-flight solves observe it and degrade instead of holding the
+	// shutdown open.
 	hardDrain context.Context
 	hardStop  context.CancelFunc
 }
@@ -698,7 +694,7 @@ func (s *server) instance(req *resolvedRequest) (*experiment.Instance, error) {
 // on the served snapshot instead of the instance's original graph, and the
 // returned staleness block says which version answered; every other path
 // returns a nil staleness.
-func (s *server) problem(req *resolvedRequest) (*core.Problem, *experiment.Instance, *stalenessInfo, error) {
+func (s *server) problem(req *resolvedRequest) (*core.Problem, *stalenessInfo, error) {
 	if s.dynEligible(req) {
 		return s.dyn.problemFor(req)
 	}
@@ -709,13 +705,13 @@ func (s *server) problem(req *resolvedRequest) (*core.Problem, *experiment.Insta
 		return err
 	})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("build instance: %w", err)
+		return nil, nil, fmt.Errorf("build instance: %w", err)
 	}
 	prob, err := inst.NewProblem(req.RumorFraction, s.requestRNG(req))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("build problem: %w", err)
+		return nil, nil, fmt.Errorf("build problem: %w", err)
 	}
-	return prob, inst, nil, nil
+	return prob, nil, nil
 }
 
 // writeJSON emits a 200 JSON body. Encode failures cannot be masked — the

@@ -13,10 +13,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lcrb/internal/core"
 )
 
 // testConfig is a fast serving configuration for httptest-backed tests:
-// tiny networks, short hedge delay, generous admission.
+// tiny networks, generous admission.
 func testConfig() serverConfig {
 	return serverConfig{
 		scale:          0.03,
@@ -24,7 +26,6 @@ func testConfig() serverConfig {
 		communitySize:  80,
 		defaultTimeout: 30 * time.Second,
 		deadlineMargin: 50 * time.Millisecond,
-		hedgeDelay:     100 * time.Millisecond,
 		maxInflight:    4,
 		maxWaiting:     16,
 	}
@@ -81,8 +82,9 @@ func TestSolveExactAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestSolveDegradesUnderTinyDeadline sends a deadline greedy cannot meet
-// and expects a 200 tagged Degraded with a reason — never a bare error.
+// TestSolveDegradesUnderTinyDeadline sends greedy and auto a deadline
+// that leaves SCBG no time either and expects the heuristic bottom rung:
+// a 200 tagged Degraded with a reason — never a bare error.
 func TestSolveDegradesUnderTinyDeadline(t *testing.T) {
 	s := newServer(testConfig(), nil, t.Logf)
 	ts := httptest.NewServer(s.handler())
@@ -92,18 +94,21 @@ func TestSolveDegradesUnderTinyDeadline(t *testing.T) {
 	if status, body := postSolve(t, ts.URL, `{"algorithm":"scbg"}`); status != http.StatusOK {
 		t.Fatalf("warmup: status %d body %v", status, body)
 	}
-	status, body := postSolve(t, ts.URL, `{"algorithm":"greedy","timeoutMillis":1,"samples":5}`)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, body %v (want degraded 200)", status, body)
-	}
-	if !body["degraded"].(bool) {
-		t.Fatalf("1ms deadline served an undegraded answer: %v", body)
-	}
-	if body["degradedReason"].(string) == "" {
-		t.Fatal("degraded answer has no reason")
-	}
-	if len(body["protectors"].([]any)) == 0 {
-		t.Fatalf("degraded answer has no protectors: %v", body)
+	for _, algo := range []string{"greedy", "auto"} {
+		status, body := postSolve(t, ts.URL, fmt.Sprintf(`{"algorithm":%q,"timeoutMillis":1,"samples":5}`, algo))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d, body %v (want degraded 200)", algo, status, body)
+		}
+		if !body["degraded"].(bool) || body["algorithm"] != "Proximity" {
+			t.Fatalf("%s: 1ms deadline did not reach the heuristic rung: %v", algo, body)
+		}
+		reason := body["degradedReason"].(string)
+		if reason == "" || (algo == "auto" && !strings.Contains(reason, "sketch")) {
+			t.Fatalf("%s: reason %q, want one (naming the sketch for auto)", algo, reason)
+		}
+		if len(body["protectors"].([]any)) == 0 {
+			t.Fatalf("%s: degraded answer has no protectors: %v", algo, body)
+		}
 	}
 }
 
@@ -151,28 +156,63 @@ func TestSolveCoalescedDegradesUnderTinyDeadline(t *testing.T) {
 	}
 }
 
-// TestSolveAutoHedges runs the auto ladder and accepts either rung —
-// greedy or SCBG — but never an error and never an untagged SCBG answer.
-func TestSolveAutoHedges(t *testing.T) {
+// TestServedExplicitAnswersMatchInProcess pins the explicit algorithms to
+// the library: a served greedy or scbg answer on testConfig()'s instance
+// carries exactly the protectors core.GreedyContext and core.SCBGContext
+// return when called in process with the options the serving rungs build.
+func TestServedExplicitAnswersMatchInProcess(t *testing.T) {
 	s := newServer(testConfig(), nil, t.Logf)
+	t.Cleanup(s.stop)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	status, body := postSolve(t, ts.URL, `{"algorithm":"auto","samples":5}`)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, body %v", status, body)
-	}
-	switch body["algorithm"].(string) {
-	case "greedy":
-		if body["degraded"].(bool) {
-			t.Fatalf("greedy win tagged degraded: %v", body)
+	for _, tc := range []struct {
+		body  string
+		solve func(*core.Problem, *resolvedRequest) ([]int32, error)
+	}{
+		{`{"algorithm":"greedy","alpha":0.9,"samples":5}`, func(p *core.Problem, req *resolvedRequest) ([]int32, error) {
+			res, err := core.GreedyContext(context.Background(), p, core.GreedyOptions{
+				Alpha: req.Alpha, Samples: req.Samples, Seed: req.Seed + 200, MaxHops: req.MaxHops,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return res.Protectors, nil
+		}},
+		{`{"algorithm":"scbg","alpha":0.9}`, func(p *core.Problem, req *resolvedRequest) ([]int32, error) {
+			res, err := core.SCBGContext(context.Background(), p, core.SCBGOptions{Alpha: req.Alpha})
+			if err != nil {
+				return nil, err
+			}
+			return res.Protectors, nil
+		}},
+	} {
+		status, served := postSolve(t, ts.URL, tc.body)
+		if status != http.StatusOK || served["degraded"].(bool) {
+			t.Fatalf("%s: status %d body %v, want an undegraded 200", tc.body, status, served)
 		}
-	case "scbg":
-		if !body["degraded"].(bool) {
-			t.Fatalf("SCBG hedge win not tagged degraded: %v", body)
+		req, err := decodeSolveRequest(strings.NewReader(tc.body), testConfig())
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.body, err)
 		}
-	default:
-		t.Fatalf("unexpected algorithm %v", body["algorithm"])
+		inst, err := s.instance(req)
+		if err != nil {
+			t.Fatalf("%s: instance: %v", tc.body, err)
+		}
+		prob, err := inst.NewProblem(req.RumorFraction, s.requestRNG(req))
+		if err != nil {
+			t.Fatalf("%s: problem: %v", tc.body, err)
+		}
+		want, err := tc.solve(prob, req)
+		if err != nil {
+			t.Fatalf("%s: in-process solve: %v", tc.body, err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: in-process solve selected no protectors", tc.body)
+		}
+		if got := fmt.Sprint(served["protectors"]); got != fmt.Sprint(want) {
+			t.Fatalf("%s: served protectors %s, in-process %v", tc.body, got, want)
+		}
 	}
 }
 
@@ -371,7 +411,6 @@ func TestRunServesAndDrains(t *testing.T) {
 			"-scale", "0.03",
 			"-drain", "5s",
 			"-deadline", "30s",
-			"-checkpoint-dir", dir,
 		}, &stdout, &stderr)
 	}()
 

@@ -257,7 +257,7 @@ func (s *server) shardWorkerHost() *shardsolve.Host {
 		if err != nil {
 			return nil, err
 		}
-		prob, _, _, err := s.problem(req)
+		prob, _, err := s.problem(req)
 		if err != nil {
 			return nil, err
 		}

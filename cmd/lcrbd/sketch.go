@@ -272,8 +272,8 @@ func (st *sketchStore) stats() map[string]any {
 
 // runRIS serves the fast rung from a warm sketch: lazy-greedy max coverage
 // with zero diffusion simulations. It returns (nil, nil) on a cold or
-// stale store — the caller falls through to the Monte-Carlo ladder — and
-// always kicks an asynchronous build on a miss so the store warms up.
+// stale store — the caller falls through to the SCBG cover — and always
+// kicks an asynchronous build on a miss so the store warms up.
 //
 // With the sharded tier configured (-shards), the rung scatters the solve
 // over shard workers first: the answer is bit-identical to the local

@@ -50,80 +50,112 @@ func waitForBuilds(t *testing.T, url string, n float64) {
 	t.Fatal("sketch build did not complete in time")
 }
 
-// TestSolveRISColdDegradesThenWarmServes is the fast rung's lifecycle: an
-// explicit ris request against a cold store degrades honestly (tagged,
-// with the ladder still answering) while a build warms the store; once
-// warm, identical requests are served by the sketch, deterministically.
-func TestSolveRISColdDegradesThenWarmServes(t *testing.T) {
-	s := newServer(sketchTestConfig(""), nil, t.Logf)
-	t.Cleanup(s.stop)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	req := `{"algorithm":"ris","alpha":0.9,"samples":5}`
-	status, cold := postSolve(t, ts.URL, req)
+// checkSketchDegraded asserts the auto/ris ladder's degraded answer: an
+// SCBG cover, tagged degraded, whose reason names the sketch.
+func checkSketchDegraded(t *testing.T, status int, body map[string]any, reason string) {
+	t.Helper()
 	if status != http.StatusOK {
-		t.Fatalf("cold status = %d, body %v", status, cold)
+		t.Fatalf("status = %d, body %v", status, body)
 	}
-	if !cold["degraded"].(bool) {
-		t.Fatalf("cold ris request not tagged degraded: %v", cold)
+	if body["algorithm"] != "scbg" || body["degraded"] != true {
+		t.Fatalf("want a degraded scbg answer, got %v", body)
 	}
-	if reason := cold["degradedReason"].(string); !strings.Contains(reason, "sketch store cold") {
-		t.Fatalf("cold reason = %q, want a sketch-cold tag", reason)
+	if got, _ := body["degradedReason"].(string); !strings.Contains(got, reason) {
+		t.Fatalf("reason = %q, want it to name %q", got, reason)
 	}
-	waitForBuilds(t, ts.URL, 1)
-
-	status, warm := postSolve(t, ts.URL, req)
-	if status != http.StatusOK {
-		t.Fatalf("warm status = %d, body %v", status, warm)
-	}
-	if warm["algorithm"].(string) != "ris" {
-		t.Fatalf("warm algorithm = %v, want ris", warm["algorithm"])
-	}
-	if warm["degraded"].(bool) {
-		t.Fatalf("warm ris answer tagged degraded: %v", warm)
-	}
-	if len(warm["protectors"].([]any)) == 0 {
-		t.Fatalf("warm ris answer selected no protectors: %v", warm)
-	}
-	_, again := postSolve(t, ts.URL, req)
-	if fmt.Sprint(warm["protectors"]) != fmt.Sprint(again["protectors"]) {
-		t.Fatalf("equal warm requests gave different protectors:\n%v\n%v",
-			warm["protectors"], again["protectors"])
-	}
-
-	sk := sketchStats(t, ts.URL)
-	if sk == nil {
-		t.Fatal("no sketch section in /v1/stats")
-	}
-	if sk["misses"].(float64) < 1 || sk["hits"].(float64) < 2 {
-		t.Fatalf("sketch counters did not record the lifecycle: %v", sk)
-	}
-	if _, ok := sk["newestBuildAgeSeconds"].(float64); !ok {
-		t.Fatalf("no build age reported after a build: %v", sk)
+	if len(body["protectors"].([]any)) == 0 {
+		t.Fatalf("degraded answer has no protectors: %v", body)
 	}
 }
 
-// TestSolveAutoServesFromWarmSketch checks auto's fast rung: once the
-// store is warm, auto answers from the sketch without degradation.
+// checkNoLadderHedge asserts that no hedged call ran: without shards, the
+// ladder never races one rung against another.
+func checkNoLadderHedge(t *testing.T, url string) {
+	t.Helper()
+	h := statsSection(t, url, "hedge")
+	if h == nil {
+		t.Fatal("no hedge section in /v1/stats")
+	}
+	if won := h["primaryWon"].(float64) + h["hedgeWon"].(float64); won != 0 {
+		t.Fatalf("hedge outcomes = %v, want no hedged ladder calls", h)
+	}
+}
+
+// TestSolveRISColdDegradesThenWarmServes is the fast rung's lifecycle for
+// both ris and auto: a request against a cold store degrades honestly to
+// the SCBG cover (tagged with the cold sketch) while a build warms the
+// store; once warm, identical requests are served by the sketch,
+// deterministically.
+func TestSolveRISColdDegradesThenWarmServes(t *testing.T) {
+	for _, algo := range []string{"ris", "auto"} {
+		t.Run(algo, func(t *testing.T) {
+			s := newServer(sketchTestConfig(""), nil, t.Logf)
+			t.Cleanup(s.stop)
+			ts := httptest.NewServer(s.handler())
+			defer ts.Close()
+
+			req := fmt.Sprintf(`{"algorithm":%q,"alpha":0.9,"samples":5}`, algo)
+			status, cold := postSolve(t, ts.URL, req)
+			checkSketchDegraded(t, status, cold, "sketch store cold")
+			checkNoLadderHedge(t, ts.URL)
+			waitForBuilds(t, ts.URL, 1)
+
+			status, warm := postSolve(t, ts.URL, req)
+			if status != http.StatusOK {
+				t.Fatalf("warm status = %d, body %v", status, warm)
+			}
+			if warm["algorithm"].(string) != "ris" {
+				t.Fatalf("warm algorithm = %v, want ris", warm["algorithm"])
+			}
+			if warm["degraded"].(bool) {
+				t.Fatalf("warm ris answer tagged degraded: %v", warm)
+			}
+			if len(warm["protectors"].([]any)) == 0 {
+				t.Fatalf("warm ris answer selected no protectors: %v", warm)
+			}
+			_, again := postSolve(t, ts.URL, req)
+			if fmt.Sprint(warm["protectors"]) != fmt.Sprint(again["protectors"]) {
+				t.Fatalf("equal warm requests gave different protectors:\n%v\n%v",
+					warm["protectors"], again["protectors"])
+			}
+
+			sk := sketchStats(t, ts.URL)
+			if sk == nil {
+				t.Fatal("no sketch section in /v1/stats")
+			}
+			if sk["misses"].(float64) < 1 || sk["hits"].(float64) < 2 {
+				t.Fatalf("sketch counters did not record the lifecycle: %v", sk)
+			}
+			if _, ok := sk["newestBuildAgeSeconds"].(float64); !ok {
+				t.Fatalf("no build age reported after a build: %v", sk)
+			}
+		})
+	}
+}
+
+// TestSolveAutoServesFromWarmSketch checks that auto is ris: against cold
+// stores the two answer the same SCBG cover, and once the store is warm,
+// auto answers from the sketch without degradation.
 func TestSolveAutoServesFromWarmSketch(t *testing.T) {
-	s := newServer(sketchTestConfig(""), nil, t.Logf)
-	t.Cleanup(s.stop)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	// auto against a cold store falls through to the MC ladder (and must
-	// not claim ris produced the answer) while warming the store.
-	status, cold := postSolve(t, ts.URL, `{"algorithm":"auto","samples":5}`)
-	if status != http.StatusOK {
-		t.Fatalf("cold status = %d, body %v", status, cold)
+	cold := map[string]map[string]any{}
+	var autoURL string
+	for _, algo := range []string{"ris", "auto"} {
+		s := newServer(sketchTestConfig(""), nil, t.Logf)
+		t.Cleanup(s.stop)
+		ts := httptest.NewServer(s.handler())
+		defer ts.Close()
+		status, body := postSolve(t, ts.URL, fmt.Sprintf(`{"algorithm":%q,"samples":5}`, algo))
+		checkSketchDegraded(t, status, body, "sketch store cold")
+		cold[algo] = body
+		autoURL = ts.URL
 	}
-	if cold["algorithm"].(string) == "ris" {
-		t.Fatalf("cold auto claims a sketch answer: %v", cold)
+	if fmt.Sprint(cold["auto"]["protectors"]) != fmt.Sprint(cold["ris"]["protectors"]) {
+		t.Fatalf("cold auto and cold ris answered differently:\n%v\n%v",
+			cold["auto"]["protectors"], cold["ris"]["protectors"])
 	}
-	waitForBuilds(t, ts.URL, 1)
+	waitForBuilds(t, autoURL, 1)
 
-	status, warm := postSolve(t, ts.URL, `{"algorithm":"auto","samples":5}`)
+	status, warm := postSolve(t, autoURL, `{"algorithm":"auto","samples":5}`)
 	if status != http.StatusOK {
 		t.Fatalf("warm status = %d, body %v", status, warm)
 	}
@@ -135,23 +167,19 @@ func TestSolveAutoServesFromWarmSketch(t *testing.T) {
 	}
 }
 
-// TestSolveRISDisabledDegradesHonestly: with the rung disabled, explicit
-// ris still answers — degraded, with the disablement as the reason.
+// TestSolveRISDisabledDegradesHonestly: with the rung disabled, ris and
+// auto still answer — the SCBG cover, degraded, with the disablement as
+// the reason.
 func TestSolveRISDisabledDegradesHonestly(t *testing.T) {
 	s := newServer(testConfig(), nil, t.Logf) // sketchSamples 0: rung off
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	status, body := postSolve(t, ts.URL, `{"algorithm":"ris","samples":5}`)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, body %v", status, body)
+	for _, algo := range []string{"ris", "auto"} {
+		status, body := postSolve(t, ts.URL, fmt.Sprintf(`{"algorithm":%q,"samples":5}`, algo))
+		checkSketchDegraded(t, status, body, "sketch rung disabled")
 	}
-	if !body["degraded"].(bool) {
-		t.Fatalf("disabled rung served an undegraded ris answer: %v", body)
-	}
-	if reason := body["degradedReason"].(string); !strings.Contains(reason, "disabled") {
-		t.Fatalf("reason = %q, want the disablement spelled out", reason)
-	}
+	checkNoLadderHedge(t, ts.URL)
 }
 
 // TestSketchStorePersistsAcrossRestart: a sketch built by one daemon is

@@ -84,7 +84,7 @@ func (s *server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), req.timeout)
 	defer cancel()
 	// A drain past its soft deadline cancels in-flight solves so they
-	// degrade (and checkpoint) instead of holding the shutdown open.
+	// degrade instead of holding the shutdown open.
 	stopAfter := context.AfterFunc(s.hardDrain, cancel)
 	defer stopAfter()
 
@@ -104,12 +104,12 @@ func (s *server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	sink.terminal("result", resp)
 }
 
-// eventSink serializes SSE writes. The serialization is load-bearing twice
-// over: hedged ladder rungs report greedy rounds from their own goroutines,
-// and a hedge loser may still emit a round after the handler has sent the
-// terminal event and returned — the done flag drops anything after the
-// terminal (or after a write failure, which means the client is gone) so
-// the ResponseWriter is never touched once the handler may have exited.
+// eventSink serializes SSE writes and seals the stream. Greedy reports its
+// rounds synchronously on the solving goroutine, but the sink does not rely
+// on that: the mutex keeps a round reported from any other goroutine from
+// interleaving with another frame, and the done flag drops anything after
+// the terminal (or after a write failure, which means the client is gone)
+// so the ResponseWriter is never touched once the handler may have exited.
 type eventSink struct {
 	w       io.Writer
 	flusher http.Flusher
@@ -126,7 +126,7 @@ func (e *eventSink) send(event string, payload any) {
 	if e.done {
 		return
 	}
-	//lint:ignore lockguard writing under e.mu is the point: SSE frames must serialize against hedge losers racing the terminal event
+	//lint:ignore lockguard writing under e.mu is the point: a round frame must never interleave with another frame or follow the terminal event
 	e.emit(event, payload)
 }
 

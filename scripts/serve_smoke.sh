@@ -3,10 +3,12 @@
 # contract end to end:
 #
 #   1. /healthz and /readyz answer 200 once the daemon is up,
-#   2. a normal solve answers 200 with degraded=false,
-#   3. an over-deadline solve answers 200 with degraded=true (an honest
+#   2. the first auto solve finds the sketch store cold and answers 200
+#      with degraded=true and a reason naming the sketch,
+#   3. a normal greedy solve answers 200 with degraded=false,
+#   4. an over-deadline solve answers 200 with degraded=true (an honest
 #      cheaper answer, not an error),
-#   4. SIGTERM drains: the process logs a clean drain and exits 0.
+#   5. SIGTERM drains: the process logs a clean drain and exits 0.
 #
 # Run via `make serve-smoke`. Requires only a POSIX shell and one of
 # curl/wget.
@@ -55,7 +57,7 @@ ${GO:-go} build -o "$workdir/lcrbd" ./cmd/lcrbd
 
 echo "serve-smoke: booting on a random port"
 "$workdir/lcrbd" -addr 127.0.0.1:0 -port-file "$workdir/port" -scale 0.03 \
-    -deadline 30s -drain 20s -checkpoint-dir "$workdir/ckpt" \
+    -deadline 30s -drain 20s \
     >"$workdir/stdout" 2>"$workdir/stderr" &
 daemon_pid=$!
 
@@ -74,6 +76,12 @@ status="$(fetch "$base/healthz")"
 [ "$status" = 200 ] || fail "healthz status $status"
 status="$(fetch "$base/readyz")"
 [ "$status" = 200 ] || fail "readyz status $status"
+
+echo "serve-smoke: cold auto solve degrades to the SCBG cover"
+status="$(fetch "$base/v1/solve" '{"algorithm":"auto"}')"
+[ "$status" = 200 ] || fail "cold auto status $status: $(cat "$workdir/resp")"
+grep -q '"degraded":true' "$workdir/resp" || fail "cold auto not degraded: $(cat "$workdir/resp")"
+grep -q '"degradedReason":"sketch' "$workdir/resp" || fail "cold auto reason does not name the sketch: $(cat "$workdir/resp")"
 
 echo "serve-smoke: normal solve"
 status="$(fetch "$base/v1/solve" '{"algorithm":"greedy","samples":5}')"

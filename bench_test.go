@@ -297,6 +297,7 @@ func BenchmarkSimulators(b *testing.B) {
 // greedy set cover).
 func BenchmarkSCBGSolver(b *testing.B) {
 	prob := benchProblem(b)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.SCBG(prob, core.SCBGOptions{}); err != nil {
 			b.Fatal(err)

@@ -52,8 +52,7 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 	case "scbg":
 		sres, serr := s.runSCBG(ctx, req, prob)
 		if serr != nil && (sres == nil || sres.UncoverableEnds == 0) {
-			return s.degradeToHeuristic(req, prob, resp,
-				fmt.Sprintf("scbg failed (%v): served %s ranking", serr, heuristic.Proximity{}.Name()))
+			return s.degradeToHeuristic(req, prob, resp, fmt.Sprintf("scbg failed (%v)", serr))
 		}
 		fillSCBG(resp, prob, req.Alpha, sres)
 		if sres.UncoverableEnds > 0 {

@@ -112,6 +112,31 @@ func TestSolveDegradesUnderTinyDeadline(t *testing.T) {
 	}
 }
 
+// TestSolveExplicitSCBGFailureNamesHeuristicOnce sends an explicit scbg a
+// deadline that leaves SCBG no time: the reason must say SCBG failed and
+// name the heuristic that actually served exactly once.
+func TestSolveExplicitSCBGFailureNamesHeuristicOnce(t *testing.T) {
+	s := newServer(testConfig(), nil, t.Logf)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	if status, body := postSolve(t, ts.URL, `{"algorithm":"scbg"}`); status != http.StatusOK {
+		t.Fatalf("warmup: status %d body %v", status, body)
+	}
+	status, body := postSolve(t, ts.URL, `{"algorithm":"scbg","timeoutMillis":1}`)
+	if status != http.StatusOK || body["degraded"] != true {
+		t.Fatalf("status = %d, body %v (want degraded 200)", status, body)
+	}
+	algo, _ := body["algorithm"].(string)
+	reason, _ := body["degradedReason"].(string)
+	if !strings.HasPrefix(reason, "scbg failed (") {
+		t.Fatalf("reason %q does not say scbg failed", reason)
+	}
+	if algo == "" || strings.Count(reason, "ranking") != 1 || !strings.HasSuffix(reason, ": served "+algo+" ranking") {
+		t.Fatalf("reason %q must name the serving heuristic %q exactly once", reason, algo)
+	}
+}
+
 // TestSolveCoalescedDegradesUnderTinyDeadline is the coalesced variant:
 // identical 1 ms requests fired together share flights, and every caller —
 // leader or waiter — receives the ladder's degraded 200, because waiters

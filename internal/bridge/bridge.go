@@ -11,6 +11,7 @@ package bridge
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"lcrb/internal/graph"
@@ -70,32 +71,53 @@ type BBSTs struct {
 // Build constructs the BBST of every bridge end: a backward BFS from the
 // end whose depth is fixed by the first rumor seed it meets (algorithm 3,
 // step 4). Nodes on the rumor side of a seed are excluded because the
-// protector cascade cannot pass through an already-infected node.
+// protector cascade cannot pass through an already-infected node. Every
+// end is validated before any tree is built, and the searches share one
+// set of dense per-node arrays.
 func Build(g *graph.Graph, rumors, ends []int32) (*BBSTs, error) {
-	isRumor := make(map[int32]bool, len(rumors))
+	n := g.NumNodes()
+	isRumor := make([]bool, n)
 	for _, r := range rumors {
-		if r < 0 || r >= g.NumNodes() {
-			return nil, fmt.Errorf("bridge: rumor seed %d out of range [0,%d)", r, g.NumNodes())
+		if r < 0 || r >= n {
+			return nil, fmt.Errorf("bridge: rumor seed %d out of range [0,%d)", r, n)
 		}
 		isRumor[r] = true
+	}
+	for _, v := range ends {
+		if v < 0 || v >= n {
+			return nil, fmt.Errorf("bridge: bridge end %d out of range [0,%d)", v, n)
+		}
+		if isRumor[v] {
+			return nil, fmt.Errorf("bridge: bridge end %d is a rumor seed", v)
+		}
 	}
 	out := &BBSTs{
 		Ends:   append([]int32(nil), ends...),
 		Trees:  make([][]int32, len(ends)),
 		Depths: make([]int32, len(ends)),
 	}
+	s := search{
+		seen:    make([]uint32, n),
+		dist:    make([]int32, n),
+		members: make([]uint64, (n+63)/64),
+	}
 	for i, v := range ends {
-		if v < 0 || v >= g.NumNodes() {
-			return nil, fmt.Errorf("bridge: bridge end %d out of range [0,%d)", v, g.NumNodes())
-		}
-		if isRumor[v] {
-			return nil, fmt.Errorf("bridge: bridge end %d is a rumor seed", v)
-		}
-		tree, depth := backwardTree(g, isRumor, v)
-		out.Trees[i] = tree
-		out.Depths[i] = depth
+		out.Trees[i], out.Depths[i] = s.backwardTree(g, isRumor, v)
 	}
 	return out, nil
+}
+
+// search is the scratch state of one backward BFS, reused across ends.
+// seen[u] == epoch marks u as reached by the current search, so starting a
+// new search costs one increment instead of clearing per-node arrays;
+// dist[u] is meaningful only for such u. members is a node bitmap of the
+// current tree, always all-zero between searches.
+type search struct {
+	seen    []uint32
+	epoch   uint32
+	dist    []int32
+	queue   []int32
+	members []uint64
 }
 
 // backwardTree runs the depth-limited backward BFS from end v. The limit is
@@ -103,15 +125,19 @@ func Build(g *graph.Graph, rumors, ends []int32) (*BBSTs, error) {
 // the search at L. Returns the sorted candidate set and L (-1 if no rumor
 // seed is backward-reachable, in which case every backward-reachable node
 // is a candidate).
-func backwardTree(g *graph.Graph, isRumor map[int32]bool, v int32) ([]int32, int32) {
-	dist := make(map[int32]int32, 64)
-	dist[v] = 0
-	queue := []int32{v}
+func (s *search) backwardTree(g *graph.Graph, isRumor []bool, v int32) ([]int32, int32) {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(s.seen)
+		s.epoch = 1
+	}
+	s.seen[v], s.dist[v] = s.epoch, 0
+	s.queue = append(s.queue[:0], v)
 	limit := int32(-1)
-	var tree []int32
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		d := dist[u]
+	size, lo, hi := 0, int(v>>6), int(v>>6)
+	for head := 0; head < len(s.queue); head++ {
+		u := s.queue[head]
+		d := s.dist[u]
 		if limit >= 0 && d > limit {
 			break // BFS order: everything past this is deeper than the cap
 		}
@@ -121,18 +147,28 @@ func backwardTree(g *graph.Graph, isRumor map[int32]bool, v int32) ([]int32, int
 			}
 			continue // rumor seeds cannot protect and block the search
 		}
-		tree = append(tree, u)
+		s.members[u>>6] |= 1 << (u & 63)
+		lo, hi = min(lo, int(u>>6)), max(hi, int(u>>6))
+		size++
 		if limit >= 0 && d == limit {
 			continue // at the cap: record but do not expand
 		}
 		for _, w := range g.In(u) {
-			if _, seen := dist[w]; !seen {
-				dist[w] = d + 1
-				queue = append(queue, w)
+			if s.seen[w] != s.epoch {
+				s.seen[w], s.dist[w] = s.epoch, d+1
+				s.queue = append(s.queue, w)
 			}
 		}
 	}
-	sort.Slice(tree, func(i, j int) bool { return tree[i] < tree[j] })
+	// Emit the tree ascending straight from the bitmap, clearing the
+	// touched words for the next search.
+	tree := make([]int32, 0, size)
+	for wi := lo; wi <= hi; wi++ {
+		for w := s.members[wi]; w != 0; w &= w - 1 {
+			tree = append(tree, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+		s.members[wi] = 0
+	}
 	return tree, limit
 }
 
@@ -149,22 +185,49 @@ type Coverage struct {
 	Ends []int32
 }
 
-// Invert builds the Coverage from the trees.
+// Invert builds the Coverage from the trees by a counting sort: count each
+// node's trees, list the candidates ascending, then fill one backing array
+// in tree order, so every Covers[i] is ascending and a capped subslice of
+// that array.
 func (b *BBSTs) Invert() *Coverage {
-	byNode := make(map[int32][]int32)
-	for i, tree := range b.Trees {
+	maxNode := int32(-1)
+	for _, tree := range b.Trees {
 		for _, u := range tree {
-			byNode[u] = append(byNode[u], int32(i))
+			maxNode = max(maxNode, u)
 		}
 	}
-	candidates := make([]int32, 0, len(byNode))
-	for u := range byNode {
-		candidates = append(candidates, u)
+	// next[u] counts u's trees, then becomes u's fill cursor in backing.
+	next := make([]int32, maxNode+1)
+	total, distinct := 0, 0
+	for _, tree := range b.Trees {
+		for _, u := range tree {
+			if next[u] == 0 {
+				distinct++
+			}
+			next[u]++
+		}
+		total += len(tree)
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	candidates := make([]int32, 0, distinct)
+	for u, c := range next {
+		if c > 0 {
+			candidates = append(candidates, int32(u))
+		}
+	}
 	covers := make([][]int32, len(candidates))
+	backing := make([]int32, total)
+	off := int32(0)
 	for i, u := range candidates {
-		covers[i] = byNode[u] // tree iteration order is ascending in i already
+		end := off + next[u]
+		covers[i] = backing[off:end:end]
+		next[u] = off
+		off = end
+	}
+	for i, tree := range b.Trees {
+		for _, u := range tree {
+			backing[next[u]] = int32(i)
+			next[u]++
+		}
 	}
 	return &Coverage{Candidates: candidates, Covers: covers, Ends: append([]int32(nil), b.Ends...)}
 }

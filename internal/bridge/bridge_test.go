@@ -2,6 +2,7 @@ package bridge
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"lcrb/internal/community"
@@ -284,6 +285,119 @@ func TestPipelineOnGeneratedNetwork(t *testing.T) {
 	for i := range bb.Ends {
 		if !covered[int32(i)] {
 			t.Fatalf("end index %d uncovered in inversion", i)
+		}
+	}
+}
+
+// referenceTree is the map-based backward BFS that Build's dense search
+// replaced, kept as the differential reference.
+func referenceTree(g *graph.Graph, isRumor map[int32]bool, v int32) ([]int32, int32) {
+	dist := map[int32]int32{v: 0}
+	queue := []int32{v}
+	limit := int32(-1)
+	var tree []int32
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		d := dist[u]
+		if limit >= 0 && d > limit {
+			break
+		}
+		if isRumor[u] {
+			if limit < 0 {
+				limit = d
+			}
+			continue
+		}
+		tree = append(tree, u)
+		if limit >= 0 && d == limit {
+			continue
+		}
+		for _, w := range g.In(u) {
+			if _, seen := dist[w]; !seen {
+				dist[w] = d + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	sort.Slice(tree, func(i, j int) bool { return tree[i] < tree[j] })
+	return tree, limit
+}
+
+// referenceInvert is the map inversion that Invert's counting sort replaced.
+func referenceInvert(trees [][]int32) ([]int32, [][]int32) {
+	byNode := make(map[int32][]int32)
+	for i, tree := range trees {
+		for _, u := range tree {
+			byNode[u] = append(byNode[u], int32(i))
+		}
+	}
+	candidates := make([]int32, 0, len(byNode))
+	for u := range byNode {
+		candidates = append(candidates, u)
+	}
+	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	covers := make([][]int32, len(candidates))
+	for i, u := range candidates {
+		covers[i] = byNode[u]
+	}
+	return candidates, covers
+}
+
+// TestBuildAndInvertMatchReference runs Build and Invert against the map
+// references on generated community networks, several rumor draws each:
+// bridge ends found from the draw, and arbitrary non-rumor end lists
+// (duplicates included) whose searches may never meet a rumor seed.
+func TestBuildAndInvertMatchReference(t *testing.T) {
+	for _, cfg := range []gen.CommunityConfig{
+		{Nodes: 700, AvgDegree: 6, Seed: 3},
+		{Nodes: 500, AvgDegree: 3, Seed: 4},
+		{Nodes: 400, AvgDegree: 4, Seed: 5, Symmetric: true},
+	} {
+		net, err := gen.Community(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := net.Graph
+		part := community.Louvain(g, community.LouvainOptions{Seed: 1})
+		src := rng.New(cfg.Seed)
+		for draw := 0; draw < 8; draw++ {
+			comm := part.Assign()[src.Intn(int(g.NumNodes()))]
+			members := part.Members(comm)
+			rumors := make([]int32, 1+src.Intn(4))
+			isRumor := make(map[int32]bool)
+			for i := range rumors {
+				rumors[i] = members[src.Intn(len(members))]
+				isRumor[rumors[i]] = true
+			}
+			ends, err := FindEnds(g, part.Assign(), comm, rumors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if draw%2 == 1 {
+				ends = ends[:0]
+				for len(ends) < 40 {
+					if v := src.Int32n(g.NumNodes()); !isRumor[v] {
+						ends = append(ends, v)
+					}
+				}
+				ends = append(ends, ends[0])
+			}
+			bb, err := Build(g, rumors, ends)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range ends {
+				tree, depth := referenceTree(g, isRumor, v)
+				if !reflect.DeepEqual(bb.Trees[i], tree) || bb.Depths[i] != depth {
+					t.Fatalf("seed %d draw %d end %d: tree %v depth %d, reference %v depth %d",
+						cfg.Seed, draw, v, bb.Trees[i], bb.Depths[i], tree, depth)
+				}
+			}
+			cov := bb.Invert()
+			candidates, covers := referenceInvert(bb.Trees)
+			if !reflect.DeepEqual(cov.Candidates, candidates) || !reflect.DeepEqual(cov.Covers, covers) {
+				t.Fatalf("seed %d draw %d: inversion differs from the map reference", cfg.Seed, draw)
+			}
 		}
 	}
 }

@@ -325,21 +325,11 @@ func greedyCandidates(p *Problem, opts GreedyOptions) ([]int32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: greedy: build candidate pool: %w", err)
 	}
-	// coverage[u] counts the backward search trees containing u: an upper
-	// bound on how many bridge ends u can protect.
-	coverage := make(map[int32]int)
-	for _, tree := range trees.Trees {
-		for _, u := range tree {
-			if !p.isRumor[u] {
-				coverage[u]++
-			}
-		}
-	}
-	out := make([]int32, 0, len(coverage))
-	for u := range coverage {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	// The candidates are the inversion's nodes, ascending; the coverage
+	// len(Covers[i]) of candidate i, the number of backward search trees
+	// containing it, bounds how many bridge ends it can protect.
+	cov := trees.Invert()
+	out := cov.Candidates
 
 	limit := opts.MaxCandidates
 	if limit == 0 {
@@ -347,9 +337,18 @@ func greedyCandidates(p *Problem, opts GreedyOptions) ([]int32, error) {
 	}
 	if limit > 0 && len(out) > limit {
 		// Keep the top candidates by coverage, ties to smaller node ids.
-		sort.SliceStable(out, func(i, j int) bool { return coverage[out[i]] > coverage[out[j]] })
-		out = out[:limit]
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		idx := make([]int, len(out))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return len(cov.Covers[idx[a]]) > len(cov.Covers[idx[b]]) })
+		idx = idx[:limit]
+		sort.Ints(idx)
+		top := make([]int32, limit)
+		for k, i := range idx {
+			top[k] = out[i]
+		}
+		out = top
 	}
 	return out, nil
 }

@@ -110,13 +110,16 @@ func SCBGContext(ctx context.Context, p *Problem, opts SCBGOptions) (*SCBGResult
 	if errors.Is(err, setcover.ErrUncoverable) {
 		// Report how many ends are beyond reach; callers decide whether a
 		// partial cover is acceptable.
-		coverable := make(map[int32]bool)
+		coverable := make([]bool, len(p.Ends))
+		res.UncoverableEnds = len(p.Ends)
 		for _, idxs := range cov.Covers {
 			for _, i := range idxs {
-				coverable[i] = true
+				if !coverable[i] {
+					coverable[i] = true
+					res.UncoverableEnds--
+				}
 			}
 		}
-		res.UncoverableEnds = len(p.Ends) - len(coverable)
 		return res, fmt.Errorf("core: SCBG: %d bridge ends uncoverable: %w", res.UncoverableEnds, err)
 	}
 	return res, nil

@@ -3,6 +3,7 @@ package diffusion
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"lcrb/internal/graph"
 	"lcrb/internal/rng"
@@ -74,10 +75,13 @@ func runOPOAO(ctx context.Context, g *graph.Graph, rumors, protectors []int32, c
 		return nil, err
 	}
 	res := &Result{Status: status}
+	s := opoaoScratchPool.Get().(*opoaoScratch)
+	defer opoaoScratchPool.Put(s)
+	s.reset(int(g.NumNodes()))
 
 	// active holds every currently active node, in activation order; each
 	// keeps acting every step until the run ends.
-	var active []int32
+	active := s.active
 	var infected, protected int32
 	for u, st := range status {
 		switch st {
@@ -93,17 +97,15 @@ func runOPOAO(ctx context.Context, g *graph.Graph, rumors, protectors []int32, c
 
 	// Reachable-set upper bound for early exit: once every node reachable
 	// from any seed is active, nothing more can happen.
-	potential := int32(len(graph.Reachable(g, append(append([]int32{}, rumors...), protectors...), graph.Forward)))
+	potential := s.reachable(g, active)
 
 	opts.emitSeeds(status)
 
 	// Proposals of the current step: proposedBy[v] records which cascade
 	// claims v this step, with P overriding R; proposer[v] remembers the
 	// claiming node for tracing. Reset lazily via stamp.
-	proposedBy := make([]Status, g.NumNodes())
-	proposer := make([]int32, g.NumNodes())
-	stamp := make([]int32, g.NumNodes())
-	var newlyActive []int32
+	proposedBy, proposer, stamp := s.proposedBy, s.proposer, s.stamp
+	newlyActive := s.newlyActive
 
 	maxHops := opts.maxHops()
 	hop := 0
@@ -148,8 +150,61 @@ func runOPOAO(ctx context.Context, g *graph.Graph, rumors, protectors []int32, c
 		active = append(active, newlyActive...)
 		res.recordHop(opts, infected, protected)
 	}
+	s.active, s.newlyActive = active, newlyActive // keep the grown buffers
 	res.Hops = hop
 	res.Infected = infected
 	res.Protected = protected
 	return res, nil
+}
+
+// opoaoScratch is runOPOAO's working memory, pooled because the greedy's
+// σ̂ estimates run thousands of simulations per solve: allocating it per
+// run made those simulations the bulk of a serving process's garbage.
+// Only Result.Status, which the caller keeps, is allocated per run.
+type opoaoScratch struct {
+	proposedBy  []Status
+	proposer    []int32
+	stamp       []int32
+	active      []int32
+	newlyActive []int32
+	seen        []bool
+	queue       []int32
+}
+
+var opoaoScratchPool = sync.Pool{New: func() any { return new(opoaoScratch) }}
+
+// reset sizes the scratch for an n-node graph. stamp and seen start
+// zeroed; proposedBy and proposer are read only where stamp is current.
+func (s *opoaoScratch) reset(n int) {
+	if cap(s.stamp) < n {
+		s.proposedBy = make([]Status, n)
+		s.proposer = make([]int32, n)
+		s.stamp = make([]int32, n)
+		s.seen = make([]bool, n)
+	} else {
+		s.proposedBy, s.proposer = s.proposedBy[:n], s.proposer[:n]
+		s.stamp, s.seen = s.stamp[:n], s.seen[:n]
+		clear(s.stamp)
+		clear(s.seen)
+	}
+	s.active, s.newlyActive = s.active[:0], s.newlyActive[:0]
+}
+
+// reachable counts the nodes forward-reachable from the distinct seeds:
+// graph.Reachable on the scratch's buffers instead of two fresh arrays.
+func (s *opoaoScratch) reachable(g *graph.Graph, seeds []int32) int32 {
+	queue := append(s.queue[:0], seeds...)
+	for _, u := range seeds {
+		s.seen[u] = true
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, v := range g.Out(queue[head]) {
+			if !s.seen[v] {
+				s.seen[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	s.queue = queue
+	return int32(len(queue))
 }

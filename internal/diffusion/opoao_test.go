@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -149,6 +150,40 @@ func TestOPOAORealizationDeterministic(t *testing.T) {
 	for v := range a.Status {
 		if a.Status[v] != b.Status[v] {
 			t.Fatal("same realization seed produced different outcomes")
+		}
+	}
+}
+
+// TestOPOAORealizationIgnoresEarlierRuns reruns realizations on a small
+// graph after runs on a larger, deeper one have left the pooled scratch
+// full of stale stamps, reach marks and buffers, and requires the same
+// results, hop counts included.
+func TestOPOAORealizationIgnoresEarlierRuns(t *testing.T) {
+	small, err := gen.ErdosRenyi(120, 300, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := gen.ErdosRenyi(400, 1600, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxHops: 31, RecordHops: true}
+	for realSeed := uint64(1); realSeed <= 20; realSeed++ {
+		want, err := RunOPOAORealization(small, []int32{0, 1}, []int32{2}, realSeed, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 3; k++ {
+			if _, err := RunOPOAORealization(big, []int32{5}, []int32{6, 7}, realSeed*10+k, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := RunOPOAORealization(small, []int32{0, 1}, []int32{2}, realSeed, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("realization %d: result changed after runs on a larger graph", realSeed)
 		}
 	}
 }

@@ -76,6 +76,13 @@ func GreedyPartial(in Instance, need int) (*Solution, error) {
 // checked once per selection round. On cancellation the partial cover built
 // so far is returned alongside the wrapped context error, mirroring the
 // ErrUncoverable contract.
+//
+// The selection is lazy (CELF-style): a max-heap holds every set that may
+// still cover something, keyed on its last-known gain/cost ratio. Gains
+// only shrink as elements get covered, so a stale key is an upper bound;
+// the top set is recounted, and it is picked once its recount confirms its
+// key, since no other set can then beat it. Equal ratios order by set
+// index, so the lowest index wins a tie.
 func GreedyPartialContext(ctx context.Context, in Instance, need int) (*Solution, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -88,47 +95,40 @@ func GreedyPartialContext(ctx context.Context, in Instance, need int) (*Solution
 	}
 	covered := make([]bool, in.Universe)
 	sol := &Solution{}
-	cost := func(i int) float64 {
+	cost := func(i int32) float64 {
 		if in.Costs == nil {
 			return 1
 		}
 		return in.Costs[i]
 	}
-	// gains caches each set's last-known new-coverage count; it only ever
-	// shrinks, so stale values are upper bounds (lazy re-evaluation).
-	gains := make([]int, len(in.Sets))
+	gains := &gainCounter{stamp: make([]uint32, in.Universe)}
+	h := make(ratioHeap, 0, len(in.Sets))
 	for i, set := range in.Sets {
-		gains[i] = len(distinct(set))
+		if gain := gains.uncovered(set, covered); gain > 0 {
+			h = append(h, heapEntry{ratio: float64(gain) / cost(int32(i)), gain: gain, set: int32(i)})
+		}
 	}
-	used := make([]bool, len(in.Sets))
+	h.init()
 
 	for sol.Covered < need {
 		if err := ctx.Err(); err != nil {
 			return sol, fmt.Errorf("setcover: canceled after covering %d of %d elements: %w", sol.Covered, need, err)
 		}
-		best, bestRatio := -1, -math.MaxFloat64
-		for i := range in.Sets {
-			if used[i] || gains[i] == 0 {
-				continue
+		best := int32(-1)
+		for len(h) > 0 {
+			top := h[0].set
+			gain := gains.uncovered(in.Sets[top], covered)
+			if gain == h[0].gain {
+				best = top
+				h.pop()
+				break
 			}
-			// Refresh the gain lazily: only when the cached upper bound
-			// could beat the current best.
-			if ratio := float64(gains[i]) / cost(i); ratio <= bestRatio && best >= 0 {
-				continue
-			}
-			gain := 0
-			for _, e := range in.Sets[i] {
-				if !covered[e] {
-					gain++
-				}
-			}
-			gains[i] = gain
 			if gain == 0 {
+				h.pop()
 				continue
 			}
-			if ratio := float64(gain) / cost(i); ratio > bestRatio {
-				best, bestRatio = i, ratio
-			}
+			h[0].gain, h[0].ratio = gain, float64(gain)/cost(top)
+			h.down(0)
 		}
 		if best < 0 {
 			// Return the partial cover alongside the error so callers can
@@ -136,30 +136,89 @@ func GreedyPartialContext(ctx context.Context, in Instance, need int) (*Solution
 			return sol, fmt.Errorf("%w: %d of %d elements required, %d covered",
 				ErrUncoverable, need, in.Universe, sol.Covered)
 		}
-		used[best] = true
 		for _, e := range in.Sets[best] {
 			if !covered[e] {
 				covered[e] = true
 				sol.Covered++
 			}
 		}
-		sol.Chosen = append(sol.Chosen, int32(best))
+		sol.Chosen = append(sol.Chosen, best)
 		sol.Cost += cost(best)
 	}
 	return sol, nil
 }
 
-// distinct returns the distinct elements of set.
-func distinct(set []int32) []int32 {
-	seen := make(map[int32]struct{}, len(set))
-	out := set[:0:0]
+// gainCounter counts a set's distinct uncovered elements. stamp[e] ==
+// epoch marks e as already counted by the current call, so duplicate
+// elements count once without clearing anything between calls.
+type gainCounter struct {
+	stamp []uint32
+	epoch uint32
+}
+
+// uncovered returns the number of distinct elements of set not yet covered.
+func (c *gainCounter) uncovered(set []int32, covered []bool) int32 {
+	c.epoch++
+	if c.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(c.stamp)
+		c.epoch = 1
+	}
+	n := int32(0)
 	for _, e := range set {
-		if _, dup := seen[e]; !dup {
-			seen[e] = struct{}{}
-			out = append(out, e)
+		if !covered[e] && c.stamp[e] != c.epoch {
+			c.stamp[e] = c.epoch
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// heapEntry is one candidate set in the lazy selection heap.
+type heapEntry struct {
+	ratio float64 // gain / cost at the last recount
+	gain  int32   // distinct uncovered elements at the last recount
+	set   int32
+}
+
+// ratioHeap is a binary max-heap on (ratio descending, set ascending).
+type ratioHeap []heapEntry
+
+func (h ratioHeap) before(i, j int) bool {
+	if h[i].ratio != h[j].ratio {
+		return h[i].ratio > h[j].ratio
+	}
+	return h[i].set < h[j].set
+}
+
+func (h ratioHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h ratioHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h.before(c+1, c) {
+			c++
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// pop removes the top entry.
+func (h *ratioHeap) pop() {
+	last := len(*h) - 1
+	(*h)[0] = (*h)[last]
+	*h = (*h)[:last]
+	h.down(0)
 }
 
 // Exact solves the instance optimally by exhaustive search over set

@@ -3,6 +3,7 @@ package setcover
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -300,5 +301,121 @@ func TestGreedyPartialContextCanceled(t *testing.T) {
 	}
 	if plain, err := GreedyPartialContext(context.Background(), in, 4); err != nil || plain.Covered != 4 {
 		t.Fatalf("live context run: %+v, %v", plain, err)
+	}
+}
+
+// TestGreedyCountsDistinctGains is the duplicate-element regression: a set
+// listing one element three times gains 1, not 3, so {1, 2} alone covers
+// the two elements needed.
+func TestGreedyCountsDistinctGains(t *testing.T) {
+	in := Instance{Universe: 3, Sets: [][]int32{{0, 0, 0}, {1, 2}}}
+	sol, err := GreedyPartial(in, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sol.Chosen, []int32{1}) || sol.Covered != 2 {
+		t.Fatalf("solution = %+v, want Chosen [1] covering 2", sol)
+	}
+}
+
+// scanGreedyPartial is the reference selector: the full rescan of every
+// set in every round that the heap replaced, refreshing a cached gain only
+// when its upper bound could beat the round's best. Its refresh counts
+// distinct uncovered elements, as the initial gains do.
+func scanGreedyPartial(in Instance, need int) (*Solution, error) {
+	if err := in.validate(); err != nil {
+		return nil, err
+	}
+	need = max(0, min(need, in.Universe))
+	covered := make([]bool, in.Universe)
+	cost := func(i int) float64 {
+		if in.Costs == nil {
+			return 1
+		}
+		return in.Costs[i]
+	}
+	distinctUncovered := func(set []int32) int {
+		seen := make(map[int32]bool, len(set))
+		for _, e := range set {
+			if !covered[e] {
+				seen[e] = true
+			}
+		}
+		return len(seen)
+	}
+	gains := make([]int, len(in.Sets))
+	for i, set := range in.Sets {
+		gains[i] = distinctUncovered(set)
+	}
+	used := make([]bool, len(in.Sets))
+	sol := &Solution{}
+	for sol.Covered < need {
+		best, bestRatio := -1, -math.MaxFloat64
+		for i := range in.Sets {
+			if used[i] || gains[i] == 0 {
+				continue
+			}
+			if ratio := float64(gains[i]) / cost(i); ratio <= bestRatio && best >= 0 {
+				continue
+			}
+			gains[i] = distinctUncovered(in.Sets[i])
+			if ratio := float64(gains[i]) / cost(i); gains[i] > 0 && ratio > bestRatio {
+				best, bestRatio = i, ratio
+			}
+		}
+		if best < 0 {
+			return sol, fmt.Errorf("%w: %d of %d elements required, %d covered",
+				ErrUncoverable, need, in.Universe, sol.Covered)
+		}
+		used[best] = true
+		for _, e := range in.Sets[best] {
+			if !covered[e] {
+				covered[e] = true
+				sol.Covered++
+			}
+		}
+		sol.Chosen = append(sol.Chosen, int32(best))
+		sol.Cost += cost(best)
+	}
+	return sol, nil
+}
+
+// TestGreedyMatchesScanReference checks the lazy heap against the rescan
+// reference on random instances: unit and weighted costs (with many tied
+// ratios), duplicate elements, partial targets and uncoverable universes.
+// Solutions and errors must be equal.
+func TestGreedyMatchesScanReference(t *testing.T) {
+	src := rng.New(1801)
+	for trial := 0; trial < 3000; trial++ {
+		universe := src.Intn(40)
+		in := Instance{Universe: universe, Sets: make([][]int32, src.Intn(30))}
+		for i := range in.Sets {
+			set := make([]int32, src.Intn(8))
+			for j := range set {
+				if universe > 0 {
+					set[j] = int32(src.Intn(universe))
+				}
+			}
+			if universe == 0 {
+				set = nil
+			}
+			in.Sets[i] = set
+		}
+		if trial%2 == 1 {
+			in.Costs = make([]float64, len(in.Sets))
+			for i := range in.Costs {
+				in.Costs[i] = float64(1 + src.Intn(4)) // small range: ties are common
+			}
+		}
+		need := universe
+		if trial%3 != 0 {
+			need = src.Intn(universe + 2)
+		}
+		got, gotErr := GreedyPartial(in, need)
+		want, wantErr := scanGreedyPartial(in, need)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: instance %+v need %d:\nheap %+v, %v\nscan %+v, %v",
+				trial, in, need, got, gotErr, want, wantErr)
+		}
 	}
 }

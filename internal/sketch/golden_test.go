@@ -4,11 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"lcrb/internal/community"
 	"lcrb/internal/core"
-	"lcrb/internal/diffusion"
 	"lcrb/internal/dyngraph"
 	"lcrb/internal/gen"
 	"lcrb/internal/rng"
@@ -103,7 +103,7 @@ func TestGoldenSamplerDigestFixed(t *testing.T) {
 // (each node linked to its two nearest neighbours on either side) cut into
 // four 100-node communities, with one rumor seed in the middle of the
 // first. The rumor needs 40 to 90 hops to reach the bridge ends, so a
-// 100-hop horizon spans both mask words of every edge.
+// 100-hop horizon takes table rows and sweep levels past 64.
 func latticeProblem(t testing.TB) *core.Problem {
 	t.Helper()
 	g, err := gen.WattsStrogatz(400, 2, 0, 3)
@@ -121,9 +121,9 @@ func latticeProblem(t testing.TB) *core.Problem {
 	return p
 }
 
-// A horizon past 63 hops needs more than one mask word per edge; the test
-// insists some rumor arrival really lies past hop 63, so the second word
-// is exercised, not just allocated.
+// A horizon past 63 hops sweeps more levels than a word has bits; the
+// test insists some rumor arrival really lies past hop 63, so the long
+// sweeps are exercised, not just allowed.
 func TestGoldenSamplerDigestLongHorizon(t *testing.T) {
 	p := latticeProblem(t)
 	const hops = 100
@@ -135,13 +135,11 @@ func TestGoldenSamplerDigestLongHorizon(t *testing.T) {
 
 	late := 0
 	src := rng.New(11)
+	sc := newSampler(p, hops, false).newScratch()
 	for r := 0; r < set.Samples; r++ {
-		arr, err := diffusion.OPOAOArrivals(p.Graph, p.Rumors, src.Uint64(), hops)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc.forward(src.Uint64())
 		for _, e := range p.Ends {
-			if arr[e] > 63 {
+			if sc.arr[e] > 63 {
 				late++
 			}
 		}
@@ -201,22 +199,22 @@ func TestGoldenSamplerDigestShard(t *testing.T) {
 }
 
 // BenchmarkSampleRealization times the sampler layer: one realization on
-// the pinned hep instance — forward arrivals, step schedule and every
-// backward search — with the edge map and scratch built once, as a build
-// does per worker.
+// the pinned hep instance (the forward pass that fills the step-target
+// table, then the level sweeps of every batch of bridge ends), with the
+// scratch built once, as a build does per worker. The footprints case is
+// how Repair samples.
 func BenchmarkSampleRealization(b *testing.B) {
 	p := hepProblem(b)
-	em, err := newEdgeMap(p.Graph)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := newScratch(p, em, core.DefaultGreedyHops, false)
-	seeds := rng.New(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if benchPairs, _, _, err = sc.sample(seeds.Uint64(), int32(i)); err != nil {
-			b.Fatal(err)
-		}
+	for _, footprints := range []bool{false, true} {
+		b.Run(fmt.Sprintf("footprints=%v", footprints), func(b *testing.B) {
+			sc := newSampler(p, core.DefaultGreedyHops, footprints).newScratch()
+			seeds := rng.New(7)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchPairs, _, _ = sc.sample(seeds.Uint64(), int32(i))
+			}
+		})
 	}
 }
 

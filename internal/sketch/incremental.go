@@ -3,10 +3,10 @@
 //
 // The correctness argument is a replay induction over what the sampler
 // reads. Realization r's pairs are a pure function of (realization seed,
-// problem): the forward pass reads only active nodes' out-rows, the
-// backward searches read only finalized nodes' in-rows and considered
-// relays' out-rows — and Options.Footprints records exactly that read set
-// per realization. A dyngraph batch marks a node dirty when its out-row or
+// problem): the forward pass reads only active nodes' out-rows, and an RR
+// set depends only on its members' in-rows and the out-rows of the relays
+// into them — and Options.Footprints records exactly that node set per
+// realization. A dyngraph batch marks a node dirty when its out-row or
 // in-row changed; if realization r's footprint intersects no dirty node,
 // every adjacency row the old sampling read is bit-identical in the new
 // snapshot, so re-running r there retraces the same reads and emits the
@@ -176,19 +176,12 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 			return
 		}
 		r := redraw[slot]
-		pairs, _, foot, err := sc.sample(realSeeds[r], int32(r))
-		if err != nil {
-			errs[slot] = fmt.Errorf("sketch: repair realization %d: %w", r, err)
-			return
-		}
+		pairs, _, foot := sc.sample(realSeeds[r], int32(r))
 		results[slot] = redrawn{pairs: pairs, foot: foot}
 	}
-	em, err := newEdgeMap(newP.Graph)
-	if err != nil {
-		return nil, nil, err
-	}
+	smp := newSampler(newP, set.MaxHops, true)
 	runStriped(len(redraw), workers, func(w, stride int) {
-		sc := newScratch(newP, em, set.MaxHops, true)
+		sc := smp.newScratch()
 		for slot := w; slot < len(redraw); slot += stride {
 			drawOne(sc, slot)
 			if errs[slot] != nil {

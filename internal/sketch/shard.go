@@ -90,10 +90,7 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 		return nil, core.ErrNoBridgeEnds
 	}
 
-	b, err := newSetBuilder(p, opts, 1)
-	if err != nil {
-		return nil, err
-	}
+	b := newSetBuilder(p, opts, 1)
 	// Draw the full seed stream so realization r's seed is the one the
 	// single build would use, then sample only this shard's residues.
 	for len(b.realSeeds) < opts.Samples {
@@ -109,7 +106,7 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 		ShardSamples: ShardRealizations(opts.Samples, index, count),
 		Fingerprint:  ShardFingerprint(p, opts, index, count),
 	}
-	sc := b.newScratch()
+	sc := b.smp.newScratch()
 	for r := index; r < opts.Samples; r += count {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -121,10 +118,7 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 		if err := opts.Fault.Check(); err != nil {
 			return nil, fmt.Errorf("sketch: shard build realization %d: %w", r, err)
 		}
-		pairs, base, _, err := sc.sample(b.realSeeds[r], int32(r))
-		if err != nil {
-			return nil, fmt.Errorf("sketch: shard build realization %d: %w", r, err)
-		}
+		pairs, base, _ := sc.sample(b.realSeeds[r], int32(r))
 		set.BaselinePairs += base
 		set.Pairs = append(set.Pairs, pairs...)
 	}

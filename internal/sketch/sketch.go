@@ -30,19 +30,21 @@
 // Each realization is the fixed OPOAO realization of internal/diffusion:
 // node u's activation target at step t is the pure function
 // diffusion.FixedChoice(realSeed, u, t, deg), so activation timing is
-// label-independent and a single temporal-arrival pass
-// (diffusion.OPOAOArrivals) yields the rumor's unopposed arrival hop t_R(e)
-// at every bridge end e. A pair (realization, e) with t_R(e) < 0 is
-// baseline-safe: the rumor never reaches e within MaxHops, so e survives
-// under every protector set. Otherwise the RR set of the pair is computed
-// by a backward temporal search from e: node u belongs to it when a
-// protector cascade seeded at u alone can reach e by hop t_R(e) (cascade P
-// wins simultaneous arrivals), moving only along steps the realization
-// actually schedules, never through a rumor seed, and never passing a node
-// later than the rumor's own arrival there. Seeding S saves the pair
-// exactly when S intersects its RR set, up to the cascade-interleaving
-// effects that the paper's Lemma 4 bounds; the estimator's agreement with
-// Monte-Carlo σ̂ is enforced empirically by the accuracy tests.
+// label-independent and one forward pass over the rumor seeds yields the
+// rumor's unopposed arrival hop t_R(e) at every bridge end e. A pair
+// (realization, e) with t_R(e) < 0 is baseline-safe: the rumor never
+// reaches e within MaxHops, so e survives under every protector set.
+// Otherwise the pair's RR set holds every node u (rumor seeds excluded)
+// from which a lone protector cascade seeded at u reaches e by hop t_R(e)
+// (cascade P wins simultaneous arrivals), moving only along steps the
+// realization actually schedules and never through a node the rumor
+// claimed first. The forward pass writes each step's targets into a
+// step-target table, and a level sweep over that table computes the RR
+// sets of 64 ends at once, one bit per end (see scratch.sweep). Seeding S
+// saves the pair exactly when S intersects its RR set, up to the
+// cascade-interleaving effects that the paper's Lemma 4 bounds; the
+// estimator's agreement with Monte-Carlo σ̂ is enforced empirically by the
+// accuracy tests.
 //
 // # Determinism contract
 //
@@ -57,6 +59,7 @@
 package sketch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -104,13 +107,14 @@ type Options struct {
 	// the fault's schedule, for testing build error paths.
 	Fault *diffusion.Fault
 	// Footprints records, per realization, the set of nodes whose adjacency
-	// the sampler read with effect — the forward-activated set plus every
-	// node the backward searches visited or scanned. A realization whose
-	// footprint avoids a graph mutation re-samples identically on the
-	// mutated graph, which is what lets Repair patch a sketch incrementally
-	// (see incremental.go). Costs one sorted []int32 per realization in
-	// memory and in the store. Ignored by shard-slice builds: slices rebuild
-	// from coordinates on mutation, they never repair.
+	// the sampler read with effect: the forward-activated set, every RR-set
+	// member, and the relays that could reach them (see scratch.sample). A
+	// realization whose footprint avoids a graph mutation re-samples
+	// identically on the mutated graph, which is what lets Repair patch a
+	// sketch incrementally (see incremental.go). Costs one sorted []int32
+	// per realization in memory and in the store. Ignored by shard-slice
+	// builds: slices rebuild from coordinates on mutation, they never
+	// repair.
 	Footprints bool
 
 	// Epsilon, when positive with Samples zero, selects the adaptive
@@ -297,10 +301,7 @@ func BuildContext(ctx context.Context, p *core.Problem, opts Options) (*Set, err
 		workers = 1
 	}
 
-	b, err := newSetBuilder(p, opts, workers)
-	if err != nil {
-		return nil, err
-	}
+	b := newSetBuilder(p, opts, workers)
 	if adaptive {
 		return b.buildAdaptive(ctx)
 	}
@@ -315,7 +316,7 @@ type setBuilder struct {
 	p       *core.Problem
 	opts    Options
 	workers int
-	em      *edgeMap
+	smp     *sampler
 	// seedSrc streams realization seeds; realSeeds[i] is realization i's,
 	// drawn sequentially exactly like the greedy's common-random-numbers
 	// seeds: a pure function of Options.Seed.
@@ -330,21 +331,13 @@ type setBuilder struct {
 	deadline time.Time
 }
 
-func newSetBuilder(p *core.Problem, opts Options, workers int) (*setBuilder, error) {
-	em, err := newEdgeMap(p.Graph)
-	if err != nil {
-		return nil, err
-	}
-	b := &setBuilder{p: p, opts: opts, workers: workers, em: em, seedSrc: rng.New(opts.Seed)}
+func newSetBuilder(p *core.Problem, opts Options, workers int) *setBuilder {
+	b := &setBuilder{p: p, opts: opts, workers: workers, seedSrc: rng.New(opts.Seed),
+		smp: newSampler(p, opts.MaxHops, opts.Footprints)}
 	if opts.MaxDuration > 0 {
 		b.deadline = time.Now().Add(opts.MaxDuration)
 	}
-	return b, nil
-}
-
-// newScratch returns a per-worker scratch in the builder's footprint mode.
-func (b *setBuilder) newScratch() *scratch {
-	return newScratch(b.p, b.em, b.opts.MaxHops, b.opts.Footprints)
+	return b
 }
 
 // grow samples realizations [len(perReal), total). All-or-nothing per the
@@ -374,10 +367,7 @@ func (b *setBuilder) grow(ctx context.Context, total int) error {
 		if err := b.opts.Fault.Check(); err != nil {
 			return fmt.Errorf("sketch: build realization %d: %w", i, err)
 		}
-		pairs, base, foot, err := sc.sample(b.realSeeds[i], int32(i))
-		if err != nil {
-			return fmt.Errorf("sketch: build realization %d: %w", i, err)
-		}
+		pairs, base, foot := sc.sample(b.realSeeds[i], int32(i))
 		b.perReal[i] = pairs
 		b.perFoot[i] = foot
 		b.baseline[i] = base
@@ -389,7 +379,7 @@ func (b *setBuilder) grow(ctx context.Context, total int) error {
 		workers = total - lo
 	}
 	if workers == 1 {
-		sc := b.newScratch()
+		sc := b.smp.newScratch()
 		for i := lo; i < total; i++ {
 			if errs[i-lo] = sampleOne(sc, i); errs[i-lo] != nil {
 				break
@@ -402,7 +392,7 @@ func (b *setBuilder) grow(ctx context.Context, total int) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := b.newScratch()
+				sc := b.smp.newScratch()
 				for i := lo + w; i < total; i += workers {
 					if errs[i-lo] = sampleOne(sc, i); errs[i-lo] != nil {
 						return
@@ -461,276 +451,291 @@ func (b *setBuilder) buildFixed(ctx context.Context) (*Set, error) {
 	return set, nil
 }
 
-// edgeMap links the two CSR directions of a graph for the sampler's step
-// masks, which are indexed by in-edge slot: inOff[x] is the slot of In(x)[0]
-// among all in-edges, and outToIn[k] is the in-edge slot of the k-th
-// out-edge in (source, target) order. Built once per build in O(V + E) and
-// shared read-only by every worker.
-type edgeMap struct {
-	inOff   []int32
-	outToIn []int32
+// sampler is the read-only half of RR-set sampling, built once per build
+// and shared by every worker: the problem, the horizon, and how far the
+// rumor can spread at all, which depends on the problem alone.
+type sampler struct {
+	p          *core.Problem
+	maxHops    int
+	footprints bool
+	// reach counts the nodes forward-reachable from the rumor seeds, and
+	// reachEnds the bridge ends among them: once reach nodes are active no
+	// step activates another, and once reachEnds ends have arrived every
+	// t_R of the realization is known.
+	reach     int32
+	reachEnds int
 }
 
-func newEdgeMap(g *graph.Graph) (*edgeMap, error) {
-	if g.NumEdges() > math.MaxInt32 {
-		return nil, fmt.Errorf("sketch: graph has %d edges, more than the sampler's int32 edge slots", g.NumEdges())
-	}
-	n := g.NumNodes()
-	em := &edgeMap{inOff: make([]int32, n+1), outToIn: make([]int32, g.NumEdges())}
-	for x := int32(0); x < n; x++ {
-		em.inOff[x+1] = em.inOff[x] + g.InDegree(x)
-	}
-	// In(x) is ascending, so walking sources in ascending order meets x's
-	// in-edges in row order: each takes the next free slot of x's row.
-	next := slices.Clone(em.inOff[:n])
-	k := 0
-	for w := int32(0); w < n; w++ {
-		for _, x := range g.Out(w) {
-			em.outToIn[k] = next[x]
-			next[x]++
-			k++
+func newSampler(p *core.Problem, maxHops int, footprints bool) *sampler {
+	reach := graph.Reachable(p.Graph, p.Rumors, graph.Forward)
+	s := &sampler{p: p, maxHops: maxHops, footprints: footprints, reach: int32(len(reach))}
+	for _, v := range reach {
+		if p.IsEnd(v) {
+			s.reachEnds++
 		}
 	}
-	return em, nil
+	return s
 }
 
 // scratch is the per-worker reusable state of the sampler.
 type scratch struct {
-	p  *core.Problem
-	em *edgeMap
-	// masks holds the step schedule of the realization in flight, words
-	// uint64s per in-edge: bit s of in-edge w→x (word s/64, bit s%64) is set
-	// when the realization has w target x at step s. Step 0 is never
-	// scheduled, so bit 0 stays clear.
-	masks   []uint64
-	words   int
-	maxHops int
-	// need[v] is the search state of node v, valid when its stamp is cur.
-	need []needSlot
-	cur  int32
-	// buckets[t] queues nodes whose best need is t, processed from high
-	// to low so the first pop of a node carries its final (maximum) need.
-	buckets [][]int32
-	// members marks the nodes the search in flight finalized, one bit per
-	// node; the emit scans and clears only the words it touched.
-	members []uint64
-	// Footprint collection (Options.Footprints): fpSeen[v] == fpCur marks v
-	// already in fpOut for the realization in flight; fpOut accumulates the
-	// footprint across the forward pass and every backward search.
-	fpSeen []int32
-	fpCur  int32
-	fpOut  []int32
+	*sampler
+	n int32
+	// arr[v] is the rumor's arrival hop at v in the realization in flight,
+	// or -1 while it has not arrived (see forward for where the pass stops).
+	arr []int32
+	// table is the level-major step-target table: table[s-1][w] is the
+	// node w targets at step s, or the sentinel n when w cannot relay
+	// cascade P at step s: w has no out-edge, w is a rumor seed, or the
+	// rumor claimed the target before step s. Rows are allocated on first
+	// use and reused by later realizations.
+	table [][]int32
+	// cur and next are the double-buffered sweep levels, one bit per end
+	// of the batch in flight. Index n is the sentinel's and stays zero.
+	cur, next []uint64
+	// order lists the coverable ends by t_R; rr[ei] is end ei's RR set;
+	// hit lists the nodes of the batch in flight with N_0 nonempty.
+	order []int32
+	rr    [][]int32
+	hit   []int32
+	// fp marks the footprint of the realization in flight, and scanned
+	// the nodes whose in-rows it already holds (Options.Footprints).
+	fp, scanned []uint64
 }
 
-// needSlot is one node's backward-search state: best is the latest hop by
-// which a protector must activate the node for the current end to be
-// saved, encoded as -1 - best once the node is finalized; stamp names the
-// search that wrote it. The two share a slot so a relay test loads one
-// cache line.
-type needSlot struct{ stamp, best int32 }
-
-// newScratch returns a scratch for sampling p's realizations up to maxHops
-// hops, collecting footprints when asked. em must be p.Graph's edge map.
-func newScratch(p *core.Problem, em *edgeMap, maxHops int, footprints bool) *scratch {
-	n := p.Graph.NumNodes()
-	words := maxHops/64 + 1 // bits 0..maxHops
+func (s *sampler) newScratch() *scratch {
+	n := s.p.Graph.NumNodes()
 	sc := &scratch{
-		p:       p,
-		em:      em,
-		masks:   make([]uint64, len(em.outToIn)*words),
-		words:   words,
-		maxHops: maxHops,
-		need:    make([]needSlot, n),
-		members: make([]uint64, n/64+1),
+		sampler: s,
+		n:       n,
+		arr:     make([]int32, n),
+		cur:     make([]uint64, n+1),
+		next:    make([]uint64, n+1),
+		rr:      make([][]int32, len(s.p.Ends)),
 	}
-	if footprints {
-		sc.fpSeen = make([]int32, n)
+	if s.footprints {
+		sc.fp = make([]uint64, n/64+1)
+		sc.scanned = make([]uint64, n/64+1)
 	}
 	return sc
 }
 
-// fpMark adds v to the realization's footprint once.
-func (sc *scratch) fpMark(v int32) {
-	if sc.fpSeen[v] != sc.fpCur {
-		sc.fpSeen[v] = sc.fpCur
-		sc.fpOut = append(sc.fpOut, v)
-	}
-}
-
-// sample computes the pairs of one realization: a forward temporal-arrival
-// pass for the rumor clock, the realization's step schedule, then one
-// backward RR search per coverable end. When the scratch collects
+// sample computes the pairs of one realization: a forward pass for the
+// rumor clock that also fills the step-target table, then one level sweep
+// per batch of up to 64 coverable ends. When the sampler collects
 // footprints, the returned footprint is the sorted set of nodes whose
 // adjacency this realization read with effect; otherwise nil.
 //
 // The footprint contract (what Repair's skip argument needs): re-sampling
 // this realization on a graph whose mutations avoid every footprint node
-// yields identical pairs. Three read classes make up the set. (1) The
-// forward pass: every activated node — only active nodes' out-rows drive
-// proposals, so if none of them changed, activation replays step for step.
-// (The pass also counts forward-reachable nodes for its early exit, but
-// once every reachable node is active no later step can activate anything,
-// so the exit changes no arrival — the reachable count stays out of the
-// footprint.) (2) Backward searches: every finalized node — its in-row is
-// scanned for relays. (3) Every non-rumor in-neighbour considered as a
-// relay — its out-degree, out-row and rumor arrival are read. Rumor-seed
-// neighbours are skipped before any read, and their seed status is part of
-// the problem, not the graph. The step schedule draws every node's steps,
-// but a search reads only the entries of considered relays.
-func (sc *scratch) sample(realSeed uint64, realIdx int32) ([]Pair, int, []int32, error) {
-	p := sc.p
-	arrR, err := diffusion.OPOAOArrivals(p.Graph, p.Rumors, realSeed, sc.maxHops)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if sc.fpSeen != nil {
-		sc.fpCur++
-		sc.fpOut = sc.fpOut[:0]
-		for u, a := range arrR {
-			if a >= 0 {
-				sc.fpMark(int32(u))
-			}
-		}
-	}
-	lastT := int32(0)
-	for _, e := range p.Ends {
-		lastT = max(lastT, arrR[e])
-	}
-	if lastT > 0 {
-		sc.schedule(realSeed, lastT, arrR)
-	}
-	var pairs []Pair
-	base := 0
+// yields identical pairs. The set is (1) every activated node: only active
+// nodes' out-rows drive activations, so if none changed the forward pass
+// replays step for step; (2) every node with N_0 nonempty in some batch,
+// i.e. every member of an RR set; and (3) every non-seed in-neighbour of a
+// node x with N_1 nonempty, the relays that could carry P to x at a step
+// of at least 1 (their out-degree, out-row and rumor arrival decide it).
+// The table draws every node's steps, but only those relays' entries reach
+// an RR set. Rumor seeds never relay, and their seed status is part of the
+// problem, not the graph.
+func (sc *scratch) sample(realSeed uint64, realIdx int32) ([]Pair, int, []int32) {
+	p, arr := sc.p, sc.arr
+	sc.forward(realSeed)
+	order := sc.order[:0]
 	for ei, e := range p.Ends {
-		tR := arrR[e]
-		if tR < 0 {
-			base++ // rumor never arrives: saved under every protector set
-			continue
+		if arr[e] >= 0 {
+			order = append(order, int32(ei))
 		}
-		nodes := sc.rrSet(e, tR, arrR)
-		pairs = append(pairs, Pair{Realization: realIdx, End: int32(ei), Nodes: nodes})
 	}
-	var foot []int32
-	if sc.fpSeen != nil {
-		foot = slices.Clone(sc.fpOut)
-		slices.Sort(foot)
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(arr[p.Ends[a]], arr[p.Ends[b]]) })
+	for lo := 0; lo < len(order); lo += 64 {
+		sc.sweep(order[lo:min(lo+64, len(order))])
 	}
-	return pairs, base, foot, nil
+	sc.order = order
+	var pairs []Pair
+	for ei, e := range p.Ends {
+		if arr[e] >= 0 {
+			pairs = append(pairs, Pair{Realization: realIdx, End: int32(ei), Nodes: sc.rr[ei]})
+		}
+	}
+	return pairs, len(p.Ends) - len(pairs), sc.footprint()
 }
 
-// schedule fills the step masks with realization realSeed's steps 1..lastT,
-// the most any search asks for: n·lastT FixedChoice draws shared by every
-// backward search of the realization. Rumor seeds (arrival 0) never relay,
-// so their out-edges stay empty.
-func (sc *scratch) schedule(realSeed uint64, lastT int32, arrR []int32) {
-	g := sc.p.Graph
-	clear(sc.masks)
-	k := 0
-	for w := int32(0); w < g.NumNodes(); w++ {
-		deg := g.OutDegree(w)
-		if deg > 0 && arrR[w] != 0 {
-			slots := sc.em.outToIn[k : k+int(deg)]
-			for s := int32(1); s <= lastT; s++ {
-				i := int(slots[diffusion.FixedChoice(realSeed, w, s, deg)])*sc.words + int(s>>6)
-				sc.masks[i] |= 1 << uint(s&63)
+// forward runs the rumor clock of realization realSeed: at step s every
+// node active before s targets FixedChoice(realSeed, w, s, deg), and the
+// targets not yet active arrive at hop s. While some reachable end has not
+// arrived, the step also writes table row s for every node, so each
+// FixedChoice is drawn once for both directions. Without footprints the
+// pass stops once every reachable end has arrived: later arrivals change
+// no RR set. With them it runs on, since the footprint holds every
+// activated node.
+func (sc *scratch) forward(realSeed uint64) {
+	g, n, arr := sc.p.Graph, sc.n, sc.arr
+	for i := range arr {
+		arr[i] = -1
+	}
+	active, ends := int32(0), 0
+	for _, r := range sc.p.Rumors {
+		if arr[r] != 0 {
+			arr[r] = 0
+			active++
+			if sc.p.IsEnd(r) {
+				ends++
 			}
 		}
-		k += int(deg)
 	}
-}
-
-// latestStep returns the latest step s ≤ t at which the realization in
-// flight has the given in-edge's source target its head, or 0 if none.
-func (sc *scratch) latestStep(edge int, t int32) int32 {
-	lo := edge * sc.words
-	i := lo + int(t>>6)
-	m := sc.masks[i] & (uint64(2)<<uint(t&63) - 1)
-	for m == 0 {
-		if i == lo {
-			return 0
+	for s := int32(1); int(s) <= sc.maxHops && active < sc.reach; s++ {
+		fill := ends < sc.reachEnds
+		if !fill && !sc.footprints {
+			return
 		}
-		i--
-		m = sc.masks[i]
-	}
-	return int32((i-lo)<<6 + bits.Len64(m) - 1)
-}
-
-// rrSet runs the backward temporal search from end e with rumor arrival
-// hop tR: it returns, ascending, every node u (rumor seeds excluded) from
-// which a lone protector cascade reaches e by hop tR in this realization.
-//
-// The search propagates "need" values: need(x) is the latest hop by which
-// the protector cascade must activate x so the label still reaches e in
-// time. need(e) = tR; an in-neighbour w of x can relay at the largest
-// scheduled step t ≤ need(x) at which w targets x — one masked
-// highest-bit lookup in the step schedule — giving need(w) = t − 1,
-// further capped by the rumor's own arrival at w (a node the rumor claims
-// first cannot relay the protector). Needs are integers in [0, tR], so a
-// bucket queue processed from high to low finalizes each node at its
-// maximum need — a Dijkstra over at most tR+1 distinct priorities.
-func (sc *scratch) rrSet(e, tR int32, arrR []int32) []int32 {
-	g := sc.p.Graph
-	sc.cur++
-	if int(tR)+1 > len(sc.buckets) {
-		sc.buckets = make([][]int32, tR+1)
-	}
-	buckets := sc.buckets[:tR+1]
-	for t := range buckets {
-		buckets[t] = buckets[t][:0]
-	}
-	push := func(v, need int32) {
-		sc.need[v] = needSlot{stamp: sc.cur, best: need}
-		buckets[need] = append(buckets[need], v)
-	}
-	// visited is encoded as a negative best value after the first pop.
-	push(e, tR)
-
-	count, lo, hi := 0, len(sc.members), -1
-	for t := tR; t >= 0; t-- {
-		for bi := 0; bi < len(buckets[t]); bi++ {
-			x := buckets[t][bi]
-			if sc.need[x].best != t { // stale entry: finalized at a higher need
+		var row []int32
+		if fill {
+			if len(sc.table) < int(s) {
+				sc.table = append(sc.table, make([]int32, n))
+			}
+			row = sc.table[s-1]
+		}
+		for w := int32(0); w < n; w++ {
+			out := g.Out(w)
+			aw := uint32(arr[w]) // -1, not yet arrived, reads as 2^32-1
+			if len(out) == 0 || !fill && aw >= uint32(s) {
+				if fill {
+					row[w] = n
+				}
 				continue
 			}
-			sc.need[x].best = -1 - t // mark finalized
-			wi := int(x >> 6)
-			sc.members[wi] |= 1 << uint(x&63)
-			count, lo, hi = count+1, min(lo, wi), max(hi, wi)
-			if sc.fpSeen != nil {
-				sc.fpMark(x) // finalized: its in-row is scanned below
+			x := out[diffusion.FixedChoice(realSeed, w, s, int32(len(out)))]
+			if aw < uint32(s) && arr[x] < 0 {
+				arr[x] = s
+				active++
+				if sc.p.IsEnd(x) {
+					ends++
+				}
 			}
-			if t == 0 {
-				continue // relaying to x would need activation before hop 0
-			}
-			slot := int(sc.em.inOff[x])
-			for i, w := range g.In(x) {
-				if sc.fpSeen != nil && arrR[w] != 0 {
-					sc.fpMark(w) // considered relay: degree/out-row/arrival read
+			if fill {
+				if aw == 0 || uint32(arr[x]) < uint32(s) {
+					row[w] = n
+				} else {
+					row[w] = x
 				}
-				// The masks are contiguous along x's in-row, so the step
-				// lookup comes before any per-w load. Rumor seeds never
-				// relay cascade P; their schedule is empty.
-				step := sc.latestStep(slot+i, t)
-				if step == 0 {
-					continue
-				}
-				cand := step - 1
-				if rw := arrR[w]; rw >= 0 && rw < cand {
-					cand = rw // the rumor claims w at rw: P must win w first
-				}
-				if nw := sc.need[w]; nw.stamp == sc.cur && (nw.best < 0 || nw.best >= cand) {
-					continue // finalized, or already queued at a need ≥ cand
-				}
-				push(w, cand)
 			}
 		}
+	}
+}
+
+// sweep computes the RR sets of batch, at most 64 indices into Ends in
+// ascending t_R, with bit i of every word standing for batch[i].
+//
+// need_e(w), the latest hop by which a lone protector cascade must hold w
+// to save end e, obeys need_e(e) = t_R(e) and otherwise need_e(w) = max,
+// over the steps s ≤ need_e(x) at which w targets x, of min(s-1, t_R(w)).
+// With N_c(w) the batch ends e with need_e(w) ≥ c, that is a sweep of the
+// levels c = T_b … 0, T_b the batch's largest t_R: U(w) accumulates
+// N_{c+1}(tgt_{c+1}(w)) for every non-seed w, e joins U(e) once c ≤ t_R(e),
+// and N_c(w) = U(w) unless the rumor claimed w before hop c. The table's
+// sentinels fold that cap into the read, so a level is one pass of
+// next[w] = cur[w] | cur[tgt(w)] over the nodes. The two buffers keep each
+// level reading only the level above: a relay advances one step per level.
+// RR(e) is {u : e ∈ N_0(u)}.
+func (sc *scratch) sweep(batch []int32) {
+	ends, arr, n := sc.p.Ends, sc.arr, int(sc.n)
+	cur, next := sc.cur, sc.next
+	k := len(batch) - 1
+	for c := arr[ends[batch[k]]]; ; c-- {
+		for ; k >= 0 && arr[ends[batch[k]]] == c; k-- {
+			cur[ends[batch[k]]] |= 1 << uint(k)
+		}
+		if c == 0 {
+			break
+		}
+		if c == 1 && sc.footprints {
+			sc.scanRelays(cur)
+		}
+		for w, x := range sc.table[c-1] {
+			next[w] = cur[w] | cur[x]
+		}
+		cur, next = next, cur
+	}
+	sc.cur, sc.next = cur, next
+
+	// cur is N_0. One pass sizes each end's set and collects the nodes in
+	// any; the second fills the sets ascending and clears cur.
+	var cnt [64]int
+	hit := sc.hit[:0]
+	for u, m := range cur[:n] {
+		if m != 0 {
+			hit = append(hit, int32(u))
+			for ; m != 0; m &= m - 1 {
+				cnt[bits.TrailingZeros64(m)]++
+			}
+		}
+	}
+	sc.hit = hit
+	total := 0
+	for _, c := range cnt {
+		total += c
+	}
+	backing := make([]int32, total)
+	var sets [64][]int32
+	for i, off := 0, 0; i < len(batch); i++ {
+		sets[i] = backing[off : off : off+cnt[i]]
+		off += cnt[i]
+	}
+	for _, u := range hit {
+		for m := cur[u]; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			sets[i] = append(sets[i], u)
+		}
+		cur[u] = 0
+		if sc.footprints {
+			sc.fp[u>>6] |= 1 << uint(u&63)
+		}
+	}
+	for i, ei := range batch {
+		sc.rr[ei] = sets[i]
+	}
+}
+
+// scanRelays adds to the footprint the non-seed in-neighbours of every
+// node x with N_1(x) nonempty; u1 is the batch's level-1 U, and N_1(x) is
+// U(x) unless x is a rumor seed.
+func (sc *scratch) scanRelays(u1 []uint64) {
+	g, arr := sc.p.Graph, sc.arr
+	for x, m := range u1[:sc.n] {
+		if m == 0 || arr[x] == 0 || sc.scanned[x>>6]&(1<<uint(x&63)) != 0 {
+			continue
+		}
+		sc.scanned[x>>6] |= 1 << uint(x&63)
+		for _, w := range g.In(int32(x)) {
+			if arr[w] != 0 {
+				sc.fp[w>>6] |= 1 << uint(w&63)
+			}
+		}
+	}
+}
+
+// footprint adds the activated nodes to the realization's footprint and
+// returns it sorted, resetting the bitmaps; nil without footprints.
+func (sc *scratch) footprint() []int32 {
+	if !sc.footprints {
+		return nil
+	}
+	for u, a := range sc.arr {
+		if a >= 0 {
+			sc.fp[u>>6] |= 1 << uint(u&63)
+		}
+	}
+	count := 0
+	for _, m := range sc.fp {
+		count += bits.OnesCount64(m)
 	}
 	out := make([]int32, 0, count)
-	for wi := lo; wi <= hi; wi++ {
-		for m := sc.members[wi]; m != 0; m &= m - 1 {
+	for wi, m := range sc.fp {
+		for ; m != 0; m &= m - 1 {
 			out = append(out, int32(wi<<6+bits.TrailingZeros64(m)))
 		}
-		sc.members[wi] = 0
 	}
+	clear(sc.fp)
+	clear(sc.scanned)
 	return out
 }

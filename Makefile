@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fix lint-bench ci bench bench-all serve serve-smoke load-smoke clean
+.PHONY: all build vet test race lint lint-fix lint-bench perfbench-check ci bench bench-all serve serve-smoke load-smoke clean
 
 all: ci
 
@@ -17,9 +17,9 @@ race:
 	$(GO) test -race ./...
 
 # lint gates on formatting, the standard vet passes, the repo's custom
-# analyzers — the convention suite (mapiter, rngsource, ctxpair, errfmt)
-# and the CFG/dataflow concurrency suite (goroleak, lockguard, ctxflow,
-# detflow) — and the lint:ignore audit (every suppression must carry a
+# analyzers — the convention suite (mapiter, rngsource, errfmt) and the
+# CFG/dataflow concurrency suite (goroleak, lockguard, ctxflow, detflow) —
+# and the lint:ignore audit (every suppression must carry a
 # real reason and still suppress something). lcrblint runs with -vet=false
 # here because the full `go vet` on the line above already covers the
 # standard passes.
@@ -35,7 +35,7 @@ lint:
 lint-fix:
 	$(GO) run ./cmd/lcrblint -fix -vet=false ./...
 
-# lint-bench times the full 8-analyzer lcrblint run over the module and
+# lint-bench times the full 7-analyzer lcrblint run over the module and
 # fails over a 60s budget: the CFG/dataflow analyzers must stay cheap
 # enough to run on every push, or they will get turned off.
 lint-bench:
@@ -46,15 +46,23 @@ lint-bench:
 	if [ "$$elapsed" -gt 60 ]; then \
 		echo "lint-bench: FAIL: over the 60s budget"; exit 1; fi
 
+# perfbench-check vets and tests the benchmark module. perfbench is its own
+# module (it imports internal/ through a replace directive), so `go build
+# ./...` never compiles it and an internal API change could break the
+# benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # ci is the gate the workflow runs: lint (fmt + vet + analyzers +
-# suppression audit), the lint timing budget, build, the full suite under
-# the race detector, then the serving and load smoke tests. The sketch,
-# shard and delta gates are ordinary Go tests inside the race run: the
-# selection fixture (cmd/lcrbbench TestBenchSmokeFixture), sketch
-# worker-count identity and store round trip (internal/sketch), shard-count
-# identity and honest shard loss (internal/shardsolve), and repair ≡
-# rebuild (internal/sketch, lcrb TestFacadeDynamicGraph).
-ci: lint lint-bench build race serve-smoke load-smoke
+# suppression audit), the lint timing budget, build, the perfbench compile
+# gate, the full suite under the race detector, then the serving and load
+# smoke tests. The sketch, shard and delta gates are ordinary Go tests
+# inside the race run: the selection fixture (cmd/lcrbbench
+# TestBenchSmokeFixture), sketch worker-count identity and store round trip
+# (internal/sketch), shard-count identity and honest shard loss
+# (internal/shardsolve), and repair ≡ rebuild (internal/sketch
+# TestRepairMatchesRebuildOracleGeneratedStream).
+ci: lint lint-bench build perfbench-check race serve-smoke load-smoke
 
 # serve boots the lcrbd solve daemon on the default address with fast
 # defaults; Ctrl-C drains, a second Ctrl-C force-quits.

@@ -9,6 +9,7 @@
 package lcrb_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func benchFigureOPOAO(b *testing.B, cfg experiment.Config) {
 	var fr *experiment.FigureResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		fr, err = experiment.RunFigureOPOAO(inst)
+		fr, err = experiment.RunFigureOPOAOContext(context.Background(), inst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func benchFigureDOAM(b *testing.B, cfg experiment.Config) {
 	var fr *experiment.FigureResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		fr, err = experiment.RunFigureDOAM(inst)
+		fr, err = experiment.RunFigureDOAMContext(context.Background(), inst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func benchTable(b *testing.B, cfg experiment.Config) {
 	var tr *experiment.TableResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		tr, err = experiment.RunTable(inst)
+		tr, err = experiment.RunTableContext(context.Background(), inst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func BenchmarkAblationCRN(b *testing.B) {
 	b.Run("fresh-randomness", func(b *testing.B) {
 		src := rng.New(42)
 		for i := 0; i < b.N; i++ {
-			if _, err := (diffusion.OPOAO{}).Run(
+			if _, err := (diffusion.OPOAO{}).RunContext(context.Background(),
 				prob.Graph, prob.Rumors, nil, src, diffusion.Options{MaxHops: 31},
 			); err != nil {
 				b.Fatal(err)
@@ -285,7 +286,7 @@ func BenchmarkSimulators(b *testing.B) {
 		b.Run(m.Name(), func(b *testing.B) {
 			src := rng.New(1)
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(net.Graph, rumors, protectors, src, diffusion.Options{MaxHops: 31}); err != nil {
+				if _, err := m.RunContext(context.Background(), net.Graph, rumors, protectors, src, diffusion.Options{MaxHops: 31}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -358,7 +359,7 @@ func BenchmarkMonteCarloWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			mc := diffusion.MonteCarlo{Model: diffusion.OPOAO{}, Samples: 16, Seed: 1, Workers: workers}
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.Run(net.Graph, []int32{0, 1}, []int32{2}, diffusion.Options{MaxHops: 31}); err != nil {
+				if _, err := mc.RunContext(context.Background(), net.Graph, []int32{0, 1}, []int32{2}, diffusion.Options{MaxHops: 31}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -374,7 +375,7 @@ func BenchmarkNullModel(b *testing.B) {
 	var abl *experiment.NullModelAblation
 	for i := 0; i < b.N; i++ {
 		var err error
-		abl, err = experiment.RunNullModelAblation(cfg, gen.RewireAll)
+		abl, err = experiment.RunNullModelAblationContext(context.Background(), cfg, gen.RewireAll)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,7 @@ func TestDecodeSolveRequestBounds(t *testing.T) {
 		{"scale above one", `{"scale":2}`, "scale 2 out of (0,1]"},
 		{"negative samples", `{"samples":-3}`, "samples -3 must not be negative"},
 		{"negative timeout", `{"timeoutMillis":-1}`, "timeoutMillis -1 must not be negative"},
+		{"timeout overflowing a duration", `{"timeoutMillis":9223372036854775807}`, "timeoutMillis 9223372036854775807 out of range"},
 		{"negative communitySize", `{"communitySize":-2}`, "communitySize -2 must not be negative"},
 	}
 	for _, tc := range cases {
@@ -136,4 +138,56 @@ func TestRequestFingerprint(t *testing.T) {
 			t.Fatalf("variant %s shares the base fingerprint", variant)
 		}
 	}
+}
+
+// FuzzDecodeSolveRequest feeds arbitrary bodies to the request decoder.
+// It must never panic, and whatever it accepts must lie inside the
+// documented ranges, so no solver downstream sees an out-of-range field.
+// The seed corpus lives in testdata/fuzz/FuzzDecodeSolveRequest.
+func FuzzDecodeSolveRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"dataset":"enron","scale":1,"seed":3,"communitySize":60,"rumorFraction":0.2}`,
+		`{"algorithm":"scbg","alpha":1}`,
+		`{"algorithm":"greedy","alpha":0.5,"samples":20,"maxHops":5,"timeoutMillis":250,"tenant":"gold"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	cfg := testConfig()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeSolveRequest(bytes.NewReader(body), cfg)
+		if err != nil {
+			return
+		}
+		if req.Dataset != "hep" && req.Dataset != "enron" {
+			t.Fatalf("accepted dataset %q", req.Dataset)
+		}
+		if !(req.Scale > 0 && req.Scale <= 1) {
+			t.Fatalf("accepted scale %v", req.Scale)
+		}
+		if !(req.RumorFraction > 0 && req.RumorFraction <= 1) {
+			t.Fatalf("accepted rumorFraction %v", req.RumorFraction)
+		}
+		if req.CommunitySize < 0 {
+			t.Fatalf("accepted communitySize %d", req.CommunitySize)
+		}
+		switch req.Algorithm {
+		case "scbg", "proximity", "maxdegree":
+			if !(req.Alpha > 0 && req.Alpha <= 1) {
+				t.Fatalf("accepted alpha %v for %s", req.Alpha, req.Algorithm)
+			}
+		case "auto", "greedy", "ris":
+			if !(req.Alpha > 0 && req.Alpha < 1) {
+				t.Fatalf("accepted alpha %v for %s", req.Alpha, req.Algorithm)
+			}
+		default:
+			t.Fatalf("accepted algorithm %q", req.Algorithm)
+		}
+		if req.Samples <= 0 || req.MaxHops <= 0 {
+			t.Fatalf("accepted samples %d, maxHops %d", req.Samples, req.MaxHops)
+		}
+		if req.timeout <= 0 {
+			t.Fatalf("accepted timeoutMillis %d as timeout %v", req.TimeoutMillis, req.timeout)
+		}
+	})
 }

@@ -170,7 +170,7 @@ func TestTenantQuotaExceededTyped429(t *testing.T) {
 	defer s.stop()
 
 	// Hold the only in-flight slot so tenant requests queue.
-	if err := s.gate.Acquire(1); err != nil {
+	if err := s.gate.AcquireContext(context.Background(), 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	queued := make(chan int, 1)

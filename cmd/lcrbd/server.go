@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"sort"
@@ -593,6 +594,10 @@ func decodeSolveRequest(body io.Reader, cfg serverConfig) (*resolvedRequest, err
 	}
 	if req.TimeoutMillis < 0 {
 		return nil, fmt.Errorf("timeoutMillis %d must not be negative", req.TimeoutMillis)
+	}
+	// Larger values overflow the Duration below into a past deadline.
+	if req.TimeoutMillis > math.MaxInt64/int64(time.Millisecond) {
+		return nil, fmt.Errorf("timeoutMillis %d out of range", req.TimeoutMillis)
 	}
 	timeout := cfg.defaultTimeout
 	if req.TimeoutMillis > 0 {

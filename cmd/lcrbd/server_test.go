@@ -273,7 +273,7 @@ func TestShedWhenFull(t *testing.T) {
 	defer ts.Close()
 
 	// Occupy the only slot directly; the next request must shed.
-	if err := s.gate.Acquire(1); err != nil {
+	if err := s.gate.AcquireContext(context.Background(), 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	defer s.gate.Release(1)

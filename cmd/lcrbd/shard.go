@@ -118,17 +118,17 @@ func (t *shardTier) wait() {
 
 // run serves one RIS request through the sharded tier. It returns
 // (nil, nil) when the tier cannot serve this request yet — cold
-// in-process slices, while a background build warms them — and the
-// caller falls through to the local ladder. The HTTP-mode eligibility
-// check (remote workers only hold the daemon-default instance) happens
-// in runRIS before this call.
-func (t *shardTier) run(ctx context.Context, req *resolvedRequest, prob *core.Problem, opts sketch.Options, resp *solveResponse) (*solveResponse, error) {
+// in-process slices, while a background build under drain warms them —
+// and the caller falls through to the local ladder. The HTTP-mode
+// eligibility check (remote workers only hold the daemon-default
+// instance) happens in runRIS before this call.
+func (t *shardTier) run(ctx, drain context.Context, req *resolvedRequest, prob *core.Problem, opts sketch.Options, resp *solveResponse) (*solveResponse, error) {
 	var (
 		tr     shardsolve.Transport
 		shards int
 	)
 	if t.count > 0 {
-		hosts := t.warmHosts(prob, opts)
+		hosts := t.warmHosts(drain, prob, opts)
 		if hosts == nil {
 			t.cold.Add(1)
 			return nil, nil
@@ -163,8 +163,10 @@ func (t *shardTier) run(ctx context.Context, req *resolvedRequest, prob *core.Pr
 // warmHosts returns the in-process hosts for the fingerprint, or nil on
 // a cold tier while a background build warms it. Slices build once per
 // fingerprint: each host's provider answers from the prebuilt set, so a
-// request never pays a build inside its deadline.
-func (t *shardTier) warmHosts(prob *core.Problem, opts sketch.Options) []*shardsolve.Host {
+// request never pays a build inside its deadline. The build runs under
+// drain, the daemon's drain scope: a canceled drain abandons it and
+// publishes no hosts, so stop does not wait out a full build.
+func (t *shardTier) warmHosts(drain context.Context, prob *core.Problem, opts sketch.Options) []*shardsolve.Host {
 	fp := sketch.Fingerprint(prob, opts)
 	t.mu.Lock()
 	hosts := t.hosts[fp]
@@ -187,7 +189,7 @@ func (t *shardTier) warmHosts(prob *core.Problem, opts sketch.Options) []*shards
 		}()
 		built := make([]*shardsolve.Host, 0, t.count)
 		for i := 0; i < t.count; i++ {
-			slice, err := sketch.BuildShard(prob, opts, i, t.count)
+			slice, err := sketch.BuildShardContext(drain, prob, opts, i, t.count)
 			if err != nil {
 				t.logf("lcrbd: shard tier: build slice %d/%d: %v", i, t.count, err)
 				return

@@ -248,3 +248,31 @@ func TestShardWorkerRejectsWrongCoordinates(t *testing.T) {
 		t.Fatalf("foreign slice got %d, want 500", code)
 	}
 }
+
+// TestShardWarmUpStopsWithDrain starts an in-process slice build that
+// takes seconds, then stops the server: the build must end with the drain
+// scope and publish no host set, not run to completion inside stop.
+func TestShardWarmUpStopsWithDrain(t *testing.T) {
+	cfg := sketchTestConfig("")
+	cfg.shardCount = 2
+	cfg.sketchSamples = 20_000 // about 3s per slice at the test scale
+	s := newServer(cfg, nil, t.Logf)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	// A cold ris request starts the slice build in the background.
+	if status, body := postSolve(t, ts.URL, `{"algorithm":"ris"}`); status != http.StatusOK {
+		t.Fatalf("cold ris status = %d, body %v", status, body)
+	}
+	s.stop()
+
+	s.shards.mu.Lock()
+	warm, building := len(s.shards.hosts), len(s.shards.building)
+	s.shards.mu.Unlock()
+	if warm != 0 {
+		t.Fatalf("stop published %d warm host sets from a build the drain canceled", warm)
+	}
+	if building != 0 {
+		t.Fatalf("%d slice builds still flagged as building after stop", building)
+	}
+}

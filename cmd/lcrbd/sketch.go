@@ -287,7 +287,7 @@ func (s *server) runRIS(ctx context.Context, req *resolvedRequest, prob *core.Pr
 	}
 	opts := s.sketches.options(req)
 	if s.shards.enabled() && (s.shards.count > 0 || s.isDefaultInstance(req)) {
-		out, err := s.shards.run(ctx, req, prob, opts, resp)
+		out, err := s.shards.run(ctx, s.hardDrain, req, prob, opts, resp)
 		if err != nil {
 			s.logf("lcrbd: sharded ris failed, trying local store: %v", err)
 		} else if out != nil {

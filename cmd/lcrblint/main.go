@@ -1,8 +1,8 @@
 // Command lcrblint runs the repo's custom analyzers over the module,
-// alongside a selected set of standard go vet passes. The suite has two
-// layers: the convention analyzers (mapiter, rngsource, ctxpair, errfmt)
-// and the CFG/dataflow-backed concurrency analyzers (goroleak, lockguard,
-// ctxflow, detflow).
+// alongside a selected set of standard go vet passes. The suite has seven
+// analyzers in two layers: the convention analyzers (mapiter, rngsource,
+// errfmt) and the CFG/dataflow-backed concurrency analyzers (goroleak,
+// lockguard, ctxflow, detflow).
 //
 // Usage:
 //
@@ -40,7 +40,6 @@ import (
 	"lcrb/internal/analysis"
 	"lcrb/internal/analysis/checker"
 	"lcrb/internal/analysis/ctxflow"
-	"lcrb/internal/analysis/ctxpair"
 	"lcrb/internal/analysis/detflow"
 	"lcrb/internal/analysis/errfmt"
 	"lcrb/internal/analysis/goroleak"
@@ -53,7 +52,6 @@ import (
 // analyzers is the lcrblint suite, in stable name order.
 var analyzers = []*analysis.Analyzer{
 	ctxflow.Analyzer,
-	ctxpair.Analyzer,
 	detflow.Analyzer,
 	errfmt.Analyzer,
 	goroleak.Analyzer,

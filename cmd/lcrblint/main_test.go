@@ -17,8 +17,8 @@ func TestRunCleanPackage(t *testing.T) {
 // count pins the full suite — dropping an analyzer from the slice should
 // be a deliberate, test-visible act.
 func TestAnalyzerNamesUnique(t *testing.T) {
-	if len(analyzers) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8", len(analyzers))
+	if len(analyzers) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(analyzers))
 	}
 	seen := map[string]bool{}
 	for _, a := range analyzers {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -34,8 +35,8 @@ var _ lcrb.Model = OPOAT{}
 // Name implements lcrb.Model.
 func (OPOAT) Name() string { return "OPOAT" }
 
-// Run implements lcrb.Model.
-func (OPOAT) Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts lcrb.SimOptions) (*lcrb.SimResult, error) {
+// RunContext implements lcrb.Model, checking ctx once per hop.
+func (OPOAT) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts lcrb.SimOptions) (*lcrb.SimResult, error) {
 	if src == nil {
 		return nil, errors.New("opoat: nil random source")
 	}
@@ -60,6 +61,9 @@ func (OPOAT) Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, op
 	}
 	res := &lcrb.SimResult{Status: status}
 	for hop := 0; hop < maxHops; hop++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("opoat: canceled at hop %d: %w", hop, err)
+		}
 		proposals := make(map[int32]lcrb.Status)
 		for _, u := range active {
 			deg := int(g.OutDegree(u))
@@ -168,7 +172,7 @@ type outcome struct {
 // meanInfected averages infections (and bridge ends lost) over 25 runs.
 func meanInfected(m lcrb.Model, net *lcrb.Network, rumors, protectors, ends []int32) (outcome, error) {
 	agg, err := lcrb.MonteCarlo{Model: m, Samples: 25, Seed: 5}.
-		Run(net.Graph, rumors, protectors, lcrb.SimOptions{MaxHops: 31})
+		RunContext(context.Background(), net.Graph, rumors, protectors, lcrb.SimOptions{MaxHops: 31})
 	if err != nil {
 		return outcome{}, err
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -63,7 +64,7 @@ func run() error {
 			Model:   lcrb.OPOAO{},
 			Samples: 40,
 			Seed:    10,
-		}.Run(net.Graph, rumors, sol.Protectors, lcrb.SimOptions{MaxHops: 31})
+		}.RunContext(context.Background(), net.Graph, rumors, sol.Protectors, lcrb.SimOptions{MaxHops: 31})
 		if err != nil {
 			return err
 		}
@@ -77,7 +78,7 @@ func run() error {
 
 	// Reference: unchecked spread.
 	open, err := lcrb.MonteCarlo{Model: lcrb.OPOAO{}, Samples: 40, Seed: 10}.
-		Run(net.Graph, rumors, nil, lcrb.SimOptions{MaxHops: 31})
+		RunContext(context.Background(), net.Graph, rumors, nil, lcrb.SimOptions{MaxHops: 31})
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@ func f() {
 	b()
 	//lint:ignore all blanket reason
 	c()
-	//lint:ignore ctxpair
+	//lint:ignore ctxflow
 	d()
 	e()
 }
@@ -47,8 +47,8 @@ func TestSuppressed(t *testing.T) {
 		{"b()", "rngsource", true},  // comma list, line above
 		{"b()", "errfmt", true},     // second name in the list
 		{"b()", "mapiter", false},   // not in the list
-		{"c()", "ctxpair", true},    // "all" silences every analyzer
-		{"d()", "ctxpair", false},   // reasonless directive is not honored
+		{"c()", "ctxflow", true},    // "all" silences every analyzer
+		{"d()", "ctxflow", false},   // reasonless directive is not honored
 		{"e()", "rngsource", false}, // no directive in range
 	}
 	for _, tc := range cases {

@@ -5,9 +5,8 @@
 //   - rule A (no re-rooting): calling context.Background() or
 //     context.TODO() while a context is in scope — a parameter, or a
 //     context field on the method's receiver — severs the cancellation
-//     chain. The one sanctioned shape is the ctxpair delegate: a function
-//     Foo whose body calls FooContext(context.Background(), ...), the
-//     back-compat sugar PR 1 standardized.
+//     chain. There is no sanctioned exception: a function that needs an
+//     uncancellable root takes no context and has none in scope.
 //   - rule B (no dropping): with a context in scope, calling Foo(...)
 //     when a FooContext sibling exists (same package for functions, same
 //     receiver type for methods, context first parameter) silently
@@ -53,18 +52,16 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkBody(pass, fd.Body, scopeContext(pass, fd), fd.Name.Name)
+			checkBody(pass, fd.Body, scopeContext(pass, fd))
 		}
 	}
 	return nil
 }
 
 // checkBody walks one function body. ctxName is the in-scope context's
-// printed form ("" when none); fnName is the enclosing declared function's
-// name, used for the delegate exemption. Function literals recurse with
-// their own context parameter when they bind one.
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt, ctxName, fnName string) {
-	exempt := delegateExemptions(pass, body, fnName)
+// printed form ("" when none). Function literals recurse with their own
+// context parameter when they bind one.
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt, ctxName string) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -72,10 +69,10 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, ctxName, fnName string)
 			if name := paramContext(pass, n.Type); name != "" {
 				inner = name
 			}
-			checkBody(pass, n.Body, inner, fnName)
+			checkBody(pass, n.Body, inner)
 			return false
 		case *ast.CallExpr:
-			if which := rootCallName(pass, n); which != "" && ctxName != "" && !exempt[n] {
+			if which := rootCallName(pass, n); which != "" && ctxName != "" {
 				pass.Reportf(n.Pos(), "context.%s() re-roots cancellation although %s is in scope; thread %s instead", which, ctxName, ctxName)
 			}
 			if ctxName != "" {
@@ -140,32 +137,6 @@ func paramContext(pass *analysis.Pass, ft *ast.FuncType) string {
 		}
 	}
 	return ""
-}
-
-// delegateExemptions finds context.Background()/TODO() calls sitting in
-// the sanctioned delegate position: the first argument of a call to
-// <fnName>Context.
-func delegateExemptions(pass *analysis.Pass, body *ast.BlockStmt, fnName string) map[*ast.CallExpr]bool {
-	exempt := map[*ast.CallExpr]bool{}
-	if fnName == "" {
-		return exempt
-	}
-	want := fnName + "Context"
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		callee := calleeFunc(pass, call)
-		if callee == nil || callee.Name() != want {
-			return true
-		}
-		if inner, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok && rootCallName(pass, inner) != "" {
-			exempt[inner] = true
-		}
-		return true
-	})
-	return exempt
 }
 
 // rootCallName matches call as context.Background() or context.TODO(),

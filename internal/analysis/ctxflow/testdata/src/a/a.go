@@ -53,10 +53,10 @@ func (s *solver) DoContext(ctx context.Context, n int) int {
 	return n
 }
 
-// Do is the sanctioned ctxpair delegate: Background as the first argument
-// of DoContext is exempt from rule A even though s.run is in scope.
+// Do delegates to DoContext with a fresh root. With s.run in scope that
+// is still a re-root: rule A has no delegate exemption.
 func (s *solver) Do(n int) int {
-	return s.DoContext(context.Background(), n)
+	return s.DoContext(context.Background(), n) // want `context.Background\(\) re-roots cancellation although s.run is in scope; thread s.run instead`
 }
 
 func (s *solver) rerootFromField() {

@@ -22,7 +22,7 @@ type Evaluation struct {
 	Samples int
 }
 
-// EvaluateOptions tunes Evaluate.
+// EvaluateOptions tunes EvaluateContext.
 type EvaluateOptions struct {
 	// Model is the diffusion model. Defaults to DOAM.
 	Model diffusion.Model
@@ -38,16 +38,12 @@ type EvaluateOptions struct {
 	Workers int
 }
 
-// Evaluate measures a protector seed set on the instance: cascade sizes
-// and bridge-end protection, averaged over Monte-Carlo samples. It is the
-// impartial judge used to compare solver outputs — solvers optimize their
-// own objectives, Evaluate reports what actually happens.
-func Evaluate(p *Problem, protectors []int32, opts EvaluateOptions) (*Evaluation, error) {
-	return EvaluateContext(context.Background(), p, protectors, opts)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation, forwarded to
-// the Monte-Carlo sweep (checked per sample and per hop).
+// EvaluateContext measures a protector seed set on the instance: cascade
+// sizes and bridge-end protection, averaged over Monte-Carlo samples. It is
+// the impartial judge used to compare solver outputs — solvers optimize
+// their own objectives, EvaluateContext reports what actually happens.
+// Cancellation is forwarded to the Monte-Carlo sweep (checked per sample
+// and per hop).
 func EvaluateContext(ctx context.Context, p *Problem, protectors []int32, opts EvaluateOptions) (*Evaluation, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: evaluate: nil problem")

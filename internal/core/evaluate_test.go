@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func TestEvaluateDOAMFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(p, sol.Protectors, EvaluateOptions{})
+	ev, err := EvaluateContext(context.Background(), p, sol.Protectors, EvaluateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestEvaluateDOAMFixture(t *testing.T) {
 
 func TestEvaluateNoBlockingBaseline(t *testing.T) {
 	p := fixtureProblem(t)
-	ev, err := Evaluate(p, nil, EvaluateOptions{})
+	ev, err := EvaluateContext(context.Background(), p, nil, EvaluateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestEvaluateNoBlockingBaseline(t *testing.T) {
 
 func TestEvaluateStochasticModel(t *testing.T) {
 	p := fixtureProblem(t)
-	ev, err := Evaluate(p, []int32{3}, EvaluateOptions{
+	ev, err := EvaluateContext(context.Background(), p, []int32{3}, EvaluateOptions{
 		Model:   diffusion.OPOAO{},
 		Samples: 30,
 		Seed:    2,
@@ -66,7 +67,7 @@ func TestEvaluateStochasticModel(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	if _, err := Evaluate(nil, nil, EvaluateOptions{}); err == nil {
+	if _, err := EvaluateContext(context.Background(), nil, nil, EvaluateOptions{}); err == nil {
 		t.Fatal("nil problem accepted")
 	}
 }
@@ -85,7 +86,7 @@ func TestEvaluateRejectsNegativeOptions(t *testing.T) {
 		{"negative hops", EvaluateOptions{MaxHops: -1}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Evaluate(p, []int32{4}, tt.opts)
+			_, err := EvaluateContext(context.Background(), p, []int32{4}, tt.opts)
 			if err == nil {
 				t.Fatalf("%+v accepted", tt.opts)
 			}
@@ -95,7 +96,7 @@ func TestEvaluateRejectsNegativeOptions(t *testing.T) {
 		})
 	}
 	// Zero-valued options still default rather than error.
-	if _, err := Evaluate(p, []int32{4}, EvaluateOptions{}); err != nil {
+	if _, err := EvaluateContext(context.Background(), p, []int32{4}, EvaluateOptions{}); err != nil {
 		t.Fatalf("zero options rejected: %v", err)
 	}
 }
@@ -103,11 +104,11 @@ func TestEvaluateRejectsNegativeOptions(t *testing.T) {
 func TestEvaluateReproducible(t *testing.T) {
 	p := fixtureProblem(t)
 	opts := EvaluateOptions{Model: diffusion.OPOAO{}, Samples: 20, Seed: 7}
-	a, err := Evaluate(p, []int32{4}, opts)
+	a, err := EvaluateContext(context.Background(), p, []int32{4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(p, []int32{4}, opts)
+	b, err := EvaluateContext(context.Background(), p, []int32{4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -186,11 +187,11 @@ func TestGreedyImprovesOverNoBlocking(t *testing.T) {
 	// Compare mean infected counts with and without the protectors under
 	// live OPOAO simulation.
 	mc := diffusion.MonteCarlo{Model: diffusion.OPOAO{}, Samples: 30, Seed: 6}
-	without, err := mc.Run(net.Graph, rumors, nil, diffusion.Options{MaxHops: 31})
+	without, err := mc.RunContext(context.Background(), net.Graph, rumors, nil, diffusion.Options{MaxHops: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := mc.Run(net.Graph, rumors, res.Protectors, diffusion.Options{MaxHops: 31})
+	with, err := mc.RunContext(context.Background(), net.Graph, rumors, res.Protectors, diffusion.Options{MaxHops: 31})
 	if err != nil {
 		t.Fatal(err)
 	}

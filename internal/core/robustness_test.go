@@ -164,19 +164,24 @@ func TestEvaluateContextPreCanceled(t *testing.T) {
 	}
 }
 
+// TestEvaluateContextMatchesEvaluate pins that a live, cancellable context
+// leaves a completed evaluation identical to one under
+// context.Background(): cancellation checks consume no randomness.
 func TestEvaluateContextMatchesEvaluate(t *testing.T) {
 	p := fixtureProblem(t)
 	opts := EvaluateOptions{Model: diffusion.OPOAO{}, Samples: 12, Seed: 5}
-	plain, err := Evaluate(p, nil, opts)
+	background, err := EvaluateContext(context.Background(), p, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := EvaluateContext(context.Background(), p, nil, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	live, err := EvaluateContext(ctx, p, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.MeanInfected != withCtx.MeanInfected || plain.MeanEndsInfected != withCtx.MeanEndsInfected {
-		t.Fatalf("Evaluate and EvaluateContext diverged: %+v vs %+v", plain, withCtx)
+	if background.MeanInfected != live.MeanInfected || background.MeanEndsInfected != live.MeanEndsInfected {
+		t.Fatalf("evaluations diverged under a live context: %+v vs %+v", background, live)
 	}
 }
 

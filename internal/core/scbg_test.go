@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestSCBGFixtureProtectsAllEnds(t *testing.T) {
 	}
 	// Semantic check: under DOAM with the selected seeds, no bridge end is
 	// infected.
-	sim, err := diffusion.DOAM{}.Run(p.Graph, p.Rumors, res.Protectors, nil, diffusion.Options{})
+	sim, err := diffusion.DOAM{}.RunContext(context.Background(), p.Graph, p.Rumors, res.Protectors, nil, diffusion.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestSCBGOnGeneratedNetworks(t *testing.T) {
 		t.Fatalf("selected %d protectors for %d ends", len(res.Protectors), p.NumEnds())
 	}
 
-	sim, err := diffusion.DOAM{}.Run(net.Graph, rumors, res.Protectors, nil, diffusion.Options{})
+	sim, err := diffusion.DOAM{}.RunContext(context.Background(), net.Graph, rumors, res.Protectors, nil, diffusion.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

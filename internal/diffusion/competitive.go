@@ -21,17 +21,12 @@ type CompetitiveIC struct {
 	P float64
 }
 
-var _ ContextModel = CompetitiveIC{}
+var _ Model = CompetitiveIC{}
 
 // Name implements Model.
 func (m CompetitiveIC) Name() string { return fmt.Sprintf("IC(p=%g)", m.P) }
 
-// Run implements Model.
-func (m CompetitiveIC) Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
-	return m.RunContext(context.Background(), g, rumors, protectors, src, opts)
-}
-
-// RunContext implements ContextModel: Run with per-hop cancellation checks.
+// RunContext implements Model.
 func (m CompetitiveIC) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
 	if src == nil {
 		return nil, errors.New("diffusion: CompetitiveIC requires a random source")
@@ -106,17 +101,12 @@ func (m CompetitiveIC) RunContext(ctx context.Context, g *graph.Graph, rumors, p
 // to P, per the paper's priority rule).
 type CompetitiveLT struct{}
 
-var _ ContextModel = CompetitiveLT{}
+var _ Model = CompetitiveLT{}
 
 // Name implements Model.
 func (CompetitiveLT) Name() string { return "CLT" }
 
-// Run implements Model.
-func (m CompetitiveLT) Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
-	return m.RunContext(context.Background(), g, rumors, protectors, src, opts)
-}
-
-// RunContext implements ContextModel: Run with per-hop cancellation checks.
+// RunContext implements Model.
 func (CompetitiveLT) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
 	if src == nil {
 		return nil, errors.New("diffusion: CompetitiveLT requires a random source")

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"testing"
 
 	"lcrb/internal/gen"
@@ -10,11 +11,11 @@ import (
 
 func TestCompetitiveICValidation(t *testing.T) {
 	g := pathGraph(t, 3)
-	if _, err := (CompetitiveIC{P: 0.5}).Run(g, []int32{0}, nil, nil, Options{}); err == nil {
+	if _, err := (CompetitiveIC{P: 0.5}).RunContext(context.Background(), g, []int32{0}, nil, nil, Options{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
 	for _, p := range []float64{0, -0.1, 1.5} {
-		if _, err := (CompetitiveIC{P: p}).Run(g, []int32{0}, nil, rng.New(1), Options{}); err == nil {
+		if _, err := (CompetitiveIC{P: p}).RunContext(context.Background(), g, []int32{0}, nil, rng.New(1), Options{}); err == nil {
 			t.Fatalf("probability %v accepted", p)
 		}
 	}
@@ -23,7 +24,7 @@ func TestCompetitiveICValidation(t *testing.T) {
 func TestCompetitiveICCertainEdges(t *testing.T) {
 	// With p = 1, IC behaves exactly like DOAM.
 	g := pathGraph(t, 6)
-	res, err := CompetitiveIC{P: 1}.Run(g, []int32{0}, nil, rng.New(2), Options{})
+	res, err := CompetitiveIC{P: 1}.RunContext(context.Background(), g, []int32{0}, nil, rng.New(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +39,12 @@ func TestCompetitiveICLowProbSpreadsLess(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, err := MonteCarlo{Model: CompetitiveIC{P: 0.05}, Samples: 20, Seed: 1}.
-		Run(net.Graph, []int32{0, 1, 2}, nil, Options{})
+		RunContext(context.Background(), net.Graph, []int32{0, 1, 2}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hi, err := MonteCarlo{Model: CompetitiveIC{P: 0.6}, Samples: 20, Seed: 1}.
-		Run(net.Graph, []int32{0, 1, 2}, nil, Options{})
+		RunContext(context.Background(), net.Graph, []int32{0, 1, 2}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestCompetitiveICLowProbSpreadsLess(t *testing.T) {
 func TestCompetitiveICProtectorPriority(t *testing.T) {
 	// p = 1 makes both proposals certain; the shared target must go to P.
 	g := mustGraph(t, 3, []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}})
-	res, err := CompetitiveIC{P: 1}.Run(g, []int32{0}, []int32{1}, rng.New(5), Options{})
+	res, err := CompetitiveIC{P: 1}.RunContext(context.Background(), g, []int32{0}, []int32{1}, rng.New(5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCompetitiveICProtectorPriority(t *testing.T) {
 
 func TestCompetitiveLTRequiresSource(t *testing.T) {
 	g := pathGraph(t, 3)
-	if _, err := (CompetitiveLT{}).Run(g, []int32{0}, nil, nil, Options{}); err == nil {
+	if _, err := (CompetitiveLT{}).RunContext(context.Background(), g, []int32{0}, nil, nil, Options{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
 }
@@ -75,7 +76,7 @@ func TestCompetitiveLTFullInfluenceActivates(t *testing.T) {
 	// Node 1's only in-neighbour is the seed, so the incoming weight is 1,
 	// which meets any threshold in [0,1): the path must fully infect.
 	g := pathGraph(t, 5)
-	res, err := CompetitiveLT{}.Run(g, []int32{0}, nil, rng.New(6), Options{})
+	res, err := CompetitiveLT{}.RunContext(context.Background(), g, []int32{0}, nil, rng.New(6), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestCompetitiveLTTieGoesToProtector(t *testing.T) {
 	// Node 2 has in-degree 2 with one R and one P in-neighbour: each
 	// contributes weight 1/2, P's share is >= R's, so 2 ends protected.
 	g := mustGraph(t, 3, []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}})
-	res, err := CompetitiveLT{}.Run(g, []int32{0}, []int32{1}, rng.New(7), Options{})
+	res, err := CompetitiveLT{}.RunContext(context.Background(), g, []int32{0}, []int32{1}, rng.New(7), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestCompetitiveLTProgressive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompetitiveLT{}.Run(net.Graph, []int32{0, 1}, []int32{2, 3}, rng.New(9), Options{RecordHops: true})
+	res, err := CompetitiveLT{}.RunContext(context.Background(), net.Graph, []int32{0, 1}, []int32{2, 3}, rng.New(9), Options{RecordHops: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +119,10 @@ func TestCompetitiveLTProgressive(t *testing.T) {
 
 func TestMonteCarloValidation(t *testing.T) {
 	g := pathGraph(t, 3)
-	if _, err := (MonteCarlo{Model: nil, Samples: 5}).Run(g, []int32{0}, nil, Options{}); err == nil {
+	if _, err := (MonteCarlo{Model: nil, Samples: 5}).RunContext(context.Background(), g, []int32{0}, nil, Options{}); err == nil {
 		t.Fatal("nil model accepted")
 	}
-	if _, err := (MonteCarlo{Model: OPOAO{}, Samples: 0}).Run(g, []int32{0}, nil, Options{}); err == nil {
+	if _, err := (MonteCarlo{Model: OPOAO{}, Samples: 0}).RunContext(context.Background(), g, []int32{0}, nil, Options{}); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 }
@@ -132,11 +133,11 @@ func TestMonteCarloReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := MonteCarlo{Model: OPOAO{}, Samples: 10, Seed: 77}
-	a, err := mc.Run(g, []int32{0, 1}, []int32{2}, Options{MaxHops: 20})
+	a, err := mc.RunContext(context.Background(), g, []int32{0, 1}, []int32{2}, Options{MaxHops: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mc.Run(g, []int32{0, 1}, []int32{2}, Options{MaxHops: 20})
+	b, err := mc.RunContext(context.Background(), g, []int32{0, 1}, []int32{2}, Options{MaxHops: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestMonteCarloAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg, err := MonteCarlo{Model: OPOAO{}, Samples: 25, Seed: 5}.
-		Run(g, []int32{0}, nil, Options{MaxHops: 15, RecordHops: true})
+		RunContext(context.Background(), g, []int32{0}, nil, Options{MaxHops: 15, RecordHops: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestMonteCarloAggregates(t *testing.T) {
 
 func TestMonteCarloDeterministicModel(t *testing.T) {
 	g := pathGraph(t, 4)
-	agg, err := MonteCarlo{Model: DOAM{}, Samples: 3, Seed: 1}.Run(g, []int32{0}, nil, Options{})
+	agg, err := MonteCarlo{Model: DOAM{}, Samples: 3, Seed: 1}.RunContext(context.Background(), g, []int32{0}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

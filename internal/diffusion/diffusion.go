@@ -104,32 +104,17 @@ func (r *Result) CountStatus(s Status) int32 {
 type Model interface {
 	// Name identifies the model in reports (e.g. "OPOAO", "DOAM").
 	Name() string
-	// Run simulates both cascades on g from the given rumor and protector
-	// seed sets. src supplies randomness; deterministic models ignore it
-	// (nil is allowed for them). Seed sets should be disjoint; nodes
-	// present in both are protected, per the P-priority rule.
-	Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error)
-}
-
-// ContextModel is a Model whose step loop honors context cancellation: a
-// canceled context makes RunContext return promptly with an error wrapping
-// ctx.Err(). A completed RunContext run is bit-identical to Run with the
-// same source. All models in this package implement it.
-type ContextModel interface {
-	Model
-	// RunContext is Run with per-hop cancellation checks.
+	// RunContext simulates both cascades on g from the given rumor and
+	// protector seed sets. src supplies randomness; deterministic models
+	// ignore it (nil is allowed for them). Seed sets should be disjoint;
+	// nodes present in both are protected, per the P-priority rule. The
+	// step loop honors ctx: a canceled context makes RunContext return
+	// promptly with an error wrapping ctx.Err().
 	RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error)
 }
 
-// RunModel runs m without cancellation; see RunModelContext.
-func RunModel(m Model, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
-	return RunModelContext(context.Background(), m, g, rumors, protectors, src, opts)
-}
-
-// RunModelContext runs m under ctx, routing through RunContext when the
-// model supports it. Models without context support are run to completion
-// after an up-front cancellation check; their bounded step loops keep the
-// latency of a missed cancellation finite.
+// RunModelContext runs m under ctx after a nil-model and up-front
+// cancellation check.
 func RunModelContext(ctx context.Context, m Model, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
 	if m == nil {
 		return nil, fmt.Errorf("diffusion: run: nil model")
@@ -137,10 +122,7 @@ func RunModelContext(ctx context.Context, m Model, g *graph.Graph, rumors, prote
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("diffusion: %s: %w", m.Name(), err)
 	}
-	if cm, ok := m.(ContextModel); ok {
-		return cm.RunContext(ctx, g, rumors, protectors, src, opts)
-	}
-	return m.Run(g, rumors, protectors, src, opts)
+	return m.RunContext(ctx, g, rumors, protectors, src, opts)
 }
 
 // checkHop reports cancellation from inside a model's step loop, naming the

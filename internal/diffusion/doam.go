@@ -15,17 +15,12 @@ import (
 // deterministic, so it ignores the random source.
 type DOAM struct{}
 
-var _ ContextModel = DOAM{}
+var _ Model = DOAM{}
 
 // Name implements Model.
 func (DOAM) Name() string { return "DOAM" }
 
-// Run implements Model. src is unused and may be nil.
-func (m DOAM) Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
-	return m.RunContext(context.Background(), g, rumors, protectors, src, opts)
-}
-
-// RunContext implements ContextModel: Run with per-hop cancellation checks.
+// RunContext implements Model. The random source is unused and may be nil.
 func (DOAM) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, _ *rng.Source, opts Options) (*Result, error) {
 	status, err := seedState(g, rumors, protectors)
 	if err != nil {

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 
 func TestDOAMBroadcastOnPath(t *testing.T) {
 	g := pathGraph(t, 5)
-	res, err := DOAM{}.Run(g, []int32{0}, nil, nil, Options{RecordHops: true})
+	res, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, nil, nil, Options{RecordHops: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestDOAMBroadcastOnPath(t *testing.T) {
 func TestDOAMActivatesAllNeighboursAtOnce(t *testing.T) {
 	// Star: 0 -> {1,2,3,4}. One hop infects everything.
 	g := mustGraph(t, 5, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}})
-	res, err := DOAM{}.Run(g, []int32{0}, nil, nil, Options{RecordHops: true})
+	res, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, nil, nil, Options{RecordHops: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestDOAMActivatesAllNeighboursAtOnce(t *testing.T) {
 func TestDOAMProtectorWinsTie(t *testing.T) {
 	// 0(R) -> 2 and 1(P) -> 2: both frontiers reach node 2 at hop 1.
 	g := mustGraph(t, 3, []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}})
-	res, err := DOAM{}.Run(g, []int32{0}, []int32{1}, nil, Options{})
+	res, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, []int32{1}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestDOAMProtectorWinsTie(t *testing.T) {
 func TestDOAMRumorWinsWhenCloser(t *testing.T) {
 	// R at 0 is 1 hop from node 2; P at 3 is 2 hops (3 -> 4 -> 2).
 	g := mustGraph(t, 5, []graph.Edge{{U: 0, V: 2}, {U: 3, V: 4}, {U: 4, V: 2}})
-	res, err := DOAM{}.Run(g, []int32{0}, []int32{3}, nil, Options{})
+	res, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, []int32{3}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestDOAMBlocking(t *testing.T) {
 	// hop 1; P wins it, and because node 1 is the cut vertex the rest of
 	// the path is protected too.
 	g := mustGraph(t, 5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 4, V: 1}})
-	res, err := DOAM{}.Run(g, []int32{0}, []int32{4}, nil, Options{})
+	res, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, []int32{4}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +86,12 @@ func TestDOAMDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := DOAM{}.Run(net.Graph, []int32{0, 5}, []int32{10}, nil, Options{})
+	a, err := DOAM{}.RunContext(context.Background(), net.Graph, []int32{0, 5}, []int32{10}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// DOAM ignores the source: even a live RNG must not change anything.
-	b, err := DOAM{}.Run(net.Graph, []int32{0, 5}, []int32{10}, rng.New(99), Options{})
+	b, err := DOAM{}.RunContext(context.Background(), net.Graph, []int32{0, 5}, []int32{10}, rng.New(99), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestDOAMDeterministic(t *testing.T) {
 
 func TestDOAMTerminatesNaturally(t *testing.T) {
 	g := pathGraph(t, 4)
-	res, err := DOAM{}.Run(g, []int32{0}, nil, nil, Options{MaxHops: 1000})
+	res, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, nil, nil, Options{MaxHops: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestDOAMMatchesDistancesWithoutProtectors(t *testing.T) {
 			return false
 		}
 		seeds := src.SampleInt32(g.NumNodes(), 2)
-		res, err := DOAM{}.Run(g, seeds, nil, nil, Options{})
+		res, err := DOAM{}.RunContext(context.Background(), g, seeds, nil, nil, Options{})
 		if err != nil {
 			return false
 		}
@@ -152,7 +153,7 @@ func TestDOAMDistanceRule(t *testing.T) {
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 5},
 		{U: 3, V: 4}, {U: 4, V: 5},
 	})
-	res, err := DOAM{}.Run(g, []int32{0}, []int32{3}, nil, Options{})
+	res, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, []int32{3}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestDOAMDistanceRule(t *testing.T) {
 
 func TestDOAMSeedValidation(t *testing.T) {
 	g := pathGraph(t, 3)
-	if _, err := (DOAM{}).Run(g, []int32{7}, nil, nil, Options{}); err == nil {
+	if _, err := (DOAM{}).RunContext(context.Background(), g, []int32{7}, nil, nil, Options{}); err == nil {
 		t.Fatal("out-of-range rumor accepted")
 	}
 }
@@ -178,7 +179,7 @@ func TestDOAMProgressive(t *testing.T) {
 			return false
 		}
 		seeds := src.SampleInt32(g.NumNodes(), 5)
-		res, err := DOAM{}.Run(g, seeds[:2], seeds[2:], nil, Options{RecordHops: true})
+		res, err := DOAM{}.RunContext(context.Background(), g, seeds[:2], seeds[2:], nil, Options{RecordHops: true})
 		if err != nil {
 			return false
 		}

@@ -88,9 +88,7 @@ func (f *Fault) fire() error {
 	return fmt.Errorf("diffusion: fault injection: invocation %d: %w", n, err)
 }
 
-// Model wraps m so invocations fail on the fault's schedule. The wrapper
-// preserves context support: its RunContext delegates to m's when m is a
-// ContextModel.
+// Model wraps m so invocations fail on the fault's schedule.
 func (f *Fault) Model(m Model) Model { return &faultModel{f: f, m: m} }
 
 // Realization wraps r so invocations fail on the fault's schedule.
@@ -109,20 +107,12 @@ type faultModel struct {
 	m Model
 }
 
-var _ ContextModel = (*faultModel)(nil)
+var _ Model = (*faultModel)(nil)
 
 // Name implements Model.
 func (fm *faultModel) Name() string { return fm.m.Name() }
 
-// Run implements Model.
-func (fm *faultModel) Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
-	if err := fm.f.fire(); err != nil {
-		return nil, err
-	}
-	return fm.m.Run(g, rumors, protectors, src, opts)
-}
-
-// RunContext implements ContextModel.
+// RunContext implements Model.
 func (fm *faultModel) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
 	if err := fm.f.fire(); err != nil {
 		return nil, err

@@ -51,27 +51,23 @@ type Aggregate struct {
 	InfectedProb []float64
 }
 
-// Run samples the model Samples times and averages. With Workers > 1 the
-// samples run concurrently; the aggregate is bit-identical to the serial
-// run because each sample's randomness depends only on (Seed, index).
-// Options.Observer, when set, is invoked from multiple goroutines in that
-// case and must be safe for concurrent use.
-func (mc MonteCarlo) Run(g *graph.Graph, rumors, protectors []int32, opts Options) (*Aggregate, error) {
-	return mc.RunContext(context.Background(), g, rumors, protectors, opts)
-}
-
-// RunContext is Run with cooperative cancellation and panic containment:
+// RunContext samples the model Samples times and averages. With Workers >
+// 1 the samples run concurrently; the aggregate is bit-identical to the
+// serial run because each sample's randomness depends only on (Seed,
+// index). Options.Observer, when set, is invoked from multiple goroutines
+// in that case and must be safe for concurrent use. RunContext also
+// provides cooperative cancellation and panic containment:
 //
-//   - Cancellation is checked between samples (and inside each sample's
-//     step loop for the models of this package), so a canceled context
-//     returns promptly with an error wrapping ctx.Err(). All worker
-//     goroutines are joined before RunContext returns — no leaks.
+//   - Cancellation is checked between samples and inside each sample's
+//     step loop, so a canceled context returns promptly with an error
+//     wrapping ctx.Err(). All worker goroutines are joined before
+//     RunContext returns — no leaks.
 //   - A panicking model is recovered into an error wrapping ErrPanic
 //     (with the panic value and stack) instead of crashing the process.
 //   - A failure in any worker cancels the remaining workers' samples, so
 //     the first real error surfaces without waiting for the full sweep.
 //
-// Completed runs are bit-identical to Run regardless of worker count.
+// Completed runs are bit-identical regardless of worker count.
 func (mc MonteCarlo) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, opts Options) (*Aggregate, error) {
 	if mc.Model == nil {
 		return nil, fmt.Errorf("diffusion: MonteCarlo requires a model")

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -19,13 +20,13 @@ func TestMonteCarloParallelMatchesSerial(t *testing.T) {
 	opts := Options{MaxHops: 20, RecordHops: true}
 
 	serial, err := MonteCarlo{Model: OPOAO{}, Samples: 24, Seed: 9}.
-		Run(g, rumors, protectors, opts)
+		RunContext(context.Background(), g, rumors, protectors, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, -1} {
 		parallel, err := MonteCarlo{Model: OPOAO{}, Samples: 24, Seed: 9, Workers: workers}.
-			Run(g, rumors, protectors, opts)
+			RunContext(context.Background(), g, rumors, protectors, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -51,7 +52,7 @@ func TestMonteCarloParallelMatchesSerial(t *testing.T) {
 func TestMonteCarloWorkersExceedSamples(t *testing.T) {
 	g := pathGraph(t, 4)
 	agg, err := MonteCarlo{Model: DOAM{}, Samples: 2, Seed: 1, Workers: 16}.
-		Run(g, []int32{0}, nil, Options{})
+		RunContext(context.Background(), g, []int32{0}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestMonteCarloParallelErrorPropagates(t *testing.T) {
 	g := pathGraph(t, 3)
 	// Out-of-range seed makes every sample fail.
 	_, err := MonteCarlo{Model: OPOAO{}, Samples: 8, Seed: 1, Workers: 4}.
-		Run(g, []int32{99}, nil, Options{})
+		RunContext(context.Background(), g, []int32{99}, nil, Options{})
 	if err == nil {
 		t.Fatal("sample error swallowed by the parallel path")
 	}
@@ -90,14 +91,14 @@ func TestMonteCarloBitIdentical(t *testing.T) {
 		{"ic", MonteCarlo{Model: CompetitiveIC{P: 0.2}, Samples: 20, Seed: 7}, Options{MaxHops: 15, RecordHops: true}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			serial, err := tt.mc.Run(g, []int32{0, 1}, []int32{2, 3}, tt.opts)
+			serial, err := tt.mc.RunContext(context.Background(), g, []int32{0, 1}, []int32{2, 3}, tt.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 				mc := tt.mc
 				mc.Workers = workers
-				parallel, err := mc.Run(g, []int32{0, 1}, []int32{2, 3}, tt.opts)
+				parallel, err := mc.RunContext(context.Background(), g, []int32{0, 1}, []int32{2, 3}, tt.opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

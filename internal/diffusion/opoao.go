@@ -17,17 +17,12 @@ import (
 // target. The process is the paper's person-to-person contact mechanism.
 type OPOAO struct{}
 
-var _ ContextModel = OPOAO{}
+var _ Model = OPOAO{}
 
 // Name implements Model.
 func (OPOAO) Name() string { return "OPOAO" }
 
-// Run implements Model. It requires a non-nil random source.
-func (m OPOAO) Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
-	return m.RunContext(context.Background(), g, rumors, protectors, src, opts)
-}
-
-// RunContext implements ContextModel: Run with per-hop cancellation checks.
+// RunContext implements Model. It requires a non-nil random source.
 func (OPOAO) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
 	if src == nil {
 		return nil, errors.New("diffusion: OPOAO requires a random source")

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,7 @@ import (
 
 func TestOPOAORequiresSource(t *testing.T) {
 	g := pathGraph(t, 3)
-	if _, err := (OPOAO{}).Run(g, []int32{0}, nil, nil, Options{}); err == nil {
+	if _, err := (OPOAO{}).RunContext(context.Background(), g, []int32{0}, nil, nil, Options{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
 }
@@ -21,7 +22,7 @@ func TestOPOAOPathIsDeterministicByForcedChoices(t *testing.T) {
 	// On a directed path every node has out-degree <= 1, so OPOAO has no
 	// real choices: the rumor must walk the whole path.
 	g := pathGraph(t, 6)
-	res, err := OPOAO{}.Run(g, []int32{0}, nil, rng.New(1), Options{RecordHops: true})
+	res, err := OPOAO{}.RunContext(context.Background(), g, []int32{0}, nil, rng.New(1), Options{RecordHops: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestOPOAOProtectorPriorityOnTie(t *testing.T) {
 	// cover any ordering.
 	g := mustGraph(t, 3, []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}})
 	for seed := uint64(0); seed < 20; seed++ {
-		res, err := OPOAO{}.Run(g, []int32{0}, []int32{1}, rng.New(seed), Options{})
+		res, err := OPOAO{}.RunContext(context.Background(), g, []int32{0}, []int32{1}, rng.New(seed), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestOPOAOBlockingOnPath(t *testing.T) {
 	// 0(R) -> 1(P) -> 2 -> 3: the protector sits on the only path, so the
 	// rumor can never pass and nodes 2, 3 end protected.
 	g := pathGraph(t, 4)
-	res, err := OPOAO{}.Run(g, []int32{0}, []int32{1}, rng.New(3), Options{})
+	res, err := OPOAO{}.RunContext(context.Background(), g, []int32{0}, []int32{1}, rng.New(3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestOPOAOBlockingOnPath(t *testing.T) {
 
 func TestOPOAOSeedsKeepStatus(t *testing.T) {
 	g := mustGraph(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 0}, {U: 2, V: 3}})
-	res, err := OPOAO{}.Run(g, []int32{0}, []int32{2}, rng.New(4), Options{})
+	res, err := OPOAO{}.RunContext(context.Background(), g, []int32{0}, []int32{2}, rng.New(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestOPOAOSeedsKeepStatus(t *testing.T) {
 
 func TestOPOAOIsolatedSeedStops(t *testing.T) {
 	g := mustGraph(t, 3, nil)
-	res, err := OPOAO{}.Run(g, []int32{0}, nil, rng.New(5), Options{})
+	res, err := OPOAO{}.RunContext(context.Background(), g, []int32{0}, nil, rng.New(5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestOPOAOIsolatedSeedStops(t *testing.T) {
 
 func TestOPOAOMaxHopsBounds(t *testing.T) {
 	g := pathGraph(t, 10)
-	res, err := OPOAO{}.Run(g, []int32{0}, nil, rng.New(6), Options{MaxHops: 3})
+	res, err := OPOAO{}.RunContext(context.Background(), g, []int32{0}, nil, rng.New(6), Options{MaxHops: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestOPOAOInvariants(t *testing.T) {
 		seeds := src.SampleInt32(g.NumNodes(), int32(nr+np))
 		rumors, protectors := seeds[:nr], seeds[nr:]
 
-		res, err := OPOAO{}.Run(g, rumors, protectors, rng.New(runSeed), Options{RecordHops: true, MaxHops: 40})
+		res, err := OPOAO{}.RunContext(context.Background(), g, rumors, protectors, rng.New(runSeed), Options{RecordHops: true, MaxHops: 40})
 		if err != nil {
 			return false
 		}
@@ -276,7 +277,7 @@ func TestFixedChoiceSpreads(t *testing.T) {
 
 func TestOPOAOOutOfRangeSeeds(t *testing.T) {
 	g := pathGraph(t, 3)
-	if _, err := (OPOAO{}).Run(g, []int32{9}, nil, rng.New(1), Options{}); err == nil {
+	if _, err := (OPOAO{}).RunContext(context.Background(), g, []int32{9}, nil, rng.New(1), Options{}); err == nil {
 		t.Fatal("out-of-range seed accepted")
 	}
 	if _, err := RunOPOAORealization(g, nil, []int32{-2}, 1, Options{}); err == nil {

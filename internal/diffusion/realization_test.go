@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,7 @@ func TestICRealizationCertainEdgesIsDOAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doam, err := DOAM{}.Run(net, rumors, protectors, nil, Options{})
+	doam, err := DOAM{}.RunContext(context.Background(), net, rumors, protectors, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

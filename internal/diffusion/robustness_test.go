@@ -24,11 +24,11 @@ type cancelingModel struct {
 
 func (m *cancelingModel) Name() string { return m.inner.Name() }
 
-func (m *cancelingModel) Run(g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
+func (m *cancelingModel) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
 	if m.calls.Add(1) == m.on {
 		m.stop()
 	}
-	return m.inner.Run(g, rumors, protectors, src, opts)
+	return m.inner.RunContext(ctx, g, rumors, protectors, src, opts)
 }
 
 // leakGuard snapshots the goroutine count; its check retries briefly so
@@ -107,7 +107,7 @@ func TestMonteCarloPanicContained(t *testing.T) {
 		fault := &Fault{FailOn: 3, Panic: true}
 		guard := newLeakGuard()
 		_, err := MonteCarlo{Model: fault.Model(OPOAO{}), Samples: 16, Seed: 2, Workers: workers}.
-			Run(g, []int32{0}, nil, Options{})
+			RunContext(context.Background(), g, []int32{0}, nil, Options{})
 		if !errors.Is(err, ErrPanic) {
 			t.Fatalf("workers=%d: err = %v, want ErrPanic", workers, err)
 		}
@@ -123,7 +123,7 @@ func TestMonteCarloInjectedErrorPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		fault := &Fault{FailOn: 2}
 		_, err := MonteCarlo{Model: fault.Model(OPOAO{}), Samples: 16, Seed: 2, Workers: workers}.
-			Run(g, []int32{0}, nil, Options{})
+			RunContext(context.Background(), g, []int32{0}, nil, Options{})
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("workers=%d: err = %v, want ErrInjected", workers, err)
 		}
@@ -142,7 +142,7 @@ func TestMonteCarloErrorCancelsSiblingWorkers(t *testing.T) {
 	fault := &Fault{FailOn: 4}
 	start := time.Now()
 	_, err = MonteCarlo{Model: fault.Model(OPOAO{}), Samples: 50_000, Seed: 5, Workers: 4}.
-		Run(g, []int32{0}, nil, Options{MaxHops: 20})
+		RunContext(context.Background(), g, []int32{0}, nil, Options{MaxHops: 20})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -154,24 +154,29 @@ func TestMonteCarloErrorCancelsSiblingWorkers(t *testing.T) {
 	}
 }
 
+// TestRunContextMatchesRun pins that a live, cancellable context leaves a
+// completed run bit-identical to one under context.Background(): the
+// per-hop cancellation checks consume no randomness.
 func TestRunContextMatchesRun(t *testing.T) {
 	g, err := gen.ErdosRenyi(80, 300, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	rumors, protectors := []int32{0, 1}, []int32{2}
-	for _, m := range []ContextModel{OPOAO{}, DOAM{}, CompetitiveIC{P: 0.3}, CompetitiveLT{}} {
-		plain, err := m.Run(g, rumors, protectors, rng.New(7), Options{MaxHops: 15})
+	for _, m := range []Model{OPOAO{}, DOAM{}, CompetitiveIC{P: 0.3}, CompetitiveLT{}} {
+		background, err := m.RunContext(context.Background(), g, rumors, protectors, rng.New(7), Options{MaxHops: 15})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		withCtx, err := m.RunContext(context.Background(), g, rumors, protectors, rng.New(7), Options{MaxHops: 15})
+		live, err := m.RunContext(ctx, g, rumors, protectors, rng.New(7), Options{MaxHops: 15})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		if plain.Infected != withCtx.Infected || plain.Protected != withCtx.Protected {
-			t.Fatalf("%s: Run and RunContext diverged: %d/%d vs %d/%d",
-				m.Name(), plain.Infected, plain.Protected, withCtx.Infected, withCtx.Protected)
+		if background.Infected != live.Infected || background.Protected != live.Protected {
+			t.Fatalf("%s: runs diverged under a live context: %d/%d vs %d/%d",
+				m.Name(), background.Infected, background.Protected, live.Infected, live.Protected)
 		}
 	}
 }
@@ -183,7 +188,7 @@ func TestModelRunContextCanceledMidHops(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, m := range []ContextModel{OPOAO{}, DOAM{}, CompetitiveIC{P: 0.5}, CompetitiveLT{}} {
+	for _, m := range []Model{OPOAO{}, DOAM{}, CompetitiveIC{P: 0.5}, CompetitiveLT{}} {
 		_, err := m.RunContext(ctx, g, []int32{0}, []int32{1}, rng.New(1), Options{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", m.Name(), err)

@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func TestTraceDOAMPath(t *testing.T) {
 	g := pathGraph(t, 4)
 	tr := NewTrace()
-	_, err := DOAM{}.Run(g, []int32{0}, nil, nil, Options{Observer: tr.Observer()})
+	_, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, nil, nil, Options{Observer: tr.Observer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestTraceDOAMPath(t *testing.T) {
 func TestTracePathToUnreached(t *testing.T) {
 	g := mustGraph(t, 3, []graph.Edge{{U: 0, V: 1}})
 	tr := NewTrace()
-	if _, err := (DOAM{}).Run(g, []int32{0}, nil, nil, Options{Observer: tr.Observer()}); err != nil {
+	if _, err := (DOAM{}).RunContext(context.Background(), g, []int32{0}, nil, nil, Options{Observer: tr.Observer()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.PathTo(2); got != nil {
@@ -62,7 +63,7 @@ func TestTraceOPOAOSourcesAreNeighbours(t *testing.T) {
 		return edges
 	}())
 	tr := NewTrace()
-	_, err = OPOAO{}.Run(net, []int32{0}, []int32{29}, rng.New(3), Options{
+	_, err = OPOAO{}.RunContext(context.Background(), net, []int32{0}, []int32{29}, rng.New(3), Options{
 		MaxHops:  40,
 		Observer: tr.Observer(),
 	})
@@ -82,7 +83,7 @@ func TestTraceOPOAOSourcesAreNeighbours(t *testing.T) {
 func TestTraceEventOrderIsByHop(t *testing.T) {
 	g := pathGraph(t, 6)
 	tr := NewTrace()
-	if _, err := (DOAM{}).Run(g, []int32{0}, nil, nil, Options{Observer: tr.Observer()}); err != nil {
+	if _, err := (DOAM{}).RunContext(context.Background(), g, []int32{0}, nil, nil, Options{Observer: tr.Observer()}); err != nil {
 		t.Fatal(err)
 	}
 	lastHop := -1
@@ -98,7 +99,7 @@ func TestTraceProtectedEvents(t *testing.T) {
 	// 0(R) -> 2, 1(P) -> 2: node 2's event must be Protected from source 1.
 	g := mustGraph(t, 3, []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}})
 	tr := NewTrace()
-	if _, err := (DOAM{}).Run(g, []int32{0}, []int32{1}, nil, Options{Observer: tr.Observer()}); err != nil {
+	if _, err := (DOAM{}).RunContext(context.Background(), g, []int32{0}, []int32{1}, nil, Options{Observer: tr.Observer()}); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := tr.Of(2)
@@ -110,7 +111,7 @@ func TestTraceProtectedEvents(t *testing.T) {
 func TestTraceWriteTimeline(t *testing.T) {
 	g := pathGraph(t, 3)
 	tr := NewTrace()
-	if _, err := (DOAM{}).Run(g, []int32{0}, nil, nil, Options{Observer: tr.Observer()}); err != nil {
+	if _, err := (DOAM{}).RunContext(context.Background(), g, []int32{0}, nil, nil, Options{Observer: tr.Observer()}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -129,7 +130,7 @@ func TestTraceCompetitiveModels(t *testing.T) {
 	g := pathGraph(t, 4)
 	for _, m := range []Model{CompetitiveIC{P: 1}, CompetitiveLT{}} {
 		tr := NewTrace()
-		if _, err := m.Run(g, []int32{0}, nil, rng.New(1), Options{Observer: tr.Observer()}); err != nil {
+		if _, err := m.RunContext(context.Background(), g, []int32{0}, nil, rng.New(1), Options{Observer: tr.Observer()}); err != nil {
 			t.Fatal(err)
 		}
 		if len(tr.Events()) != 4 {
@@ -144,12 +145,12 @@ func TestTraceCompetitiveModels(t *testing.T) {
 func TestObserverNilIsFree(t *testing.T) {
 	// Smoke check: simulations run identically with and without observer.
 	g := pathGraph(t, 5)
-	a, err := DOAM{}.Run(g, []int32{0}, nil, nil, Options{})
+	a, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := NewTrace()
-	b, err := DOAM{}.Run(g, []int32{0}, nil, nil, Options{Observer: tr.Observer()})
+	b, err := DOAM{}.RunContext(context.Background(), g, []int32{0}, nil, nil, Options{Observer: tr.Observer()})
 	if err != nil {
 		t.Fatal(err)
 	}

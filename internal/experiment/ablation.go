@@ -40,14 +40,9 @@ type AlphaSweep struct {
 	Rows     []AlphaRow
 }
 
-// RunAlphaSweep solves LCRB-P on the instance for each protection level
-// and measures the realized infections of each solution.
-func RunAlphaSweep(inst *Instance, alphas []float64) (*AlphaSweep, error) {
-	return RunAlphaSweepContext(context.Background(), inst, alphas)
-}
-
-// RunAlphaSweepContext is RunAlphaSweep with cooperative cancellation,
-// checked per protection level and forwarded to the greedy and the
+// RunAlphaSweepContext solves LCRB-P on the instance for each protection
+// level and measures the realized infections of each solution. Cancellation
+// is checked per protection level and forwarded to the greedy and the
 // Monte-Carlo evaluations.
 func RunAlphaSweepContext(ctx context.Context, inst *Instance, alphas []float64) (*AlphaSweep, error) {
 	cfg := inst.Config
@@ -134,14 +129,9 @@ type DetectorRow struct {
 	SCBGSeeds   int
 }
 
-// RunDetectorAblation runs the bridge-end + SCBG pipeline behind both
-// community detectors on the same network.
-func RunDetectorAblation(cfg Config) (*DetectorAblation, error) {
-	return RunDetectorAblationContext(context.Background(), cfg)
-}
-
-// RunDetectorAblationContext is RunDetectorAblation with cooperative
-// cancellation, checked between the two detector pipelines.
+// RunDetectorAblationContext runs the bridge-end + SCBG pipeline behind both
+// community detectors on the same network. Cancellation is checked between
+// the two detector pipelines.
 func RunDetectorAblationContext(ctx context.Context, cfg Config) (*DetectorAblation, error) {
 	cfg = cfg.withDefaults()
 	louvainCfg := cfg

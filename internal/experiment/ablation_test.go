@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestRunAlphaSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := RunAlphaSweep(inst, []float64{0.5, 0.9})
+	sweep, err := RunAlphaSweepContext(context.Background(), inst, []float64{0.5, 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRunAlphaSweepGreedyMonotoneDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := RunAlphaSweep(inst, []float64{0.3, 0.95})
+	sweep, err := RunAlphaSweepContext(context.Background(), inst, []float64{0.3, 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRunAlphaSweepGreedyMonotoneDamage(t *testing.T) {
 }
 
 func TestRunDetectorAblation(t *testing.T) {
-	abl, err := RunDetectorAblation(smallDOAMConfig())
+	abl, err := RunDetectorAblationContext(context.Background(), smallDOAMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,9 @@ type ExtendedComparison struct {
 	Rows    []ExtendedRow
 }
 
-// RunExtendedComparison runs the roster on the instance. The budget is the
-// SCBG solution size, as in the paper's Figures 7-9 protocol.
-func RunExtendedComparison(inst *Instance) (*ExtendedComparison, error) {
-	return RunExtendedComparisonContext(context.Background(), inst)
-}
-
-// RunExtendedComparisonContext is RunExtendedComparison with cooperative
-// cancellation, forwarded to SCBG, every selector, the GVS greedy (the
+// RunExtendedComparisonContext runs the roster on the instance. The budget
+// is the SCBG solution size, as in the paper's Figures 7-9 protocol.
+// Cancellation is forwarded to SCBG, every selector, the GVS greedy (the
 // expensive stage), and the DOAM simulations.
 func RunExtendedComparisonContext(ctx context.Context, inst *Instance) (*ExtendedComparison, error) {
 	cfg := inst.Config

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestRunExtendedComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := RunExtendedComparison(inst)
+	cmp, err := RunExtendedComparisonContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,16 +47,11 @@ type FigureResult struct {
 	Panels []Panel
 }
 
-// RunFigureOPOAO reproduces Figures 4-6: every algorithm gets the same
-// protector budget (the paper grants "the same number of protector and
+// RunFigureOPOAOContext reproduces Figures 4-6: every algorithm gets the
+// same protector budget (the paper grants "the same number of protector and
 // rumor originators"), and the mean number of infected nodes per hop under
-// OPOAO is recorded over MCSamples Monte-Carlo runs.
-func RunFigureOPOAO(inst *Instance) (*FigureResult, error) {
-	return RunFigureOPOAOContext(context.Background(), inst)
-}
-
-// RunFigureOPOAOContext is RunFigureOPOAO with cooperative cancellation,
-// checked per panel and forwarded to the greedy and the Monte-Carlo sweeps.
+// OPOAO is recorded over MCSamples Monte-Carlo runs. Cancellation is checked
+// per panel and forwarded to the greedy and the Monte-Carlo sweeps.
 func RunFigureOPOAOContext(ctx context.Context, inst *Instance) (*FigureResult, error) {
 	cfg := inst.Config
 	out := &FigureResult{Config: cfg}
@@ -172,15 +167,11 @@ func RunFigureOPOAOContext(ctx context.Context, inst *Instance) (*FigureResult, 
 	return out, nil
 }
 
-// RunFigureDOAM reproduces Figures 7-9: the protector budget of every panel
-// is the size of the SCBG solution; the heuristics draw that many seeds at
-// random from their own full solutions, exactly as in the paper's setup.
-func RunFigureDOAM(inst *Instance) (*FigureResult, error) {
-	return RunFigureDOAMContext(context.Background(), inst)
-}
-
-// RunFigureDOAMContext is RunFigureDOAM with cooperative cancellation,
-// checked per panel and forwarded to SCBG and the DOAM simulations.
+// RunFigureDOAMContext reproduces Figures 7-9: the protector budget of every
+// panel is the size of the SCBG solution; the heuristics draw that many
+// seeds at random from their own full solutions, exactly as in the paper's
+// setup. Cancellation is checked per panel and forwarded to SCBG and the
+// DOAM simulations.
 func RunFigureDOAMContext(ctx context.Context, inst *Instance) (*FigureResult, error) {
 	cfg := inst.Config
 	out := &FigureResult{Config: cfg}

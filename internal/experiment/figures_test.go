@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestRunFigureOPOAO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunFigureOPOAO(inst)
+	fr, err := RunFigureOPOAOContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRunFigureDOAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunFigureDOAM(inst)
+	fr, err := RunFigureDOAMContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRunTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := RunTable(inst)
+	tr, err := RunTableContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestWriteFigureOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunFigureOPOAO(inst)
+	fr, err := RunFigureOPOAOContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestRunFigureOPOAOWithRISEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunFigureOPOAO(inst)
+	fr, err := RunFigureOPOAOContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestRunFigureOPOAOWithAdaptiveRIS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunFigureOPOAO(inst)
+	fr, err := RunFigureOPOAOContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

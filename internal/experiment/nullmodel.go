@@ -40,15 +40,10 @@ type NullModelAblation struct {
 	Rows   []NullModelRow
 }
 
-// RunNullModelAblation runs the comparison. The rewired side re-detects
-// communities (Louvain finds only weak ones) and re-runs the pipeline.
-func RunNullModelAblation(cfg Config, rewire func(*graph.Graph, uint64) (*graph.Graph, error)) (*NullModelAblation, error) {
-	return RunNullModelAblationContext(context.Background(), cfg, rewire)
-}
-
-// RunNullModelAblationContext is RunNullModelAblation with cooperative
-// cancellation, checked per side and forwarded to SCBG and the DOAM
-// simulations.
+// RunNullModelAblationContext runs the comparison. The rewired side
+// re-detects communities (Louvain finds only weak ones) and re-runs the
+// pipeline. Cancellation is checked per side and forwarded to SCBG and the
+// DOAM simulations.
 func RunNullModelAblationContext(ctx context.Context, cfg Config, rewire func(*graph.Graph, uint64) (*graph.Graph, error)) (*NullModelAblation, error) {
 	cfg = cfg.withDefaults()
 	inst, err := Setup(cfg)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestRunNullModelAblation(t *testing.T) {
-	abl, err := RunNullModelAblation(smallDOAMConfig(), gen.RewireAll)
+	abl, err := RunNullModelAblationContext(context.Background(), smallDOAMConfig(), gen.RewireAll)
 	if err != nil {
 		t.Fatal(err)
 	}

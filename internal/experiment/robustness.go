@@ -39,15 +39,9 @@ type NoiseAblation struct {
 	Rows     []NoiseRow
 }
 
-// RunNoiseAblation sweeps the given noise levels (0 = the detector's own
-// partition).
-func RunNoiseAblation(inst *Instance, noiseLevels []float64) (*NoiseAblation, error) {
-	return RunNoiseAblationContext(context.Background(), inst, noiseLevels)
-}
-
-// RunNoiseAblationContext is RunNoiseAblation with cooperative
-// cancellation, checked per noise level and forwarded to SCBG and the
-// DOAM simulations.
+// RunNoiseAblationContext sweeps the given noise levels (0 = the detector's
+// own partition). Cancellation is checked per noise level and forwarded to
+// SCBG and the DOAM simulations.
 func RunNoiseAblationContext(ctx context.Context, inst *Instance, noiseLevels []float64) (*NoiseAblation, error) {
 	cfg := inst.Config
 	src := rng.New(cfg.Seed + 13)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestRunNoiseAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abl, err := RunNoiseAblation(inst, []float64{0, 0.3, 0.8})
+	abl, err := RunNoiseAblationContext(context.Background(), inst, []float64{0, 0.3, 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +51,10 @@ func TestRunNoiseAblationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunNoiseAblation(inst, []float64{1.5}); err == nil {
+	if _, err := RunNoiseAblationContext(context.Background(), inst, []float64{1.5}); err == nil {
 		t.Fatal("noise > 1 accepted")
 	}
-	if _, err := RunNoiseAblation(inst, []float64{-0.1}); err == nil {
+	if _, err := RunNoiseAblationContext(context.Background(), inst, []float64{-0.1}); err == nil {
 		t.Fatal("negative noise accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -23,7 +24,7 @@ func TestRunFigureOPOAOShardedRISMatchesUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, err := RunFigureOPOAO(inst)
+		fr, err := RunFigureOPOAOContext(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}

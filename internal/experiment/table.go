@@ -43,16 +43,11 @@ type TableResult struct {
 	Rows   []TableRow
 }
 
-// RunTable reproduces one block of Table I for the instance: for each rumor
-// fraction it averages, over Trials random rumor draws, the number of
+// RunTableContext reproduces one block of Table I for the instance: for each
+// rumor fraction it averages, over Trials random rumor draws, the number of
 // protectors each algorithm selects so that *all* bridge ends are protected
-// under the DOAM model.
-func RunTable(inst *Instance) (*TableResult, error) {
-	return RunTableContext(context.Background(), inst)
-}
-
-// RunTableContext is RunTable with cooperative cancellation, checked per
-// trial and forwarded to SCBG and the DOAM protection checks.
+// under the DOAM model. Cancellation is checked per trial and forwarded to
+// SCBG and the DOAM protection checks.
 func RunTableContext(ctx context.Context, inst *Instance) (*TableResult, error) {
 	cfg := inst.Config
 	out := &TableResult{Config: cfg}

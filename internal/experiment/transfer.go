@@ -37,14 +37,9 @@ type ModelTransfer struct {
 	Rows    []TransferRow
 }
 
-// RunModelTransfer computes the SCBG (DOAM-optimal) solution once and
+// RunModelTransferContext computes the SCBG (DOAM-optimal) solution once and
 // evaluates it under DOAM, OPOAO, competitive IC and competitive LT.
-func RunModelTransfer(inst *Instance) (*ModelTransfer, error) {
-	return RunModelTransferContext(context.Background(), inst)
-}
-
-// RunModelTransferContext is RunModelTransfer with cooperative
-// cancellation, checked per model and forwarded to SCBG and the
+// Cancellation is checked per model and forwarded to SCBG and the
 // evaluations.
 func RunModelTransferContext(ctx context.Context, inst *Instance) (*ModelTransfer, error) {
 	cfg := inst.Config

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestRunModelTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := RunModelTransfer(inst)
+	tr, err := RunModelTransferContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

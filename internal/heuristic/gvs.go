@@ -32,14 +32,9 @@ type GVS struct {
 	MaxCandidates int
 }
 
-// Select greedily picks k protector seeds.
-func (s GVS) Select(ctx Context, k int) ([]int32, error) {
-	return s.SelectContext(stdctx.Background(), ctx, k)
-}
-
-// SelectContext is Select with cooperative cancellation: the context is
-// checked before every candidate evaluation and inside the Monte-Carlo
-// sweeps. Unlike core.GreedyContext there is no partial-result contract —
+// SelectContext greedily picks k protector seeds with cooperative
+// cancellation: the context is checked before every candidate evaluation
+// and inside the Monte-Carlo sweeps. Unlike core.GreedyContext there is no partial-result contract —
 // an interrupted baseline ranking is not worth reporting.
 func (s GVS) SelectContext(cctx stdctx.Context, ctx Context, k int) ([]int32, error) {
 	if ctx.Graph == nil {

@@ -17,7 +17,7 @@ func TestGVSBlocksTheCut(t *testing.T) {
 	g := mustGraph(t, 5, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 1, V: 4},
 	})
-	seeds, err := GVS{}.Select(Context{Graph: g, Rumors: []int32{0}}, 1)
+	seeds, err := GVS{}.SelectContext(stdctx.Background(), Context{Graph: g, Rumors: []int32{0}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestGVSBlocksTheCut(t *testing.T) {
 func TestGVSStopsWhenNothingToSave(t *testing.T) {
 	// Rumor with no out-edges: no candidate helps, selection is empty.
 	g := mustGraph(t, 3, []graph.Edge{{U: 1, V: 2}})
-	seeds, err := GVS{}.Select(Context{Graph: g, Rumors: []int32{0}}, 3)
+	seeds, err := GVS{}.SelectContext(stdctx.Background(), Context{Graph: g, Rumors: []int32{0}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestGVSRespectsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := Context{Graph: net.Graph, Rumors: []int32{0, 1}}
-	seeds, err := GVS{Samples: 3, MaxCandidates: 30}.Select(ctx, 2)
+	seeds, err := GVS{Samples: 3, MaxCandidates: 30}.SelectContext(stdctx.Background(), ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,15 +65,15 @@ func TestGVSReducesInfections(t *testing.T) {
 	}
 	rumors := []int32{0, 1}
 	ctx := Context{Graph: net.Graph, Rumors: rumors}
-	seeds, err := GVS{MaxCandidates: 40}.Select(ctx, 3)
+	seeds, err := GVS{MaxCandidates: 40}.SelectContext(stdctx.Background(), ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	open, err := diffusion.DOAM{}.Run(net.Graph, rumors, nil, nil, diffusion.Options{})
+	open, err := diffusion.DOAM{}.RunContext(stdctx.Background(), net.Graph, rumors, nil, nil, diffusion.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := diffusion.DOAM{}.Run(net.Graph, rumors, seeds, nil, diffusion.Options{})
+	blocked, err := diffusion.DOAM{}.RunContext(stdctx.Background(), net.Graph, rumors, seeds, nil, diffusion.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestGVSReducesInfections(t *testing.T) {
 }
 
 func TestGVSValidation(t *testing.T) {
-	if _, err := (GVS{}).Select(Context{}, 1); err == nil {
+	if _, err := (GVS{}).SelectContext(stdctx.Background(), Context{}, 1); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 	g := mustGraph(t, 2, []graph.Edge{{U: 0, V: 1}})
-	seeds, err := GVS{}.Select(Context{Graph: g, Rumors: []int32{0}}, 0)
+	seeds, err := GVS{}.SelectContext(stdctx.Background(), Context{Graph: g, Rumors: []int32{0}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestGVSDeterministic(t *testing.T) {
 	}
 	ctx := Context{Graph: net.Graph, Rumors: []int32{5}}
 	sel := GVS{Model: diffusion.OPOAO{}, Samples: 5, Seed: 3, MaxCandidates: 20}
-	a, err := sel.Select(ctx, 2)
+	a, err := sel.SelectContext(stdctx.Background(), ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sel.Select(ctx, 2)
+	b, err := sel.SelectContext(stdctx.Background(), ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,15 +37,6 @@ type Selector interface {
 	Rank(ctx Context, src *rng.Source) ([]int32, error)
 }
 
-// ContextRanker is implemented by selectors whose ranking is expensive
-// enough to warrant cooperative cancellation. SelectContext prefers it over
-// Rank when available.
-type ContextRanker interface {
-	Selector
-	// RankContext is Rank with cancellation support.
-	RankContext(cctx stdctx.Context, ctx Context, src *rng.Source) ([]int32, error)
-}
-
 // Select returns the top k candidates of sel's ranking (fewer if the
 // ranking is shorter).
 func Select(sel Selector, ctx Context, k int, src *rng.Source) ([]int32, error) {
@@ -53,8 +44,7 @@ func Select(sel Selector, ctx Context, k int, src *rng.Source) ([]int32, error) 
 }
 
 // SelectContext is Select with cooperative cancellation: the context is
-// checked before ranking, and selectors implementing ContextRanker also
-// honor it internally.
+// checked before ranking.
 func SelectContext(cctx stdctx.Context, sel Selector, ctx Context, k int, src *rng.Source) ([]int32, error) {
 	if sel == nil {
 		return nil, fmt.Errorf("heuristic: select: nil selector")
@@ -62,13 +52,7 @@ func SelectContext(cctx stdctx.Context, sel Selector, ctx Context, k int, src *r
 	if err := cctx.Err(); err != nil {
 		return nil, fmt.Errorf("heuristic: %s: %w", sel.Name(), err)
 	}
-	var rank []int32
-	var err error
-	if cr, ok := sel.(ContextRanker); ok {
-		rank, err = cr.RankContext(cctx, ctx, src)
-	} else {
-		rank, err = sel.Rank(ctx, src)
-	}
+	rank, err := sel.Rank(ctx, src)
 	if err != nil {
 		return nil, fmt.Errorf("heuristic: %s: %w", sel.Name(), err)
 	}

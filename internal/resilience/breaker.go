@@ -101,11 +101,6 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Do is DoContext with a background context.
-func (b *Breaker) Do(op func(context.Context) error) error {
-	return b.DoContext(context.Background(), op)
-}
-
 // DoContext runs op through the circuit. While the circuit is open (or a
 // half-open probe is already in flight) it returns an error wrapping
 // ErrOpen without invoking op. A panicking op is recorded as a failure and

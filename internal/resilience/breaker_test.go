@@ -44,7 +44,7 @@ func TestBreakerFullCycle(t *testing.T) {
 	}
 	// Two failures and a success: consecutive-failure counter resets.
 	for _, op := range []func(context.Context) error{fail, fail, ok, fail, fail} {
-		if err := b.Do(op); err != nil && !errors.Is(err, boom) {
+		if err := b.DoContext(context.Background(), op); err != nil && !errors.Is(err, boom) {
 			t.Fatalf("Do: %v", err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestBreakerFullCycle(t *testing.T) {
 		t.Fatalf("state after interleaved failures = %v, want closed", got)
 	}
 	// Third consecutive failure trips the circuit.
-	if err := b.Do(fail); !errors.Is(err, boom) {
+	if err := b.DoContext(context.Background(), fail); !errors.Is(err, boom) {
 		t.Fatalf("Do = %v, want boom", err)
 	}
 	if got := b.State(); got != BreakerOpen {
@@ -60,7 +60,7 @@ func TestBreakerFullCycle(t *testing.T) {
 	}
 	// Open: fails fast without invoking the op.
 	called := false
-	err := b.Do(func(context.Context) error { called = true; return nil })
+	err := b.DoContext(context.Background(), func(context.Context) error { called = true; return nil })
 	if !errors.Is(err, ErrOpen) {
 		t.Fatalf("Do while open = %v, want ErrOpen", err)
 	}
@@ -73,13 +73,13 @@ func TestBreakerFullCycle(t *testing.T) {
 		t.Fatalf("state after cooldown = %v, want half-open", got)
 	}
 	// First probe succeeds but SuccessThreshold is 2: still half-open.
-	if err := b.Do(ok); err != nil {
+	if err := b.DoContext(context.Background(), ok); err != nil {
 		t.Fatalf("probe 1: %v", err)
 	}
 	if got := b.State(); got != BreakerHalfOpen {
 		t.Fatalf("state after probe 1 = %v, want half-open", got)
 	}
-	if err := b.Do(ok); err != nil {
+	if err := b.DoContext(context.Background(), ok); err != nil {
 		t.Fatalf("probe 2: %v", err)
 	}
 	if got := b.State(); got != BreakerClosed {
@@ -93,18 +93,18 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
 	b := NewBreaker(BreakerOptions{FailureThreshold: 1, Cooldown: time.Second, Now: clock.Now})
 	boom := errors.New("boom")
-	if err := b.Do(func(context.Context) error { return boom }); !errors.Is(err, boom) {
+	if err := b.DoContext(context.Background(), func(context.Context) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Do = %v, want boom", err)
 	}
 	clock.Advance(time.Second)
-	if err := b.Do(func(context.Context) error { return boom }); !errors.Is(err, boom) {
+	if err := b.DoContext(context.Background(), func(context.Context) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("probe = %v, want boom", err)
 	}
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
 	clock.Advance(time.Second / 2)
-	if err := b.Do(func(context.Context) error { return nil }); !errors.Is(err, ErrOpen) {
+	if err := b.DoContext(context.Background(), func(context.Context) error { return nil }); !errors.Is(err, ErrOpen) {
 		t.Fatalf("Do mid-cooldown = %v, want ErrOpen", err)
 	}
 }
@@ -113,7 +113,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(0, 0)}
 	b := NewBreaker(BreakerOptions{FailureThreshold: 1, Cooldown: time.Second, Now: clock.Now})
-	if err := b.Do(func(context.Context) error { return errors.New("boom") }); err == nil {
+	if err := b.DoContext(context.Background(), func(context.Context) error { return errors.New("boom") }); err == nil {
 		t.Fatal("expected failure")
 	}
 	clock.Advance(time.Second)
@@ -122,7 +122,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	release := make(chan struct{})
 	probeErr := make(chan error, 1)
 	go func() {
-		probeErr <- b.Do(func(context.Context) error {
+		probeErr <- b.DoContext(context.Background(), func(context.Context) error {
 			close(probeStarted)
 			<-release
 			return nil
@@ -130,7 +130,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	}()
 	<-probeStarted
 	// Second call while the probe is in flight is rejected.
-	if err := b.Do(func(context.Context) error { return nil }); !errors.Is(err, ErrOpen) {
+	if err := b.DoContext(context.Background(), func(context.Context) error { return nil }); !errors.Is(err, ErrOpen) {
 		t.Fatalf("concurrent probe = %v, want ErrOpen", err)
 	}
 	close(release)
@@ -150,7 +150,7 @@ func TestBreakerIsFailureFilter(t *testing.T) {
 		IsFailure:        func(err error) bool { return !errors.Is(err, context.Canceled) },
 	})
 	for i := 0; i < 5; i++ {
-		err := b.Do(func(context.Context) error { return context.Canceled })
+		err := b.DoContext(context.Background(), func(context.Context) error { return context.Canceled })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("Do = %v, want Canceled", err)
 		}
@@ -188,7 +188,7 @@ func TestBreakerPanicCountsAsFailure(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		_ = b.Do(func(context.Context) error { panic("kaboom") })
+		_ = b.DoContext(context.Background(), func(context.Context) error { panic("kaboom") })
 	}()
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state after panic = %v, want open", got)
@@ -208,7 +208,7 @@ func TestBreakerConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_ = b.Do(func(context.Context) error {
+				_ = b.DoContext(context.Background(), func(context.Context) error {
 					if (w+i)%3 == 0 {
 						return boom
 					}

@@ -133,19 +133,9 @@ func (g *Gate) queueShareLocked(t *tenantState) int {
 	return share
 }
 
-// Acquire is AcquireContext with a background context.
-func (g *Gate) Acquire(n int64) error {
-	return g.AcquireContext(context.Background(), n)
-}
-
 // AcquireContext admits n units for the default tenant.
 func (g *Gate) AcquireContext(ctx context.Context, n int64) error {
 	return g.AcquireTenantContext(ctx, DefaultTenant, n)
-}
-
-// AcquireTenant is AcquireTenantContext with a background context.
-func (g *Gate) AcquireTenant(tenant string, n int64) error {
-	return g.AcquireTenantContext(context.Background(), tenant, n)
 }
 
 // AcquireTenantContext blocks until n units are admitted for tenant, the

@@ -17,7 +17,7 @@ func TestGateTenantQuotaShedsHotTenantOnly(t *testing.T) {
 	g := NewGate(1, 8)
 	g.SetQuota("hot", 1)
 	g.SetQuota("cold", 1)
-	if err := g.AcquireTenant("hot", 1); err != nil {
+	if err := g.AcquireTenantContext(context.Background(), "hot", 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 
@@ -26,7 +26,7 @@ func TestGateTenantQuotaShedsHotTenantOnly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := g.AcquireTenant(tenant, 1); err != nil {
+			if err := g.AcquireTenantContext(context.Background(), tenant, 1); err != nil {
 				t.Errorf("queued %s acquire: %v", tenant, err)
 				return
 			}
@@ -40,7 +40,7 @@ func TestGateTenantQuotaShedsHotTenantOnly(t *testing.T) {
 	}
 
 	// Hot is at its share (2 of 8): the next hot acquire quota-sheds.
-	err := g.AcquireTenant("hot", 1)
+	err := g.AcquireTenantContext(context.Background(), "hot", 1)
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("hot tenant past its share = %v, want ErrQuotaExceeded", err)
 	}
@@ -80,10 +80,10 @@ func TestGateTenantQuotaShedsHotTenantOnly(t *testing.T) {
 // tenants and checks the overflow is a plain ErrShed.
 func TestGateTenantGlobalQueueFullSheds(t *testing.T) {
 	g := NewGate(1, 0)
-	if err := g.AcquireTenant("a", 1); err != nil {
+	if err := g.AcquireTenantContext(context.Background(), "a", 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if err := g.AcquireTenant("b", 1); !errors.Is(err, ErrShed) {
+	if err := g.AcquireTenantContext(context.Background(), "b", 1); !errors.Is(err, ErrShed) {
 		t.Fatalf("acquire on zero-slot queue = %v, want ErrShed", err)
 	}
 	g.ReleaseTenant("a", 1)
@@ -96,7 +96,7 @@ func TestGateDeficitRoundRobinWeights(t *testing.T) {
 	g := NewGate(1, -1)
 	g.SetQuota("gold", 3)
 	g.SetQuota("bronze", 1)
-	if err := g.Acquire(1); err != nil {
+	if err := g.AcquireContext(context.Background(), 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 
@@ -109,7 +109,7 @@ func TestGateDeficitRoundRobinWeights(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := g.AcquireTenant(tenant, 1); err != nil {
+			if err := g.AcquireTenantContext(context.Background(), tenant, 1); err != nil {
 				t.Errorf("%s %d: %v", tenant, i, err)
 				return
 			}
@@ -167,7 +167,7 @@ func TestGateDeficitRoundRobinWeights(t *testing.T) {
 func TestGateWaiterOrderSurvivesConcurrentCancellation(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		g := NewGate(1, -1)
-		if err := g.Acquire(1); err != nil {
+		if err := g.AcquireContext(context.Background(), 1); err != nil {
 			t.Fatalf("Acquire: %v", err)
 		}
 
@@ -262,7 +262,7 @@ func TestGateWaiterOrderSurvivesConcurrentCancellation(t *testing.T) {
 // consistent.
 func TestGateTenantReleaseMismatchPanics(t *testing.T) {
 	g := NewGate(2, 0)
-	if err := g.AcquireTenant("a", 1); err != nil {
+	if err := g.AcquireTenantContext(context.Background(), "a", 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	defer func() {

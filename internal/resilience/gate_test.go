@@ -31,10 +31,10 @@ func TestGateTryAcquire(t *testing.T) {
 // and the waiting queue is at its bound.
 func TestGateShedOnFull(t *testing.T) {
 	g := NewGate(1, 0)
-	if err := g.Acquire(1); err != nil {
+	if err := g.AcquireContext(context.Background(), 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	err := g.Acquire(1)
+	err := g.AcquireContext(context.Background(), 1)
 	if !errors.Is(err, ErrShed) {
 		t.Fatalf("Acquire on full gate = %v, want ErrShed", err)
 	}
@@ -45,15 +45,15 @@ func TestGateShedOnFull(t *testing.T) {
 	// With one queue slot, the first excess acquirer waits and the second
 	// sheds.
 	g2 := NewGate(1, 1)
-	if err := g2.Acquire(1); err != nil {
+	if err := g2.AcquireContext(context.Background(), 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	waiterErr := make(chan error, 1)
-	go func() { waiterErr <- g2.Acquire(1) }()
+	go func() { waiterErr <- g2.AcquireContext(context.Background(), 1) }()
 	for g2.Waiting() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := g2.Acquire(1); !errors.Is(err, ErrShed) {
+	if err := g2.AcquireContext(context.Background(), 1); !errors.Is(err, ErrShed) {
 		t.Fatalf("second excess acquire = %v, want ErrShed", err)
 	}
 	g2.Release(1)
@@ -65,10 +65,10 @@ func TestGateShedOnFull(t *testing.T) {
 // TestGateInvalidWeight rejects non-positive and over-capacity weights.
 func TestGateInvalidWeight(t *testing.T) {
 	g := NewGate(2, 0)
-	if err := g.Acquire(0); err == nil {
+	if err := g.AcquireContext(context.Background(), 0); err == nil {
 		t.Fatal("Acquire(0) succeeded")
 	}
-	if err := g.Acquire(3); err == nil {
+	if err := g.AcquireContext(context.Background(), 3); err == nil {
 		t.Fatal("Acquire(3) over capacity succeeded")
 	}
 	if g.TryAcquire(0) || g.TryAcquire(3) {
@@ -80,7 +80,7 @@ func TestGateInvalidWeight(t *testing.T) {
 // never overtakes the queue.
 func TestGateFIFO(t *testing.T) {
 	g := NewGate(1, -1)
-	if err := g.Acquire(1); err != nil {
+	if err := g.AcquireContext(context.Background(), 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	var order []int
@@ -95,7 +95,7 @@ func TestGateFIFO(t *testing.T) {
 			for g.Waiting() < i {
 				time.Sleep(time.Millisecond)
 			}
-			if err := g.Acquire(1); err != nil {
+			if err := g.AcquireContext(context.Background(), 1); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
 			}
@@ -124,7 +124,7 @@ func TestGateFIFO(t *testing.T) {
 // rest of the queue.
 func TestGateAcquireCanceled(t *testing.T) {
 	g := NewGate(1, -1)
-	if err := g.Acquire(1); err != nil {
+	if err := g.AcquireContext(context.Background(), 1); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -142,7 +142,7 @@ func TestGateAcquireCanceled(t *testing.T) {
 	}
 	// The gate still works: release and re-acquire.
 	g.Release(1)
-	if err := g.Acquire(1); err != nil {
+	if err := g.AcquireContext(context.Background(), 1); err != nil {
 		t.Fatalf("Acquire after cancel: %v", err)
 	}
 }
@@ -159,7 +159,7 @@ func TestGateConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := g.Acquire(1); err != nil {
+				if err := g.AcquireContext(context.Background(), 1); err != nil {
 					t.Errorf("Acquire: %v", err)
 					return
 				}

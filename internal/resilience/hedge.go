@@ -91,11 +91,6 @@ type hedgeResult struct {
 	err     error
 }
 
-// Do is DoContext with a background context.
-func (h Hedge) Do(op func(ctx context.Context, attempt int) (any, error)) (any, error) {
-	return h.DoContext(context.Background(), op)
-}
-
 // DoContext runs op under the hedging schedule and returns the first
 // successful attempt's value. When every attempt fails it returns an
 // error joining all attempt errors (test the causes with errors.Is). A

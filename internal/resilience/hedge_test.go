@@ -13,7 +13,7 @@ import (
 func TestHedgeFastPrimaryWins(t *testing.T) {
 	var launches atomic.Int32
 	h := Hedge{Delay: time.Hour, Attempts: 2}
-	v, err := h.Do(func(_ context.Context, attempt int) (any, error) {
+	v, err := h.DoContext(context.Background(), func(_ context.Context, attempt int) (any, error) {
 		launches.Add(1)
 		return attempt, nil
 	})
@@ -34,7 +34,7 @@ func TestHedgeFastPrimaryWins(t *testing.T) {
 func TestHedgeSlowPrimaryLosesAndIsCanceled(t *testing.T) {
 	primaryCanceled := make(chan struct{})
 	h := Hedge{Delay: 5 * time.Millisecond, Attempts: 2}
-	v, err := h.Do(func(ctx context.Context, attempt int) (any, error) {
+	v, err := h.DoContext(context.Background(), func(ctx context.Context, attempt int) (any, error) {
 		if attempt == 0 {
 			<-ctx.Done() // slow primary parked until canceled
 			close(primaryCanceled)
@@ -60,7 +60,7 @@ func TestHedgeSlowPrimaryLosesAndIsCanceled(t *testing.T) {
 func TestHedgeFailureFastForwards(t *testing.T) {
 	start := time.Now()
 	h := Hedge{Delay: time.Hour, Attempts: 2}
-	v, err := h.Do(func(_ context.Context, attempt int) (any, error) {
+	v, err := h.DoContext(context.Background(), func(_ context.Context, attempt int) (any, error) {
 		if attempt == 0 {
 			return nil, errors.New("primary broken")
 		}
@@ -81,7 +81,7 @@ func TestHedgeFailureFastForwards(t *testing.T) {
 func TestHedgeAllFail(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
 	h := Hedge{Attempts: 2}
-	_, err := h.Do(func(_ context.Context, attempt int) (any, error) {
+	_, err := h.DoContext(context.Background(), func(_ context.Context, attempt int) (any, error) {
 		if attempt == 0 {
 			return nil, errA
 		}
@@ -100,7 +100,7 @@ func TestHedgeAllFail(t *testing.T) {
 // wins.
 func TestHedgePanicContained(t *testing.T) {
 	h := Hedge{Attempts: 2}
-	v, err := h.Do(func(_ context.Context, attempt int) (any, error) {
+	v, err := h.DoContext(context.Background(), func(_ context.Context, attempt int) (any, error) {
 		if attempt == 0 {
 			panic("poisoned attempt")
 		}
@@ -114,7 +114,7 @@ func TestHedgePanicContained(t *testing.T) {
 	}
 
 	// Every attempt panicking surfaces ErrPanic.
-	_, err = h.Do(func(context.Context, int) (any, error) { panic("all poisoned") })
+	_, err = h.DoContext(context.Background(), func(context.Context, int) (any, error) { panic("all poisoned") })
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("err = %v, want wrap of ErrPanic", err)
 	}
@@ -147,7 +147,7 @@ func TestHedgeStats(t *testing.T) {
 
 	// Primary wins immediately.
 	h := Hedge{Delay: time.Hour, Attempts: 2, Stats: &stats}
-	if _, err := h.Do(func(_ context.Context, attempt int) (any, error) {
+	if _, err := h.DoContext(context.Background(), func(_ context.Context, attempt int) (any, error) {
 		return attempt, nil
 	}); err != nil {
 		t.Fatalf("primary win: %v", err)
@@ -156,7 +156,7 @@ func TestHedgeStats(t *testing.T) {
 	// Primary fails, the fast-forwarded hedge wins — a second Hedge value
 	// shares the same counters.
 	h2 := Hedge{Delay: time.Hour, Attempts: 2, Stats: &stats}
-	if _, err := h2.Do(func(_ context.Context, attempt int) (any, error) {
+	if _, err := h2.DoContext(context.Background(), func(_ context.Context, attempt int) (any, error) {
 		if attempt == 0 {
 			return nil, errors.New("primary down")
 		}
@@ -166,7 +166,7 @@ func TestHedgeStats(t *testing.T) {
 	}
 
 	// Every attempt fails.
-	if _, err := h.Do(func(_ context.Context, attempt int) (any, error) {
+	if _, err := h.DoContext(context.Background(), func(_ context.Context, attempt int) (any, error) {
 		return nil, errors.New("all down")
 	}); err == nil {
 		t.Fatal("all-failed call succeeded")
@@ -183,7 +183,7 @@ func TestHedgeStats(t *testing.T) {
 // work — optional wiring must not force a counter on every call site.
 func TestHedgeStatsNilSafe(t *testing.T) {
 	h := Hedge{Attempts: 2}
-	if _, err := h.Do(func(_ context.Context, attempt int) (any, error) {
+	if _, err := h.DoContext(context.Background(), func(_ context.Context, attempt int) (any, error) {
 		return attempt, nil
 	}); err != nil {
 		t.Fatalf("Do without stats: %v", err)

@@ -30,17 +30,12 @@ type Interrupt struct {
 	stop   func(chan<- os.Signal)
 }
 
-// Notify is NotifyContext with a background context.
+// Notify returns a context that is canceled on the first watched signal;
+// the second signal calls Exit(Code) without waiting. The returned
+// CancelFunc releases the signal registration and the watcher goroutine —
+// call it on the way out, exactly like signal.NotifyContext.
 func (i Interrupt) Notify() (context.Context, context.CancelFunc) {
-	return i.NotifyContext(context.Background())
-}
-
-// NotifyContext returns a child of parent that is canceled on the first
-// watched signal; the second signal calls Exit(Code) without waiting. The
-// returned CancelFunc releases the signal registration and the watcher
-// goroutine — call it on the way out, exactly like signal.NotifyContext.
-func (i Interrupt) NotifyContext(parent context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(parent)
+	ctx, cancel := context.WithCancel(context.Background())
 	notify, stop := i.notify, i.stop
 	if notify == nil {
 		notify = signal.Notify

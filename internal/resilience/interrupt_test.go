@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"context"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -97,7 +96,7 @@ func TestInterruptStopReleases(t *testing.T) {
 	var exited atomic.Int32
 	i := Interrupt{Exit: func(int) { exited.Add(1) }}
 	sigs, stopped := fakeSignals(&i)
-	ctx, stop := i.NotifyContext(context.Background())
+	ctx, stop := i.Notify()
 	stop()
 	if stopped.Load() != 1 {
 		t.Fatalf("signal.Stop calls = %d, want 1", stopped.Load())

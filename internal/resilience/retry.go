@@ -47,11 +47,6 @@ type Retry struct {
 	sleep func(context.Context, time.Duration) error
 }
 
-// Do is DoContext with a background context.
-func (r Retry) Do(op func(context.Context) error) error {
-	return r.DoContext(context.Background(), op)
-}
-
 // DoContext runs op until it succeeds, the attempt budget is spent, the
 // error is classified permanent, or ctx ends. The returned error wraps the
 // last attempt's error (or the context's), so errors.Is sees through the

@@ -16,7 +16,7 @@ import (
 func TestRetrySucceedsAfterFailures(t *testing.T) {
 	calls := 0
 	r := Retry{Attempts: 4, sleep: func(context.Context, time.Duration) error { return nil }}
-	err := r.Do(func(context.Context) error {
+	err := r.DoContext(context.Background(), func(context.Context) error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -37,7 +37,7 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	sentinel := errors.New("still broken")
 	calls := 0
 	r := Retry{Attempts: 3, sleep: func(context.Context, time.Duration) error { return nil }}
-	err := r.Do(func(context.Context) error { calls++; return sentinel })
+	err := r.DoContext(context.Background(), func(context.Context) error { calls++; return sentinel })
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3", calls)
 	}
@@ -55,7 +55,7 @@ func TestRetryPermanentStopsImmediately(t *testing.T) {
 		Retryable: func(err error) bool { return !errors.Is(err, permanent) },
 		sleep:     func(context.Context, time.Duration) error { return nil },
 	}
-	err := r.Do(func(context.Context) error { calls++; return permanent })
+	err := r.DoContext(context.Background(), func(context.Context) error { calls++; return permanent })
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
@@ -69,7 +69,7 @@ func TestRetryPermanentStopsImmediately(t *testing.T) {
 func TestRetryContextErrorsNeverRetried(t *testing.T) {
 	calls := 0
 	r := Retry{Attempts: 5, sleep: func(context.Context, time.Duration) error { return nil }}
-	err := r.Do(func(context.Context) error {
+	err := r.DoContext(context.Background(), func(context.Context) error {
 		calls++
 		return fmt.Errorf("wrapped: %w", context.DeadlineExceeded)
 	})
@@ -110,7 +110,7 @@ func TestRetryJitterDeterministic(t *testing.T) {
 				return nil
 			},
 		}
-		if err := r.Do(func(context.Context) error { return errors.New("transient") }); err == nil {
+		if err := r.DoContext(context.Background(), func(context.Context) error { return errors.New("transient") }); err == nil {
 			t.Fatal("expected exhaustion error")
 		}
 		return delays
@@ -158,7 +158,7 @@ func TestRetryNoJitter(t *testing.T) {
 			return nil
 		},
 	}
-	if err := r.Do(func(context.Context) error { return errors.New("transient") }); err == nil {
+	if err := r.DoContext(context.Background(), func(context.Context) error { return errors.New("transient") }); err == nil {
 		t.Fatal("expected exhaustion error")
 	}
 	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond, 300 * time.Millisecond}

@@ -47,8 +47,6 @@ type flight struct {
 
 // NewGroup returns a Group whose leaders run under run; nil means
 // context.Background() (leaders are never canceled by the group).
-//
-//lint:ignore ctxpair run is a stored lifetime scope for future leaders, not a per-call cancellation parameter, so the Foo/FooContext pairing does not apply
 func NewGroup(run context.Context) *Group {
 	if run == nil {
 		//lint:ignore ctxflow nil means uncancellable leaders by documented contract; Background is that contract, not a dropped caller context
@@ -56,12 +54,6 @@ func NewGroup(run context.Context) *Group {
 	}
 	//lint:ignore ctxflow the group stores its leader lifetime scope by design; per-call contexts govern waiters via DoContext
 	return &Group{run: run, flights: make(map[string]*flight)}
-}
-
-// Do is DoContext with a background context: the caller waits for the
-// shared result without a detachment deadline.
-func (g *Group) Do(key string, fn func(context.Context) (any, error)) (any, bool, error) {
-	return g.DoContext(context.Background(), key, fn)
 }
 
 // DoContext returns the shared result for key, starting a leader running

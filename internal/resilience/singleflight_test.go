@@ -29,7 +29,7 @@ func TestGroupCoalesces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			entered <- struct{}{}
-			vals[i], _, errs[i] = g.Do("solve", func(context.Context) (any, error) {
+			vals[i], _, errs[i] = g.DoContext(context.Background(), "solve", func(context.Context) (any, error) {
 				runs.Add(1)
 				<-release // hold the flight open until every caller joined
 				return "answer", nil
@@ -68,10 +68,10 @@ func TestGroupDistinctKeysDoNotCoalesce(t *testing.T) {
 	g := NewGroup(nil)
 	var runs atomic.Int64
 	fn := func(context.Context) (any, error) { runs.Add(1); return nil, nil }
-	if _, joined, err := g.Do("a", fn); err != nil || joined {
+	if _, joined, err := g.DoContext(context.Background(), "a", fn); err != nil || joined {
 		t.Fatalf("Do(a) = joined %v, err %v", joined, err)
 	}
-	if _, joined, err := g.Do("b", fn); err != nil || joined {
+	if _, joined, err := g.DoContext(context.Background(), "b", fn); err != nil || joined {
 		t.Fatalf("Do(b) = joined %v, err %v", joined, err)
 	}
 	if got := runs.Load(); got != 2 {
@@ -88,8 +88,8 @@ func TestGroupSequentialCallsRunFresh(t *testing.T) {
 	g := NewGroup(nil)
 	var runs atomic.Int64
 	fn := func(context.Context) (any, error) { return runs.Add(1), nil }
-	v1, _, _ := g.Do("k", fn)
-	v2, _, _ := g.Do("k", fn)
+	v1, _, _ := g.DoContext(context.Background(), "k", fn)
+	v2, _, _ := g.DoContext(context.Background(), "k", fn)
 	if v1 == v2 {
 		t.Fatalf("sequential calls shared one execution: %v and %v", v1, v2)
 	}
@@ -111,7 +111,7 @@ func TestGroupWaiterDetaches(t *testing.T) {
 	patient := make(chan error, 1)
 	var patientVal any
 	go func() {
-		v, _, err := g.Do("k", fn)
+		v, _, err := g.DoContext(context.Background(), "k", fn)
 		patientVal = v
 		patient <- err
 	}()
@@ -147,7 +147,7 @@ func TestGroupLeaderRunsUnderRunContext(t *testing.T) {
 		<-started
 		stop()
 	}()
-	_, _, err := g.Do("k", func(ctx context.Context) (any, error) {
+	_, _, err := g.DoContext(context.Background(), "k", func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, fmt.Errorf("group test: interrupted: %w", ctx.Err())
@@ -174,7 +174,7 @@ func TestGroupLeaderPanicFailsAllWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			entered <- struct{}{}
-			_, _, errs[i] = g.Do("k", func(context.Context) (any, error) {
+			_, _, errs[i] = g.DoContext(context.Background(), "k", func(context.Context) (any, error) {
 				<-release
 				panic("poisoned solve")
 			})

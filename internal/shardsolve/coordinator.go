@@ -62,11 +62,6 @@ type Coordinator struct {
 // solveSeq numbers auto-generated solve ids within the process.
 var solveSeq atomic.Int64
 
-// Solve is SolveContext with a background context.
-func (c *Coordinator) Solve(spec Spec) (*Result, error) {
-	return c.SolveContext(context.Background(), spec)
-}
-
 // SolveContext runs one sharded lazy-greedy solve. On cancellation the
 // best-so-far prefix is returned with Partial set alongside the error,
 // following the repo's partial-result contract. A solve that loses every

@@ -1,6 +1,7 @@
 package shardsolve
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sort"
@@ -49,7 +50,7 @@ func buildHosts(t testing.TB, p *core.Problem, opts sketch.Options, count, spare
 	t.Helper()
 	hosts := make([]*Host, 0, count+spares)
 	for i := 0; i < count; i++ {
-		slice, err := sketch.BuildShard(p, opts, i, count)
+		slice, err := sketch.BuildShardContext(context.Background(), p, opts, i, count)
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, count, err)
 		}
@@ -57,7 +58,7 @@ func buildHosts(t testing.TB, p *core.Problem, opts sketch.Options, count, spare
 	}
 	for i := 0; i < spares; i++ {
 		hosts = append(hosts, NewHost(func(index, cnt int) (*sketch.Set, error) {
-			return sketch.BuildShard(p, opts, index, cnt)
+			return sketch.BuildShardContext(context.Background(), p, opts, index, cnt)
 		}))
 	}
 	return hosts
@@ -157,7 +158,7 @@ func TestShardedBitIdentity(t *testing.T) {
 			for _, count := range counts {
 				hosts := buildHosts(t, p, opts, count, 0)
 				c := fastCoordinator(NewInProc(hosts, nil), count)
-				got, err := c.Solve(Spec{Alpha: alpha})
+				got, err := c.SolveContext(context.Background(), Spec{Alpha: alpha})
 				if err != nil {
 					t.Fatalf("%s alpha %v count %d: %v", name, alpha, count, err)
 				}
@@ -193,7 +194,7 @@ func TestShardedFullSetAsSingleShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := fastCoordinator(NewInProc([]*Host{NewHost(StaticProvider(full))}, nil), 1)
-	got, err := c.Solve(Spec{})
+	got, err := c.SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestShardedRequeueOntoSpare(t *testing.T) {
 	hosts := buildHosts(t, p, opts, 3, 1)
 	chaos := Chaos{1: {{Call: 3, Kind: FaultDie}}}
 	c := fastCoordinator(NewInProc(hosts, chaos), 3)
-	got, err := c.Solve(Spec{})
+	got, err := c.SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +248,12 @@ func TestShardedRestartSurvives(t *testing.T) {
 	hosts := make([]*Host, 3)
 	for i := range hosts {
 		hosts[i] = NewHost(func(index, cnt int) (*sketch.Set, error) {
-			return sketch.BuildShard(p, opts, index, cnt)
+			return sketch.BuildShardContext(context.Background(), p, opts, index, cnt)
 		})
 	}
 	chaos := Chaos{0: {{Call: 4, Kind: FaultRestart}}, 2: {{Call: 7, Kind: FaultRestart}}}
 	c := fastCoordinator(NewInProc(hosts, chaos), 3)
-	got, err := c.Solve(Spec{})
+	got, err := c.SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestShardedStragglerHedged(t *testing.T) {
 	stats := &resilience.HedgeStats{}
 	c := fastCoordinator(NewInProc(hosts, chaos), 3)
 	c.HedgeStats = stats
-	got, err := c.Solve(Spec{})
+	got, err := c.SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,11 +349,11 @@ func referenceGreedy(pairs []sketch.Pair, baseline, samples, numEnds int, alpha 
 func TestShardLossDegradesHonestly(t *testing.T) {
 	p := testProblem(t, 300, 40, 41)
 	opts := sketch.Options{Samples: 48, Seed: 7}
-	slice0, err := sketch.BuildShard(p, opts, 0, 3)
+	slice0, err := sketch.BuildShardContext(context.Background(), p, opts, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice2, err := sketch.BuildShard(p, opts, 2, 3)
+	slice2, err := sketch.BuildShardContext(context.Background(), p, opts, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestShardLossDegradesHonestly(t *testing.T) {
 	// pure greedy over the survivors.
 	chaos := Chaos{1: {{Call: 2, Kind: FaultDie}}}
 	c := fastCoordinator(NewInProc(hosts, chaos), 3)
-	got, err := c.Solve(Spec{})
+	got, err := c.SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,11 +416,11 @@ func TestShardLossBreaksCertificate(t *testing.T) {
 	chaos := func() Chaos { return Chaos{1: {{Call: 2, Kind: FaultDie}}} }
 
 	// Dry runs (no certificate requested) to learn both x̂ values.
-	clean, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), nil), 3).Solve(Spec{})
+	clean, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), nil), 3).SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), chaos()), 3).Solve(Spec{})
+	lossy, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), chaos()), 3).SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +451,7 @@ func TestShardLossBreaksCertificate(t *testing.T) {
 	}
 
 	cleanCert, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), nil), 3).
-		Solve(Spec{CertEpsilon: eps})
+		SolveContext(context.Background(), Spec{CertEpsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +461,7 @@ func TestShardLossBreaksCertificate(t *testing.T) {
 	}
 
 	lossyCert, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), chaos()), 3).
-		Solve(Spec{CertEpsilon: eps})
+		SolveContext(context.Background(), Spec{CertEpsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,19 +490,19 @@ func TestShardedValidation(t *testing.T) {
 	opts := sketch.Options{Samples: 16, Seed: 7}
 	hosts := buildHosts(t, p, opts, 2, 0)
 	tr := NewInProc(hosts, nil)
-	if _, err := (&Coordinator{Transport: nil, Shards: 2}).Solve(Spec{}); err == nil {
+	if _, err := (&Coordinator{Transport: nil, Shards: 2}).SolveContext(context.Background(), Spec{}); err == nil {
 		t.Fatal("nil transport accepted")
 	}
-	if _, err := (&Coordinator{Transport: tr, Shards: 0}).Solve(Spec{}); err == nil {
+	if _, err := (&Coordinator{Transport: tr, Shards: 0}).SolveContext(context.Background(), Spec{}); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := (&Coordinator{Transport: tr, Shards: 3}).Solve(Spec{}); err == nil {
+	if _, err := (&Coordinator{Transport: tr, Shards: 3}).SolveContext(context.Background(), Spec{}); err == nil {
 		t.Fatal("more shards than endpoints accepted")
 	}
-	if _, err := (&Coordinator{Transport: tr, Shards: 2}).Solve(Spec{Alpha: 1.5}); err == nil {
+	if _, err := (&Coordinator{Transport: tr, Shards: 2}).SolveContext(context.Background(), Spec{Alpha: 1.5}); err == nil {
 		t.Fatal("alpha out of range accepted")
 	}
-	if _, err := (&Coordinator{Transport: tr, Shards: 2}).Solve(Spec{CertEpsilon: 2}); err == nil {
+	if _, err := (&Coordinator{Transport: tr, Shards: 2}).SolveContext(context.Background(), Spec{CertEpsilon: 2}); err == nil {
 		t.Fatal("certificate epsilon out of range accepted")
 	}
 }

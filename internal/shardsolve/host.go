@@ -9,9 +9,9 @@ import (
 
 // SliceProvider supplies the shard slice for coordinates (index, count) —
 // by returning a prebuilt set, loading a persisted one, or rebuilding
-// from the CRN seed stream (sketch.BuildShard). A host calls it once per
-// coordinates and caches the result; a spare endpoint's provider is what
-// lets it adopt a dead shard's identity mid-solve.
+// from the CRN seed stream (sketch.BuildShardContext). A host calls it
+// once per coordinates and caches the result; a spare endpoint's provider
+// is what lets it adopt a dead shard's identity mid-solve.
 type SliceProvider func(index, count int) (*sketch.Set, error)
 
 // StaticProvider serves exactly the given prebuilt sets, matched by their

@@ -1,6 +1,7 @@
 package shardsolve
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func hostFixture(t *testing.T) (*Host, *sketch.Set) {
 	t.Helper()
 	p := testProblem(t, 300, 40, 41)
-	slice, err := sketch.BuildShard(p, sketch.Options{Samples: 32, Seed: 7}, 0, 2)
+	slice, err := sketch.BuildShardContext(context.Background(), p, sketch.Options{Samples: 32, Seed: 7}, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

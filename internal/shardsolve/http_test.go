@@ -1,6 +1,7 @@
 package shardsolve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -37,7 +38,7 @@ func TestHTTPBitIdentity(t *testing.T) {
 	}
 	urls := httpShards(t, buildHosts(t, p, opts, 3, 0))
 	c := fastCoordinator(NewHTTPTransport(urls, nil), 3)
-	got, err := c.Solve(Spec{})
+	got, err := c.SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestHTTPShardDeathDegrades(t *testing.T) {
 	}
 	c := fastCoordinator(NewHTTPTransport(urls, nil), 3)
 	c.RetryAttempts = 1 // a closed server won't come back; don't wait on it
-	got, err := c.Solve(Spec{})
+	got, err := c.SolveContext(context.Background(), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestHTTPShardDeathDegrades(t *testing.T) {
 // TestHTTPHandlerRejects covers the handler's method and payload checks.
 func TestHTTPHandlerRejects(t *testing.T) {
 	p := testProblem(t, 300, 40, 41)
-	slice, err := sketch.BuildShard(p, sketch.Options{Samples: 16, Seed: 7}, 0, 1)
+	slice, err := sketch.BuildShardContext(context.Background(), p, sketch.Options{Samples: 16, Seed: 7}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

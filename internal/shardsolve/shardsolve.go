@@ -2,7 +2,7 @@
 // solver: a coordinator drives the exact lazy-greedy max-coverage loop of
 // sketch.SolveGreedyRIS, but the RR-pair pool lives partitioned across N
 // shard workers, each holding the slice of realizations congruent to its
-// index (sketch.BuildShard). Per round the coordinator scatters the
+// index (sketch.BuildShardContext). Per round the coordinator scatters the
 // candidate at the top of its lazy queue, gathers per-shard marginal
 // gains, commits the argmax on every shard, and books the summed local
 // gains — so the covered bitsets stay sharded and only integers cross the
@@ -14,9 +14,9 @@
 // Protectors, Gains, Evaluations, σ̂ — to the single-store solver, for
 // every shard count. The argument chains three facts. First, the CRN
 // shard builds partition the single build's pairs exactly (the
-// sketch.BuildShard contract), so a candidate's global marginal gain is
-// the sum of its per-shard gains: the pair sets are disjoint and their
-// union is the full pool. Second, the lazy-greedy loop's behavior depends
+// sketch.BuildShardContext contract), so a candidate's global marginal
+// gain is the sum of its per-shard gains: the pair sets are disjoint and
+// their union is the full pool. Second, the lazy-greedy loop's behavior depends
 // only on the sequence of (gain, node) keys it observes, and those keys
 // are unique (node ids break ties), so any max-heap discipline pops the
 // same sequence — the coordinator replicates the solver's queue verbatim.

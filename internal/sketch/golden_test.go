@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -191,7 +192,7 @@ func TestGoldenSamplerDigestRepair(t *testing.T) {
 
 func TestGoldenSamplerDigestShard(t *testing.T) {
 	p := hepProblem(t)
-	slice, err := BuildShard(p, Options{Samples: 32, Seed: 7}, 1, 3)
+	slice, err := BuildShardContext(context.Background(), p, Options{Samples: 32, Seed: 7}, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -413,7 +414,7 @@ func TestRepairErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice, err := BuildShard(p, Options{Samples: 8, Seed: 2}, 0, 2)
+	slice, err := BuildShardContext(context.Background(), p, Options{Samples: 8, Seed: 2}, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,12 +75,6 @@ func (ri *ReferenceIndex) Gain(u int32, covered []bool) int {
 	return gain
 }
 
-// SolveGreedyRIS selects via the retired machinery with a background
-// context; see SolveGreedyRISContext.
-func (ri *ReferenceIndex) SolveGreedyRIS(p *core.Problem, opts SolveOptions) (*core.GreedyResult, error) {
-	return ri.SolveGreedyRISContext(context.Background(), p, opts)
-}
-
 // SolveGreedyRISContext is the retired map/bool-slice RIS selector, the
 // oracle for the live solver of the same name: same validation, same heap
 // discipline, same tie-breaks, so on any sketch the two must select

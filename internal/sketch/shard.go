@@ -40,11 +40,6 @@ func ShardRealizations(total, index, count int) int {
 	return (total - index + count - 1) / count
 }
 
-// BuildShard builds shard index of count for p; see BuildShardContext.
-func BuildShard(p *core.Problem, opts Options, index, count int) (*Set, error) {
-	return BuildShardContext(context.Background(), p, opts, index, count)
-}
-
 // BuildShardContext builds the shard slice (index, count) of the fixed
 // build that Options describes: the Pairs of realizations ≡ index
 // (mod count), with Pair.Realization keeping the global realization id.

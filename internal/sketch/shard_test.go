@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -60,7 +61,7 @@ func TestShardUnionBitIdentity(t *testing.T) {
 		var union []Pair
 		baseline, realizations := 0, 0
 		for i := 0; i < count; i++ {
-			slice, err := BuildShard(p, opts, i, count)
+			slice, err := BuildShardContext(context.Background(), p, opts, i, count)
 			if err != nil {
 				t.Fatalf("count %d shard %d: %v", count, i, err)
 			}
@@ -107,19 +108,19 @@ func TestShardFingerprintDistinct(t *testing.T) {
 
 func TestShardBuildValidation(t *testing.T) {
 	p := testProblem(t, 300, 40, 41)
-	if _, err := BuildShard(p, Options{Samples: 32}, -1, 3); err == nil {
+	if _, err := BuildShardContext(context.Background(), p, Options{Samples: 32}, -1, 3); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if _, err := BuildShard(p, Options{Samples: 32}, 3, 3); err == nil {
+	if _, err := BuildShardContext(context.Background(), p, Options{Samples: 32}, 3, 3); err == nil {
 		t.Fatal("index >= count accepted")
 	}
-	if _, err := BuildShard(p, Options{Samples: 32}, 0, 0); err == nil {
+	if _, err := BuildShardContext(context.Background(), p, Options{Samples: 32}, 0, 0); err == nil {
 		t.Fatal("zero count accepted")
 	}
-	if _, err := BuildShard(p, Options{Epsilon: 0.2}, 0, 2); err == nil {
+	if _, err := BuildShardContext(context.Background(), p, Options{Epsilon: 0.2}, 0, 2); err == nil {
 		t.Fatal("adaptive sizing accepted for a shard build")
 	}
-	if _, err := BuildShard(nil, Options{Samples: 32}, 0, 2); err == nil {
+	if _, err := BuildShardContext(context.Background(), nil, Options{Samples: 32}, 0, 2); err == nil {
 		t.Fatal("nil problem accepted")
 	}
 }
@@ -130,7 +131,7 @@ func TestShardBuildValidation(t *testing.T) {
 func TestShardStoreRoundTrip(t *testing.T) {
 	p := testProblem(t, 300, 40, 41)
 	opts := Options{Samples: 32, Seed: 7}
-	slice, err := BuildShard(p, opts, 1, 3)
+	slice, err := BuildShardContext(context.Background(), p, opts, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

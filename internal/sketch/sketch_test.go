@@ -233,7 +233,7 @@ func TestSketchSigmaAccuracyVsMonteCarlo(t *testing.T) {
 				t.Fatal(err)
 			}
 			judge := func(ps []int32) float64 {
-				ev, err := core.Evaluate(p, ps, core.EvaluateOptions{
+				ev, err := core.EvaluateContext(context.Background(), p, ps, core.EvaluateOptions{
 					Model: diffusion.OPOAO{}, Samples: 400, Seed: 99, Workers: -1})
 				if err != nil {
 					t.Fatal(err)

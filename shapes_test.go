@@ -1,6 +1,7 @@
 package lcrb_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -51,7 +52,7 @@ func shapeInstance(t *testing.T, cfg experiment.Config) *experiment.Instance {
 func checkOPOAOFigure(t *testing.T, cfg experiment.Config) {
 	t.Helper()
 	inst := shapeInstance(t, fastShape(cfg))
-	fr, err := experiment.RunFigureOPOAO(inst)
+	fr, err := experiment.RunFigureOPOAOContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func checkOPOAOFigure(t *testing.T, cfg experiment.Config) {
 func checkDOAMFigure(t *testing.T, cfg experiment.Config) {
 	t.Helper()
 	inst := shapeInstance(t, fastShape(cfg))
-	fr, err := experiment.RunFigureDOAM(inst)
+	fr, err := experiment.RunFigureDOAMContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestShapeTable1(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			inst := shapeInstance(t, fastShape(cfg))
-			tr, err := experiment.RunTable(inst)
+			tr, err := experiment.RunTableContext(context.Background(), inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +134,7 @@ func TestShapeTable1(t *testing.T) {
 // series contribute under 10% of the final infected count.
 func TestShapeOPOAOFlattens(t *testing.T) {
 	inst := shapeInstance(t, fastShape(experiment.Fig4(shapeScale)))
-	fr, err := experiment.RunFigureOPOAO(inst)
+	fr, err := experiment.RunFigureOPOAOContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

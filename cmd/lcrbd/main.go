@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -88,7 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		chaosSpec   = fs.String("chaos", "", "fault injection: stage:failon[/every][:panic],... (stages: load, sigma)")
 		portFile    = fs.String("port-file", "", "write the bound port here once listening (for scripts)")
 		sketchN     = fs.Int("sketch-samples", 128, "RR-set sketch realizations for the fast rung (0 disables it)")
-		sketchEps   = fs.Float64("sketch-eps", 0, "adaptive sketch sizing to relative error ε in (0,1); overrides -sketch-samples")
 		sketchDir   = fs.String("sketch-dir", "", "directory persisting built sketches across restarts")
 		tenantSpec  = fs.String("tenants", "", "per-tenant admission weights as name:weight,... (unlisted tenants weigh 1)")
 		shardsSpec  = fs.String("shards", "", "sharded RIS tier: a count (in-process) or comma-separated shard worker URLs")
@@ -100,9 +98,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *maxInflight < 1 {
 		return fmt.Errorf("-max-inflight %d must be positive", *maxInflight)
-	}
-	if math.IsNaN(*sketchEps) || *sketchEps < 0 || *sketchEps >= 1 {
-		return fmt.Errorf("-sketch-eps %v must be 0 (fixed sizing) or in (0,1)", *sketchEps)
 	}
 	chaos, err := parseChaos(*chaosSpec)
 	if err != nil {
@@ -120,15 +115,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if (shardCount > 0 || len(shardURLs) > 0 || shardOfCount > 0) && *sketchN <= 0 && *sketchEps <= 0 {
-		return fmt.Errorf("-shards/-shard-of need the sketch rung: set -sketch-samples or -sketch-eps")
+	if (shardCount > 0 || len(shardURLs) > 0 || shardOfCount > 0) && *sketchN <= 0 {
+		return fmt.Errorf("-shards/-shard-of need the sketch rung: set -sketch-samples")
 	}
 	if *dynamic {
-		// Incremental repair patches fixed-size sketches at their realized
-		// counts; the adaptive doubling schedule is not replayed per delta.
-		if *sketchEps > 0 {
-			return fmt.Errorf("-dynamic is incompatible with -sketch-eps: incremental repair needs fixed sketch sizing")
-		}
 		// Shard workers and remote shard hosts hold slices of a graph they
 		// cannot see deltas for; only in-process shards follow the master.
 		if shardOfCount > 0 {
@@ -150,7 +140,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxInflight:    *maxInflight,
 		maxWaiting:     *maxWaiting,
 		sketchSamples:  *sketchN,
-		sketchEps:      *sketchEps,
 		sketchDir:      *sketchDir,
 		tenants:        tenants,
 		shardCount:     shardCount,

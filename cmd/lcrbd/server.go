@@ -40,12 +40,8 @@ type serverConfig struct {
 	maxInflight int64
 	maxWaiting  int
 	// sketchSamples is the realization count of RR-set sketch builds for
-	// the ladder's fast rung; 0 disables the rung entirely (unless
-	// sketchEps enables it adaptively).
+	// the ladder's fast rung; 0 disables the rung entirely.
 	sketchSamples int
-	// sketchEps, when positive, sizes sketch builds adaptively to relative
-	// error ε instead of the fixed sketchSamples count.
-	sketchEps float64
 	// sketchDir, when set, persists built sketches across restarts.
 	sketchDir string
 	// tenants maps tenant names to admission weights (their deficit-round-
@@ -246,7 +242,7 @@ func newServer(cfg serverConfig, chaos *chaosFaults, logf func(format string, ar
 			FailureThreshold: 3,
 			Cooldown:         2 * time.Second,
 		}),
-		sketches:  newSketchStore(cfg.sketchSamples, cfg.sketchEps, cfg.workers, cfg.sketchDir, cfg.dynamic, logf),
+		sketches:  newSketchStore(cfg.sketchSamples, cfg.workers, cfg.sketchDir, cfg.dynamic, logf),
 		flights:   resilience.NewGroup(hardDrain),
 		latencies: newLatencyWindow(512),
 		started:   time.Now(),

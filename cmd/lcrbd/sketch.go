@@ -29,7 +29,6 @@ import (
 // draw or horizon is counted stale and rebuilt, never served.
 type sketchStore struct {
 	samples int
-	eps     float64
 	workers int
 	dir     string
 	// dynamic marks the daemon's -dynamic mode: builds record per-
@@ -65,16 +64,14 @@ type sketchEntry struct {
 	opts sketch.Options
 }
 
-// newSketchStore returns a store building samples-realization sketches —
-// or adaptively sized ones when eps is positive (eps overrides samples) —
-// or nil when both are 0 (the RIS rung disabled).
-func newSketchStore(samples int, eps float64, workers int, dir string, dynamic bool, logf func(format string, args ...any)) *sketchStore {
-	if samples <= 0 && eps <= 0 {
+// newSketchStore returns a store building samples-realization sketches,
+// or nil when samples is 0 (the RIS rung disabled).
+func newSketchStore(samples int, workers int, dir string, dynamic bool, logf func(format string, args ...any)) *sketchStore {
+	if samples <= 0 {
 		return nil
 	}
 	return &sketchStore{
 		samples:  samples,
-		eps:      eps,
 		workers:  workers,
 		dir:      dir,
 		dynamic:  dynamic,
@@ -91,23 +88,16 @@ func (st *sketchStore) enabled() bool { return st != nil }
 // options derives the request's sketch build options. The seed offset
 // keeps sketch realizations independent of the greedy's σ̂ samples while
 // staying a pure function of the request, so equal requests hit equal
-// fingerprints. With -sketch-eps set the build sizes itself adaptively;
-// otherwise the fixed -sketch-samples count applies.
+// fingerprints. Dynamic mode records footprints so deltas repair the warm
+// store instead of rebuilding it; the fingerprint ignores the flag.
 func (st *sketchStore) options(req *resolvedRequest) sketch.Options {
-	opts := sketch.Options{
-		Seed:    req.Seed + 400,
-		MaxHops: req.MaxHops,
-		Workers: st.workers,
+	return sketch.Options{
+		Samples:    st.samples,
+		Seed:       req.Seed + 400,
+		MaxHops:    req.MaxHops,
+		Workers:    st.workers,
+		Footprints: st.dynamic,
 	}
-	if st.eps > 0 {
-		opts.Epsilon = st.eps
-	} else {
-		opts.Samples = st.samples
-	}
-	// Dynamic mode records footprints so deltas repair the warm store
-	// instead of rebuilding it; the fingerprint ignores the flag.
-	opts.Footprints = st.dynamic
-	return opts
 }
 
 // path is the on-disk location of a fingerprint's sketch.
@@ -144,9 +134,9 @@ func (st *sketchStore) get(prob *core.Problem, opts sketch.Options, version uint
 		var set *sketch.Set
 		var err error
 		if version > 0 {
-			set, err = sketch.LoadVersioned(st.path(fp), fp, version)
+			set, err = sketch.LoadVersioned(st.path(fp), prob, fp, version)
 		} else {
-			set, err = sketch.Load(st.path(fp), fp)
+			set, err = sketch.Load(st.path(fp), prob, fp)
 		}
 		switch {
 		case err == nil:
@@ -239,13 +229,6 @@ func (st *sketchStore) drainBuilds() {
 func (st *sketchStore) stats() map[string]any {
 	st.mu.Lock()
 	entries := len(st.sets)
-	// realizedSamples totals the realization counts of the warm sketches —
-	// under -sketch-eps this is what the adaptive rule actually spent, the
-	// operator's view of the stopping rule at work.
-	realized := 0
-	for _, entry := range st.sets {
-		realized += entry.set.Samples
-	}
 	var newest time.Time
 	for _, at := range st.built {
 		if at.After(newest) {
@@ -254,15 +237,13 @@ func (st *sketchStore) stats() map[string]any {
 	}
 	st.mu.Unlock()
 	out := map[string]any{
-		"hits":            st.hits.Load(),
-		"misses":          st.misses.Load(),
-		"stale":           st.stale.Load(),
-		"builds":          st.builds.Load(),
-		"buildErrors":     st.buildErrors.Load(),
-		"repaired":        st.repaired.Load(),
-		"entries":         entries,
-		"realizedSamples": realized,
-		"adaptive":        st.eps > 0,
+		"hits":        st.hits.Load(),
+		"misses":      st.misses.Load(),
+		"stale":       st.stale.Load(),
+		"builds":      st.builds.Load(),
+		"buildErrors": st.buildErrors.Load(),
+		"repaired":    st.repaired.Load(),
+		"entries":     entries,
 	}
 	if !newest.IsZero() {
 		out["newestBuildAgeSeconds"] = time.Since(newest).Seconds()

@@ -42,6 +42,7 @@ func ExampleSolveGreedy() {
 		Alpha:   0.8,
 		Samples: 20,
 		Seed:    7,
+		Workers: -1, // all cores; the selection is the same for any count
 	})
 	fmt.Println("achieved:", sol.Achieved)
 	// Output:

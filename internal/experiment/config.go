@@ -11,23 +11,8 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"lcrb/internal/gen"
-)
-
-// Estimator selects the σ̂ estimation engine behind the LCRB-P greedy.
-type Estimator string
-
-const (
-	// EstimatorMC is the Monte-Carlo estimator of internal/core: a fresh
-	// sweep of diffusion simulations per candidate evaluation (the
-	// paper's setup).
-	EstimatorMC Estimator = "mc"
-	// EstimatorRIS is the RR-set sketch estimator of internal/sketch: a
-	// one-time build of fixed realizations, then pure max coverage with
-	// zero per-solve simulations.
-	EstimatorRIS Estimator = "ris"
 )
 
 // Dataset selects the calibrated network profile.
@@ -68,30 +53,6 @@ type Config struct {
 	// GreedySamples is the Monte-Carlo sample count inside the LCRB-P
 	// greedy's σ̂ estimator.
 	GreedySamples int
-	// Estimator selects the σ̂ engine for the LCRB-P greedy: EstimatorMC
-	// (default, the paper's Monte-Carlo setup) or EstimatorRIS (RR-set
-	// sketches).
-	Estimator Estimator
-	// RISSamples is the realization count of EstimatorRIS sketch builds;
-	// ignored under EstimatorMC. Positive values override RISEpsilon. 0
-	// means: the sketch package default, unless RISEpsilon selects
-	// adaptive sizing.
-	RISSamples int
-	// RISEpsilon, when positive with RISSamples zero, sizes EstimatorRIS
-	// sketch builds adaptively to relative error ε in (0,1) (the
-	// martingale stopping rule of internal/sketch). Ignored under
-	// EstimatorMC.
-	RISEpsilon float64
-	// RISDelta is the adaptive build's failure probability in (0,1); 0
-	// means the sketch package default. Only meaningful with RISEpsilon.
-	RISDelta float64
-	// RISShards, when > 1, runs EstimatorRIS solves through the sharded
-	// scatter-gather coordinator over RISShards in-process slices instead
-	// of one store. Answers are bit-identical to the single-store solve
-	// (the CRN partition guarantees it — see internal/shardsolve), so the
-	// knob exists to exercise and time the sharded tier, not to change
-	// results. Requires fixed sizing: incompatible with RISEpsilon.
-	RISShards int
 	// Workers parallelizes σ̂ evaluation inside the LCRB-P greedy (see
 	// core.GreedyOptions.Workers): 0 or 1 means serial, negative means
 	// GOMAXPROCS. Results are bit-identical for every worker count, so
@@ -124,9 +85,6 @@ func (c Config) withDefaults() Config {
 	if len(c.RumorFractions) == 0 {
 		c.RumorFractions = []float64{0.05}
 	}
-	if c.Estimator == "" {
-		c.Estimator = EstimatorMC
-	}
 	return c
 }
 
@@ -145,24 +103,6 @@ func (c Config) validate() error {
 		if f <= 0 || f > 1 {
 			return fmt.Errorf("experiment: rumor fraction %v out of (0,1]", f)
 		}
-	}
-	if c.Estimator != "" && c.Estimator != EstimatorMC && c.Estimator != EstimatorRIS {
-		return fmt.Errorf("experiment: unknown estimator %q", c.Estimator)
-	}
-	if c.RISSamples < 0 {
-		return fmt.Errorf("experiment: ris samples = %d must not be negative", c.RISSamples)
-	}
-	if math.IsNaN(c.RISEpsilon) || c.RISEpsilon < 0 || c.RISEpsilon >= 1 {
-		return fmt.Errorf("experiment: ris epsilon = %v out of (0,1)", c.RISEpsilon)
-	}
-	if math.IsNaN(c.RISDelta) || c.RISDelta < 0 || c.RISDelta >= 1 {
-		return fmt.Errorf("experiment: ris delta = %v out of (0,1)", c.RISDelta)
-	}
-	if c.RISShards < 0 {
-		return fmt.Errorf("experiment: ris shards = %d must not be negative", c.RISShards)
-	}
-	if c.RISShards > 1 && c.RISEpsilon > 0 {
-		return fmt.Errorf("experiment: ris shards = %d needs fixed sizing; adaptive epsilon = %v cannot shard", c.RISShards, c.RISEpsilon)
 	}
 	return nil
 }

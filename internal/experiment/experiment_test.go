@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"lcrb/internal/graph"
@@ -28,11 +27,6 @@ func TestConfigValidate(t *testing.T) {
 		{"bad scale", Config{Dataset: Hep, Scale: 2, CommunityTarget: 10}},
 		{"bad target", Config{Dataset: Hep, Scale: 1, CommunityTarget: 0}},
 		{"bad fraction", Config{Dataset: Hep, Scale: 1, CommunityTarget: 10, RumorFractions: []float64{2}}},
-		{"bad estimator", Config{Dataset: Hep, Scale: 1, CommunityTarget: 10, Estimator: "quantum"}},
-		{"bad ris samples", Config{Dataset: Hep, Scale: 1, CommunityTarget: 10, RISSamples: -1}},
-		{"bad ris epsilon", Config{Dataset: Hep, Scale: 1, CommunityTarget: 10, RISEpsilon: 1}},
-		{"nan ris epsilon", Config{Dataset: Hep, Scale: 1, CommunityTarget: 10, RISEpsilon: math.NaN()}},
-		{"bad ris delta", Config{Dataset: Hep, Scale: 1, CommunityTarget: 10, RISDelta: -0.1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"lcrb/internal/diffusion"
 	"lcrb/internal/heuristic"
 	"lcrb/internal/rng"
-	"lcrb/internal/sketch"
 )
 
 // Algorithm labels used across figures and tables.
@@ -76,54 +75,21 @@ func RunFigureOPOAOContext(ctx context.Context, inst *Instance) (*FigureResult, 
 			Protectors:    make(map[string]int),
 		}
 
-		// Greedy (LCRB-P) under the protector budget, driven by the
-		// configured σ̂ estimator.
+		// Greedy (LCRB-P) under the protector budget.
 		var greedySeeds []int32
 		if prob.NumEnds() > 0 {
-			switch cfg.Estimator {
-			case EstimatorRIS:
-				opts := sketch.Options{
-					Samples: cfg.RISSamples,
-					Epsilon: cfg.RISEpsilon,
-					Delta:   cfg.RISDelta,
-					Seed:    cfg.Seed + 3,
-					MaxHops: cfg.Hops,
-					Workers: cfg.Workers,
-				}
-				if cfg.RISShards > 1 {
-					gres, err := solveShardedRIS(ctx, prob, opts, cfg.RISShards, budget)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: %s: greedy (sharded ris): %w", cfg.Name, err)
-					}
-					greedySeeds = gres.Protectors
-					break
-				}
-				set, err := sketch.BuildContext(ctx, prob, opts)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: %s: sketch build: %w", cfg.Name, err)
-				}
-				gres, err := sketch.SolveGreedyRISContext(ctx, prob, set, sketch.SolveOptions{
-					Alpha:         0.99,
-					MaxProtectors: budget,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: %s: greedy (ris): %w", cfg.Name, err)
-				}
-				greedySeeds = gres.Protectors
-			default:
-				gres, err := core.GreedyContext(ctx, prob, core.GreedyOptions{
-					Alpha:         0.99,
-					Samples:       cfg.GreedySamples,
-					Seed:          cfg.Seed + 3,
-					MaxHops:       cfg.Hops,
-					MaxProtectors: budget,
-					Workers:       cfg.Workers,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: %s: greedy: %w", cfg.Name, err)
-				}
-				greedySeeds = gres.Protectors
+			gres, err := core.GreedyContext(ctx, prob, core.GreedyOptions{
+				Alpha:         0.99,
+				Samples:       cfg.GreedySamples,
+				Seed:          cfg.Seed + 3,
+				MaxHops:       cfg.Hops,
+				MaxProtectors: budget,
+				Workers:       cfg.Workers,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiment: %s: greedy: %w", cfg.Name, err)
 			}
+			greedySeeds = gres.Protectors
 		}
 		// Keep budgets equal across algorithms: heuristics get exactly as
 		// many seeds as the greedy ended up using (or the full budget when

@@ -305,58 +305,3 @@ func TestCheckTableShapes(t *testing.T) {
 		t.Fatal("SCBG losing every row passed")
 	}
 }
-
-func TestRunFigureOPOAOWithRISEstimator(t *testing.T) {
-	cfg := smallOPOAOConfig()
-	cfg.Name = "fig4-ris-test"
-	cfg.Estimator = EstimatorRIS
-	cfg.RISSamples = 64
-	inst, err := Setup(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := RunFigureOPOAOContext(context.Background(), inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	panel := fr.Panels[0]
-	series, ok := panel.Series[AlgoGreedy]
-	if !ok {
-		t.Fatal("missing Greedy series under the RIS estimator")
-	}
-	if len(series) != inst.Config.Hops+1 {
-		t.Fatalf("series length = %d, want %d", len(series), inst.Config.Hops+1)
-	}
-	if panel.NumEnds > 0 && panel.Protectors[AlgoGreedy] == 0 {
-		t.Fatal("RIS estimator selected no protectors despite bridge ends")
-	}
-	// The RIS greedy must block at least as well as doing nothing.
-	final, none := series[len(series)-1], panel.Series[AlgoNoBlocking][len(series)-1]
-	if final > none {
-		t.Fatalf("RIS greedy final infected %.1f worse than NoBlocking %.1f", final, none)
-	}
-}
-
-// TestRunFigureOPOAOWithAdaptiveRIS drives the same figure through the
-// adaptive sketch sizing path: RISEpsilon instead of RISSamples.
-func TestRunFigureOPOAOWithAdaptiveRIS(t *testing.T) {
-	cfg := smallOPOAOConfig()
-	cfg.Name = "fig4-ris-adaptive-test"
-	cfg.Estimator = EstimatorRIS
-	cfg.RISEpsilon = 0.3
-	inst, err := Setup(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := RunFigureOPOAOContext(context.Background(), inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	panel := fr.Panels[0]
-	if _, ok := panel.Series[AlgoGreedy]; !ok {
-		t.Fatal("missing Greedy series under the adaptive RIS estimator")
-	}
-	if panel.NumEnds > 0 && panel.Protectors[AlgoGreedy] == 0 {
-		t.Fatal("adaptive RIS estimator selected no protectors despite bridge ends")
-	}
-}

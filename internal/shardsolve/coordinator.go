@@ -83,17 +83,6 @@ func (c *Coordinator) SolveContext(ctx context.Context, spec Spec) (*Result, err
 	if err := core.ValidateAlphaOpen(spec.Alpha); err != nil {
 		return nil, fmt.Errorf("shardsolve: solve: %w", err)
 	}
-	if spec.CertEpsilon != 0 || spec.CertDelta != 0 {
-		// Validate the certificate knobs up front so a bad spec fails
-		// loudly instead of surfacing from the final CertifyBound call.
-		delta := spec.CertDelta
-		if delta == 0 {
-			delta = sketch.DefaultDelta
-		}
-		if _, err := sketch.CertifyBound(spec.CertEpsilon, delta, 1, 0); err != nil {
-			return nil, fmt.Errorf("shardsolve: solve: %w", err)
-		}
-	}
 	id := spec.SolveID
 	if id == "" {
 		id = fmt.Sprintf("shardsolve-%d", solveSeq.Add(1))
@@ -553,17 +542,6 @@ func (s *solveRun) result() *Result {
 	res.Evaluations = s.evaluations
 	if s.lost > 0 {
 		res.Degraded = DegradedShardLoss
-	}
-	if s.spec.CertEpsilon > 0 {
-		delta := s.spec.CertDelta
-		if delta == 0 {
-			delta = sketch.DefaultDelta
-		}
-		xhat := float64(s.baseline+s.covered) / (n * float64(s.numEnds))
-		if met, err := sketch.CertifyBound(s.spec.CertEpsilon, delta, nEff, xhat); err == nil {
-			res.BoundChecked = true
-			res.BoundMet = met
-		}
 	}
 	return res
 }

@@ -405,85 +405,6 @@ func TestShardLossDegradesHonestly(t *testing.T) {
 	}
 }
 
-// TestShardLossBreaksCertificate picks an ε whose martingale certificate
-// holds for the fault-free solve but not for the post-loss one, and
-// checks BoundMet flips accordingly: shard loss must be able to revoke
-// an accuracy certificate the full sample count would have earned.
-func TestShardLossBreaksCertificate(t *testing.T) {
-	p := testProblem(t, 300, 40, 41)
-	opts := sketch.Options{Samples: 48, Seed: 7}
-	numEnds := hostNumEnds(t, buildHosts(t, p, opts, 3, 0)[0])
-	chaos := func() Chaos { return Chaos{1: {{Call: 2, Kind: FaultDie}}} }
-
-	// Dry runs (no certificate requested) to learn both x̂ values.
-	clean, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), nil), 3).SolveContext(context.Background(), Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), chaos()), 3).SolveContext(context.Background(), Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lossy.Degraded != DegradedShardLoss {
-		t.Fatalf("Degraded = %q, want %q", lossy.Degraded, DegradedShardLoss)
-	}
-	xhatClean := clean.ProtectedEnds / float64(numEnds)
-	xhatLossy := lossy.ProtectedEnds / float64(numEnds)
-
-	// Search for an ε the clean run certifies and the lossy one cannot.
-	eps := 0.0
-	for cand := 0.05; cand < 0.95; cand += 0.01 {
-		metClean, err := sketch.CertifyBound(cand, sketch.DefaultDelta, clean.EffectiveSamples, xhatClean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		metLossy, err := sketch.CertifyBound(cand, sketch.DefaultDelta, lossy.EffectiveSamples, xhatLossy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if metClean && !metLossy {
-			eps = cand
-			break
-		}
-	}
-	if eps == 0 {
-		t.Skip("no epsilon separates the full run from the post-loss run at this coverage")
-	}
-
-	cleanCert, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), nil), 3).
-		SolveContext(context.Background(), Spec{CertEpsilon: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cleanCert.BoundChecked || !cleanCert.BoundMet {
-		t.Fatalf("fault-free certificate: checked %v met %v, want true/true",
-			cleanCert.BoundChecked, cleanCert.BoundMet)
-	}
-
-	lossyCert, err := fastCoordinator(NewInProc(buildHosts(t, p, opts, 3, 0), chaos()), 3).
-		SolveContext(context.Background(), Spec{CertEpsilon: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lossyCert.Degraded != DegradedShardLoss {
-		t.Fatalf("Degraded = %q", lossyCert.Degraded)
-	}
-	if !lossyCert.BoundChecked || lossyCert.BoundMet {
-		t.Fatalf("post-loss certificate: checked %v met %v, want true/false — the loss broke the bound",
-			lossyCert.BoundChecked, lossyCert.BoundMet)
-	}
-}
-
-// hostNumEnds reads |B| from a host's init response.
-func hostNumEnds(t *testing.T, h *Host) int {
-	t.Helper()
-	resp, err := h.Serve(&Request{Op: OpInit, SolveID: "probe", Shard: 0, Count: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.NumEnds
-}
-
 // TestShardedValidation covers the coordinator's input checks.
 func TestShardedValidation(t *testing.T) {
 	p := testProblem(t, 300, 40, 41)
@@ -501,8 +422,5 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if _, err := (&Coordinator{Transport: tr, Shards: 2}).SolveContext(context.Background(), Spec{Alpha: 1.5}); err == nil {
 		t.Fatal("alpha out of range accepted")
-	}
-	if _, err := (&Coordinator{Transport: tr, Shards: 2}).SolveContext(context.Background(), Spec{CertEpsilon: 2}); err == nil {
-		t.Fatal("certificate epsilon out of range accepted")
 	}
 }

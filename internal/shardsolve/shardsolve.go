@@ -36,9 +36,7 @@
 // estimate over the surviving N_eff = Samples − lost realizations. The
 // coordinator recomputes covered pairs, the α target, σ̂ and the gain
 // history over live shards only (it tracks every commit's per-shard
-// gains), tags the result Degraded = "shard_loss" with a Shards census,
-// and — when the caller asked for a certificate — re-runs the martingale
-// bound at N_eff, flipping BoundMet false when the loss broke it.
+// gains), and tags the result Degraded = "shard_loss" with a Shards census.
 //
 // # Protocol
 //
@@ -51,25 +49,14 @@ package shardsolve
 
 import "lcrb/internal/core"
 
-// Spec describes one sharded solve. The build options must describe a
-// fixed-samples build (the adaptive stopping rule needs a global coverage
-// probe no shard can run); the coordinator learns Samples and NumEnds
-// from the shards' init responses and verifies they agree.
+// Spec describes one sharded solve. The coordinator learns Samples and
+// NumEnds from the shards' init responses and verifies they agree.
 type Spec struct {
 	// Alpha is the fraction of bridge ends to protect, in (0, 1).
 	// Defaults to 0.9, matching sketch.SolveOptions.
 	Alpha float64
 	// MaxProtectors caps the seed-set size. 0 means |B|.
 	MaxProtectors int
-
-	// CertEpsilon, when positive, asks the coordinator to check the
-	// PR-8 martingale certificate at the effective (post-loss) sample
-	// count: Result.BoundChecked is set and Result.BoundMet reports
-	// whether N_eff realizations still certify relative error ε at
-	// failure probability CertDelta (default sketch.DefaultDelta).
-	CertEpsilon float64
-	// CertDelta is the certificate's failure probability, in (0, 1).
-	CertDelta float64
 
 	// SolveID names the coordinator's session on the shards. Empty means
 	// a process-unique id; set it only to correlate logs across tiers.
@@ -110,10 +97,4 @@ type Result struct {
 	// Degraded is empty for a full-accuracy answer, DegradedShardLoss
 	// when shard loss shrank the sample pool behind the estimate.
 	Degraded string
-	// BoundChecked reports that the Spec asked for a certificate check;
-	// BoundMet is its verdict at EffectiveSamples. A solve that starts
-	// with the bound met and loses enough realizations to break it
-	// returns BoundChecked true, BoundMet false.
-	BoundChecked bool
-	BoundMet     bool
 }

@@ -53,10 +53,6 @@ type RepairStats struct {
 	// sketch rebuilt whole; EndsChanged is the (only) reason.
 	FullRebuild bool
 	EndsChanged bool
-	// CertRechecked reports that the adaptive (ε, δ) certificate was
-	// re-evaluated against the repaired sketch (adaptive builds only), with
-	// the outcome in the returned Set's BoundMet.
-	CertRechecked bool
 }
 
 // Repair patches a sketch after a graph mutation; see RepairContext.
@@ -72,16 +68,13 @@ func Repair(oldP, newP *core.Problem, set *Set, dirty []int32, version uint64, w
 // whose recorded footprint intersects dirty are re-drawn, from their
 // original CRN seeds, serially deterministic for every workers value; the
 // result is bit-for-bit the sketch BuildContext would produce against newP
-// with the same sizing, version-stamped and re-fingerprinted.
+// with the same seed, samples and hops, version-stamped and
+// re-fingerprinted.
 //
 // The input set is never mutated. Kept pairs and footprints are shared
 // with it (both are immutable by convention). Shard slices are rejected —
 // the shard tier rebuilds slices from coordinates instead of repairing
-// them. Adaptive-built sketches repair at their realized sample count and
-// get the stopping certificate rechecked there (BoundMet updated): the
-// doubling schedule itself is not replayed, so for adaptive sizing the
-// rebuild-identity holds for the Pairs given the realized N, not for what
-// a from-scratch adaptive build might choose to sample.
+// them.
 func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirty []int32, version uint64, workers int) (*Set, *RepairStats, error) {
 	if newP == nil {
 		return nil, nil, fmt.Errorf("sketch: repair: nil new problem")
@@ -101,29 +94,19 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 	}
 
 	stats := &RepairStats{Samples: set.Samples}
-	// The repaired sketch's fingerprint binds newP under the set's own
-	// sizing rule: the fixed (seed, samples, hops) form, or the adaptive
-	// (seed, ε, δ, cap, hops) form when the set carries a stopping rule —
-	// repair preserves the realized sample count the rule chose.
-	fpOpts := Options{Seed: set.Seed, Samples: set.Samples, MaxHops: set.MaxHops}
-	if set.Epsilon > 0 {
-		fpOpts = Options{Seed: set.Seed, MaxHops: set.MaxHops,
-			Epsilon: set.Epsilon, Delta: set.Delta, MaxSamples: set.MaxSamples}
-	}
+	opts := Options{Seed: set.Seed, Samples: set.Samples, MaxHops: set.MaxHops}
 
 	if !equalIDs(oldP.Ends, newP.Ends) {
 		// Every pair's End index and every reconstructed baseline refers to
 		// the old end set: the incremental path has no foothold. Rebuild.
 		stats.FullRebuild, stats.EndsChanged = true, true
 		stats.Repaired = set.Samples
-		rebuilt, err := rebuildFixed(ctx, newP, set, workers)
+		opts.Workers, opts.Footprints = workers, true
+		rebuilt, err := BuildContext(ctx, newP, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("sketch: repair: full rebuild: %w", err)
 		}
 		rebuilt.Version = version
-		if err := recheckCertificate(ctx, newP, rebuilt, stats); err != nil {
-			return nil, nil, err
-		}
 		return rebuilt, stats, nil
 	}
 	if len(set.Footprints) != set.Samples {
@@ -216,12 +199,8 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 		Seed:        set.Seed,
 		MaxHops:     set.MaxHops,
 		NumEnds:     len(newP.Ends),
-		Fingerprint: Fingerprint(newP, fpOpts),
+		Fingerprint: Fingerprint(newP, opts),
 		Version:     version,
-		Epsilon:     set.Epsilon,
-		Delta:       set.Delta,
-		MaxSamples:  set.MaxSamples,
-		BoundMet:    set.BoundMet,
 		Footprints:  make([][]int32, set.Samples),
 	}
 	next := 0 // cursor into redraw/results
@@ -239,52 +218,7 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 		out.Footprints[r] = set.Footprints[r]
 	}
 	out.buildIndex()
-	if err := recheckCertificate(ctx, newP, out, stats); err != nil {
-		return nil, nil, err
-	}
 	return out, stats, nil
-}
-
-// rebuildFixed rebuilds the sketch from scratch against newP with the
-// set's realized sizing, footprints on.
-func rebuildFixed(ctx context.Context, newP *core.Problem, set *Set, workers int) (*Set, error) {
-	opts := Options{Seed: set.Seed, Samples: set.Samples, MaxHops: set.MaxHops,
-		Workers: workers, Footprints: true}
-	rebuilt, err := BuildContext(ctx, newP, opts)
-	if err != nil {
-		return nil, fmt.Errorf("sketch: repair: full rebuild: %w", err)
-	}
-	if set.Epsilon > 0 {
-		// Keep the adaptive provenance (and its fingerprint binding): the
-		// realized count came from the stopping rule, and the certificate
-		// recheck below re-evaluates BoundMet against the new graph.
-		rebuilt.Epsilon, rebuilt.Delta, rebuilt.MaxSamples = set.Epsilon, set.Delta, set.MaxSamples
-		adOpts := Options{Seed: set.Seed, MaxHops: set.MaxHops,
-			Epsilon: set.Epsilon, Delta: set.Delta, MaxSamples: set.MaxSamples}
-		rebuilt.Fingerprint = Fingerprint(newP, adOpts)
-	}
-	return rebuilt, nil
-}
-
-// recheckCertificate re-runs the adaptive stopping certificate against the
-// repaired sketch when it carries one, updating BoundMet honestly: a
-// mutation can shift coverage enough that the realized sample count no
-// longer certifies ε.
-func recheckCertificate(ctx context.Context, p *core.Problem, s *Set, stats *RepairStats) error {
-	if s.Epsilon <= 0 {
-		return nil
-	}
-	xhat, err := adaptiveCoverFraction(ctx, p, s)
-	if err != nil {
-		return fmt.Errorf("sketch: repair: certificate recheck: %w", err)
-	}
-	met, err := CertifyBound(s.Epsilon, s.Delta, s.Samples, xhat)
-	if err != nil {
-		return fmt.Errorf("sketch: repair: certificate recheck: %w", err)
-	}
-	s.BoundMet = met
-	stats.CertRechecked = true
-	return nil
 }
 
 // pairStarts indexes set.Pairs by realization: pairs of realization r live

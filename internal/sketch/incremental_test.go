@@ -370,39 +370,6 @@ func TestRepairAcrossMultipleBatches(t *testing.T) {
 	}
 }
 
-func TestRepairAdaptiveRechecksCertificate(t *testing.T) {
-	p := testProblem(t, 300, 40, 41)
-	set, err := Build(p, Options{Epsilon: 0.4, Delta: 0.2, Footprints: true, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := dyngraph.NewMaster(p.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, sum, err := m.ApplyDelta(dyngraph.Delta{
-		BaseVersion: 1,
-		RemoveEdges: [][2]int32{{p.Rumors[0], p.Graph.Out(p.Rumors[0])[0]}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newP := problemOn(t, snap.Graph, p)
-	repaired, stats, err := Repair(p, newP, set, sum.DirtyNodes, snap.Version, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.CertRechecked {
-		t.Fatal("adaptive repair must recheck the (ε, δ) certificate")
-	}
-	if repaired.Epsilon != set.Epsilon || repaired.Samples != set.Samples {
-		t.Fatal("adaptive repair must keep the realized sizing and stopping rule")
-	}
-	if err := repaired.Validate(newP); err != nil {
-		t.Fatalf("repaired adaptive sketch does not validate against the new problem: %v", err)
-	}
-}
-
 func TestRepairErrorPaths(t *testing.T) {
 	p := testProblem(t, 300, 40, 41)
 	other := testProblem(t, 300, 40, 43)

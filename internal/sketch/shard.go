@@ -22,7 +22,6 @@ package sketch
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"lcrb/internal/core"
@@ -47,19 +46,12 @@ func ShardRealizations(total, index, count int) int {
 // its realization count in ShardSamples, and carries the shard-qualified
 // fingerprint (see ShardFingerprint), so a slice persisted through Save is
 // never confused with the full sketch or another slice on Load.
-//
-// Only fixed sizing is supported: the adaptive stopping rule needs the
-// global coverage probe, which no single shard can run. Epsilon > 0 with
-// Samples == 0 is rejected.
 func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index, count int) (*Set, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("sketch: shard build: count = %d must be positive", count)
 	}
 	if index < 0 || index >= count {
 		return nil, fmt.Errorf("sketch: shard build: index = %d out of [0,%d)", index, count)
-	}
-	if opts.Samples == 0 && opts.Epsilon > 0 {
-		return nil, fmt.Errorf("sketch: shard build: adaptive sizing (epsilon = %v) needs the global stopping probe; shards require fixed samples", opts.Epsilon)
 	}
 	if p == nil {
 		return nil, fmt.Errorf("sketch: shard build: nil problem")
@@ -70,7 +62,6 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 	if opts.Samples == 0 {
 		opts.Samples = DefaultSamples
 	}
-	opts.Epsilon, opts.Delta, opts.MaxSamples = 0, 0, 0
 	// Slices never repair — on graph mutation the tier rebuilds them from
 	// coordinates against the new snapshot — so footprint recording is
 	// dead weight here; drop it (the fingerprint ignores it either way).
@@ -129,26 +120,4 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 // the whole estimate.
 func ShardFingerprint(p *core.Problem, opts Options, index, count int) string {
 	return fmt.Sprintf("%s shard=%d/%d", Fingerprint(p, opts), index, count)
-}
-
-// CertifyBound re-runs the PR-8 martingale stopping check against an
-// effective sample count: it reports whether n realizations with realized
-// normalized coverage xhat certify relative error eps at failure
-// probability delta, i.e. n·x̂ ≥ λ(ε, δ) with λ from the adaptive build's
-// concentration bound (a single check, so no union-bound split of δ).
-//
-// The shard tier uses it for honest loss accounting: a solve that lost a
-// shard re-checks the certificate at the surviving sample count, and
-// BoundMet flips false when the loss broke it.
-func CertifyBound(eps, delta float64, n int, xhat float64) (bool, error) {
-	if math.IsNaN(eps) || eps <= 0 || eps >= 1 {
-		return false, fmt.Errorf("sketch: certify: epsilon = %v out of (0,1)", eps)
-	}
-	if math.IsNaN(delta) || delta <= 0 || delta >= 1 {
-		return false, fmt.Errorf("sketch: certify: delta = %v out of (0,1)", delta)
-	}
-	if math.IsNaN(xhat) || xhat < 0 || xhat > 1 {
-		return false, fmt.Errorf("sketch: certify: coverage fraction = %v out of [0,1]", xhat)
-	}
-	return xhat > 0 && float64(n)*xhat >= adaptiveLambda(eps, delta), nil
 }

@@ -117,9 +117,6 @@ func TestShardBuildValidation(t *testing.T) {
 	if _, err := BuildShardContext(context.Background(), p, Options{Samples: 32}, 0, 0); err == nil {
 		t.Fatal("zero count accepted")
 	}
-	if _, err := BuildShardContext(context.Background(), p, Options{Epsilon: 0.2}, 0, 2); err == nil {
-		t.Fatal("adaptive sizing accepted for a shard build")
-	}
 	if _, err := BuildShardContext(context.Background(), nil, Options{Samples: 32}, 0, 2); err == nil {
 		t.Fatal("nil problem accepted")
 	}
@@ -142,17 +139,17 @@ func TestShardStoreRoundTrip(t *testing.T) {
 	if err := Save(path, slice); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path, ShardFingerprint(p, opts, 1, 3))
+	loaded, err := Load(path, p, ShardFingerprint(p, opts, 1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(loaded, slice) {
 		t.Fatal("loaded slice differs from the built one")
 	}
-	if _, err := Load(path, ShardFingerprint(p, opts, 0, 3)); !errors.Is(err, ErrStale) {
+	if _, err := Load(path, p, ShardFingerprint(p, opts, 0, 3)); !errors.Is(err, ErrStale) {
 		t.Fatalf("wrong shard index returned %v, want ErrStale", err)
 	}
-	if _, err := Load(path, Fingerprint(p, opts)); !errors.Is(err, ErrStale) {
+	if _, err := Load(path, p, Fingerprint(p, opts)); !errors.Is(err, ErrStale) {
 		t.Fatalf("slice loaded as the full sketch returned %v, want ErrStale", err)
 	}
 }
@@ -174,7 +171,7 @@ func TestErrStaleTextCarriesBothFingerprints(t *testing.T) {
 	}
 
 	wrong := ShardFingerprint(p, opts, 0, 2)
-	_, err = Load(path, wrong)
+	_, err = Load(path, p, wrong)
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("Load returned %v, want ErrStale", err)
 	}
@@ -197,7 +194,7 @@ func TestErrStaleTextCarriesBothFingerprints(t *testing.T) {
 	if err := os.WriteFile(path, []byte(skewed), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Load(path, wrong)
+	_, err = Load(path, p, wrong)
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("version skew returned %v, want ErrStale", err)
 	}
@@ -219,30 +216,5 @@ func TestErrStaleTextCarriesBothFingerprints(t *testing.T) {
 	wantFP := Fingerprint(other, Options{Seed: set.Seed, Samples: set.Samples, MaxHops: set.MaxHops})
 	if !strings.Contains(verr.Error(), wantFP) {
 		t.Fatalf("Validate stale text %q misses the expected fingerprint", verr)
-	}
-}
-
-func TestCertifyBound(t *testing.T) {
-	// λ(0.1, 0.05) ≈ (2 + 0.0667)·ln(40)/0.01 ≈ 762; n·x̂ crosses it
-	// between n = 1000 (x̂ 0.5 → 500) and n = 2000 (→ 1000).
-	met, err := CertifyBound(0.1, 0.05, 2000, 0.5)
-	if err != nil || !met {
-		t.Fatalf("CertifyBound(2000, 0.5) = %v, %v, want true", met, err)
-	}
-	met, err = CertifyBound(0.1, 0.05, 1000, 0.5)
-	if err != nil || met {
-		t.Fatalf("CertifyBound(1000, 0.5) = %v, %v, want false", met, err)
-	}
-	if _, err := CertifyBound(0, 0.05, 100, 0.5); err == nil {
-		t.Fatal("epsilon 0 accepted")
-	}
-	if _, err := CertifyBound(0.1, 1, 100, 0.5); err == nil {
-		t.Fatal("delta 1 accepted")
-	}
-	if _, err := CertifyBound(0.1, 0.05, 100, 1.5); err == nil {
-		t.Fatal("coverage fraction 1.5 accepted")
-	}
-	if met, err := CertifyBound(0.1, 0.05, 1<<40, 0); err != nil || met {
-		t.Fatalf("zero coverage certified: %v, %v", met, err)
 	}
 }

@@ -20,10 +20,8 @@
 // recounts are word-parallel AND-NOT popcounts with zero allocations per
 // query.
 //
-// N itself is either fixed (Options.Samples) or chosen adaptively
-// (Options.Epsilon/Delta): the adaptive build grows the realization pool
-// in doubling rounds until a martingale stopping condition certifies the
-// estimate to relative error ε with probability 1−δ; see adaptive.go.
+// N is fixed by Options.Samples (default DefaultSamples), as the paper
+// fixes the number of OPOAO samples behind σ̂.
 //
 // # Sampler semantics
 //
@@ -53,16 +51,13 @@
 // function of (realization seed, problem), and workers write into
 // per-realization slots that are assembled in realization order. A
 // completed build is bit-identical for every Workers value, byte for byte
-// through Save. The adaptive build extends the same sequential seed stream
-// round by round, so an adaptive sketch that stops at N realizations holds
-// exactly the Pairs a fixed Samples=N build would.
+// through Save.
 package sketch
 
 import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -83,9 +78,8 @@ const DefaultSamples = 128
 
 // Options tunes a sketch build.
 type Options struct {
-	// Samples is the number of fixed realizations sampled. When positive
-	// it overrides the adaptive rule entirely. Zero means: DefaultSamples,
-	// unless Epsilon selects the adaptive build. Negative is an error.
+	// Samples is the number of fixed realizations sampled. Zero means
+	// DefaultSamples; negative is an error.
 	Samples int
 	// Seed drives the realization seeds; the same seed reproduces the
 	// build bit for bit.
@@ -116,18 +110,6 @@ type Options struct {
 	// builds: slices rebuild from coordinates on mutation, they never
 	// repair.
 	Footprints bool
-
-	// Epsilon, when positive with Samples zero, selects the adaptive
-	// build: realizations grow in doubling rounds until the martingale
-	// stopping rule certifies relative error ε (see adaptive.go). Must be
-	// in (0, 1).
-	Epsilon float64
-	// Delta is the adaptive build's failure probability, in (0, 1).
-	// Defaults to DefaultDelta. Ignored on fixed builds.
-	Delta float64
-	// MaxSamples caps the adaptive build's growth. Defaults to
-	// DefaultMaxSamples. Ignored on fixed builds.
-	MaxSamples int
 }
 
 // Pair is one (realization, bridge end) sample whose fate depends on the
@@ -147,18 +129,15 @@ type Pair struct {
 // Set is a built sketch: everything needed to answer σ̂ queries for one
 // problem without running another diffusion simulation.
 type Set struct {
-	// Samples is the realized number of sampled realizations — the fixed
-	// count on fixed builds, the count the stopping rule settled on for
-	// adaptive builds. Seed and MaxHops echo the build options.
+	// Samples is the number of sampled realizations. Seed and MaxHops
+	// echo the build options.
 	Samples int    `json:"samples"`
 	Seed    uint64 `json:"seed"`
 	MaxHops int    `json:"maxHops"`
 	// NumEnds is |B| of the problem the sketch was built for.
 	NumEnds int `json:"numEnds"`
 	// Fingerprint binds the sketch to (graph, rumor set, ends, model) and
-	// to whichever sizing rule produced it — (seed, samples, hops) for
-	// fixed builds, (seed, ε, δ, max samples, hops) for adaptive ones; see
-	// Fingerprint.
+	// to (seed, samples, hops); see Fingerprint.
 	Fingerprint string `json:"fingerprint"`
 	// BaselinePairs counts the (realization, end) pairs the rumor never
 	// reaches within MaxHops — saved under every protector set, the
@@ -166,17 +145,6 @@ type Set struct {
 	BaselinePairs int `json:"baselinePairs"`
 	// Pairs holds the coverable pairs in (realization, end) order.
 	Pairs []Pair `json:"pairs"`
-
-	// Epsilon, Delta and MaxSamples record the adaptive build's stopping
-	// rule; all zero on fixed builds (and omitted from the store, keeping
-	// fixed-build store bytes unchanged across versions). BoundMet reports
-	// whether the stopping condition held when growth ended — false means
-	// the build ran into MaxSamples first and the ε target is not
-	// certified.
-	Epsilon    float64 `json:"epsilon,omitempty"`
-	Delta      float64 `json:"delta,omitempty"`
-	MaxSamples int     `json:"maxSamples,omitempty"`
-	BoundMet   bool    `json:"boundMet,omitempty"`
 
 	// ShardIndex/ShardCount mark a shard slice (see shard.go): this Set
 	// holds only the realizations ≡ ShardIndex (mod ShardCount) of the
@@ -248,10 +216,6 @@ func Build(p *core.Problem, opts Options) (*Set, error) {
 // realization. Builds are all-or-nothing: on cancellation, budget expiry
 // or a sampling failure the error is returned and no Set — a truncated
 // sketch would bias every later estimate.
-//
-// Sizing: Samples > 0 builds exactly that many realizations. Samples == 0
-// with Epsilon > 0 runs the adaptive doubling build of adaptive.go. Both
-// zero builds DefaultSamples.
 func BuildContext(ctx context.Context, p *core.Problem, opts Options) (*Set, error) {
 	if p == nil {
 		return nil, fmt.Errorf("sketch: build: nil problem")
@@ -259,30 +223,8 @@ func BuildContext(ctx context.Context, p *core.Problem, opts Options) (*Set, err
 	if opts.Samples < 0 {
 		return nil, fmt.Errorf("sketch: build: samples = %d must not be negative", opts.Samples)
 	}
-	if math.IsNaN(opts.Epsilon) || opts.Epsilon < 0 || opts.Epsilon >= 1 {
-		return nil, fmt.Errorf("sketch: build: epsilon = %v out of (0,1)", opts.Epsilon)
-	}
-	if math.IsNaN(opts.Delta) || opts.Delta < 0 || opts.Delta >= 1 {
-		return nil, fmt.Errorf("sketch: build: delta = %v out of (0,1)", opts.Delta)
-	}
-	if opts.MaxSamples < 0 {
-		return nil, fmt.Errorf("sketch: build: max samples = %d must not be negative", opts.MaxSamples)
-	}
-	adaptive := opts.Samples == 0 && opts.Epsilon > 0
-	if adaptive {
-		if opts.Delta == 0 {
-			opts.Delta = DefaultDelta
-		}
-		if opts.MaxSamples == 0 {
-			opts.MaxSamples = DefaultMaxSamples
-		}
-	} else {
-		if opts.Samples == 0 {
-			opts.Samples = DefaultSamples
-		}
-		// A fixed Samples overrides the adaptive knobs entirely; zero them
-		// so the fingerprint and the stored Set record a fixed build.
-		opts.Epsilon, opts.Delta, opts.MaxSamples = 0, 0, 0
+	if opts.Samples == 0 {
+		opts.Samples = DefaultSamples
 	}
 	if opts.MaxHops == 0 {
 		opts.MaxHops = core.DefaultGreedyHops
@@ -301,17 +243,13 @@ func BuildContext(ctx context.Context, p *core.Problem, opts Options) (*Set, err
 		workers = 1
 	}
 
-	b := newSetBuilder(p, opts, workers)
-	if adaptive {
-		return b.buildAdaptive(ctx)
-	}
-	return b.buildFixed(ctx)
+	return newSetBuilder(p, opts, workers).buildFixed(ctx)
 }
 
 // setBuilder grows a pool of sampled realizations and assembles Sets from
 // prefixes of it. Growth is a pure prefix extension of one sequential seed
-// stream, so fixed and adaptive builds that end at the same realization
-// count hold identical Pairs, whatever Workers did.
+// stream, so builds that end at the same realization count hold identical
+// Pairs, whatever Workers did.
 type setBuilder struct {
 	p       *core.Problem
 	opts    Options

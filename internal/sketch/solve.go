@@ -106,8 +106,7 @@ type coverState struct {
 
 // greedyCover runs the lazy-greedy max-coverage loop on the set's CSR
 // index until targetPairs pairs are covered, maxProtectors nodes are
-// selected, or no candidate has positive marginal coverage. It is shared
-// by the RIS solver and the adaptive build's stopping probe. The returned
+// selected, or no candidate has positive marginal coverage. The returned
 // error is the context's; the best-so-far state accompanies it.
 func greedyCover(ctx context.Context, set *Set, targetPairs, maxProtectors int) (coverState, error) {
 	var st coverState

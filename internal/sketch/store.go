@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 
 	"lcrb/internal/checkpoint"
@@ -29,9 +30,8 @@ type storeFile struct {
 
 // Fingerprint binds a sketch to everything that shapes its contents: a
 // hash of the graph's full adjacency structure, the rumor seed set, the
-// bridge ends, the diffusion model, and whichever sizing rule the build
-// ran under — the seed, sample count and hop horizon for fixed builds, or
-// the seed, ε, δ, sample cap and hop horizon for adaptive ones. Two
+// bridge ends, the diffusion model, and the build's seed, sample count and
+// hop horizon. Two
 // problems with equal fingerprints produce bit-identical sketches; any
 // drift — a regenerated graph, a different rumor draw, new build options —
 // changes the fingerprint and invalidates stored sketches.
@@ -39,19 +39,6 @@ func Fingerprint(p *core.Problem, opts Options) string {
 	maxHops := opts.MaxHops
 	if maxHops == 0 {
 		maxHops = core.DefaultGreedyHops
-	}
-	if opts.Samples == 0 && opts.Epsilon > 0 {
-		delta := opts.Delta
-		if delta == 0 {
-			delta = DefaultDelta
-		}
-		maxSamples := opts.MaxSamples
-		if maxSamples == 0 {
-			maxSamples = DefaultMaxSamples
-		}
-		return fmt.Sprintf("sketch v%d model=opoao graph=%016x rumors=%016x ends=%016x seed=%d eps=%g delta=%g maxSamples=%d hops=%d",
-			StoreVersion, graphHash(p), sliceHash(p.Rumors), sliceHash(p.Ends),
-			opts.Seed, opts.Epsilon, delta, maxSamples, maxHops)
 	}
 	samples := opts.Samples
 	if samples == 0 {
@@ -107,12 +94,6 @@ func (s *Set) Validate(p *core.Problem) error {
 		return fmt.Errorf("sketch: validate: nil problem")
 	}
 	opts := Options{Seed: s.Seed, Samples: s.Samples, MaxHops: s.MaxHops}
-	if s.Epsilon > 0 {
-		// Adaptive build: the fingerprint binds the stopping rule, not the
-		// realized sample count it settled on.
-		opts = Options{Seed: s.Seed, MaxHops: s.MaxHops,
-			Epsilon: s.Epsilon, Delta: s.Delta, MaxSamples: s.MaxSamples}
-	}
 	want := Fingerprint(p, opts)
 	if s.ShardCount > 0 {
 		// Shard slice: the fingerprint binds the shard coordinates too, so
@@ -122,7 +103,75 @@ func (s *Set) Validate(p *core.Problem) error {
 	if s.Fingerprint != want {
 		return fmt.Errorf("sketch: validate: found fingerprint %q, expected %q: %w", s.Fingerprint, want, ErrStale)
 	}
+	if s.NumEnds != len(p.Ends) {
+		return fmt.Errorf("sketch: validate: set records %d bridge ends, problem has %d", s.NumEnds, len(p.Ends))
+	}
 	return nil
+}
+
+// check verifies the invariants every built Set meets, so a decoded store
+// can be trusted before its coverage index is sized from it: positive
+// sample and end counts, pairs in strictly increasing (realization, end)
+// order within range (and within the slice's residue class), every RR set
+// a non-empty strictly ascending list of node ids in [0, numNodes), pair
+// and baseline counts summing to the sampled total, and footprints, when
+// present, one strictly ascending id list per realization.
+func (s *Set) check(numNodes int32) error {
+	if s.Samples < 1 || s.Samples > math.MaxInt32 || s.NumEnds < 1 || s.NumEnds > math.MaxInt32 {
+		return fmt.Errorf("sketch: corrupt store: samples = %d, ends = %d out of [1, 2^31)", s.Samples, s.NumEnds)
+	}
+	held := s.Samples
+	switch {
+	case s.ShardCount == 0 && s.ShardIndex == 0 && s.ShardSamples == 0:
+	case s.ShardCount > 0 && s.ShardIndex >= 0 && s.ShardIndex < s.ShardCount &&
+		s.ShardSamples == ShardRealizations(s.Samples, s.ShardIndex, s.ShardCount):
+		held = s.ShardSamples
+	default:
+		return fmt.Errorf("sketch: corrupt store: shard %d/%d holding %d of %d realizations", s.ShardIndex, s.ShardCount, s.ShardSamples, s.Samples)
+	}
+	for i, pair := range s.Pairs {
+		r, e := pair.Realization, pair.End
+		if r < 0 || int(r) >= s.Samples || e < 0 || int(e) >= s.NumEnds {
+			return fmt.Errorf("sketch: corrupt store: pair %d: (realization %d, end %d) out of range", i, r, e)
+		}
+		if s.ShardCount > 0 && int(r)%s.ShardCount != s.ShardIndex {
+			return fmt.Errorf("sketch: corrupt store: pair %d: realization %d outside shard %d/%d", i, r, s.ShardIndex, s.ShardCount)
+		}
+		if i > 0 {
+			prev := s.Pairs[i-1]
+			if r < prev.Realization || r == prev.Realization && e <= prev.End {
+				return fmt.Errorf("sketch: corrupt store: pair %d: (realization %d, end %d) out of order", i, r, e)
+			}
+		}
+		if len(pair.Nodes) == 0 || !ascendingIDs(pair.Nodes, numNodes) {
+			return fmt.Errorf("sketch: corrupt store: pair %d: RR set is not a non-empty ascending list of node ids in [0,%d)", i, numNodes)
+		}
+	}
+	if s.BaselinePairs+len(s.Pairs) != held*s.NumEnds {
+		return fmt.Errorf("sketch: corrupt store: %d baseline + %d coverable pairs, want %d realizations × %d ends",
+			s.BaselinePairs, len(s.Pairs), held, s.NumEnds)
+	}
+	if len(s.Footprints) > 0 && (s.ShardCount > 0 || len(s.Footprints) != s.Samples) {
+		return fmt.Errorf("sketch: corrupt store: %d footprints for %d realizations", len(s.Footprints), s.Samples)
+	}
+	for r, fp := range s.Footprints {
+		if !ascendingIDs(fp, numNodes) {
+			return fmt.Errorf("sketch: corrupt store: footprint %d is not an ascending list of node ids in [0,%d)", r, numNodes)
+		}
+	}
+	return nil
+}
+
+// ascendingIDs reports whether ids is strictly ascending within [0, n).
+func ascendingIDs(ids []int32, n int32) bool {
+	prev := int32(-1)
+	for _, v := range ids {
+		if v <= prev || v >= n {
+			return false
+		}
+		prev = v
+	}
+	return true
 }
 
 // Save writes the sketch atomically and durably to path, using the same
@@ -149,15 +198,21 @@ func Save(path string, s *Set) error {
 	return nil
 }
 
-// Load reads a sketch from path and verifies it carries the expected
-// fingerprint before rebuilding its coverage index. A missing file returns
-// an error wrapping os.ErrNotExist (a cold store, not corruption); a
-// fingerprint or version mismatch returns an error wrapping ErrStale so
-// the caller can rebuild rather than serve estimates for the wrong
-// problem.
-func Load(path, fingerprint string) (*Set, error) {
+// Load reads the sketch of p from path. Before rebuilding its coverage
+// index it verifies that the store carries the expected fingerprint, that
+// it validates against p (see Validate), and that its contents are a Set a
+// build could have produced (see check): node ids bounded by p's graph,
+// pairs in order and counts that add up. A missing file returns an error
+// wrapping os.ErrNotExist (a cold store, not corruption); a fingerprint or
+// version mismatch returns an error wrapping ErrStale so the caller can
+// rebuild rather than serve estimates for the wrong problem; a store that
+// fails the content checks returns a plain error.
+func Load(path string, p *core.Problem, fingerprint string) (*Set, error) {
 	if path == "" {
 		return nil, fmt.Errorf("sketch: load: empty path")
+	}
+	if p == nil {
+		return nil, fmt.Errorf("sketch: load: nil problem")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -178,6 +233,12 @@ func Load(path, fingerprint string) (*Set, error) {
 		return nil, fmt.Errorf("sketch: load %s: found fingerprint %q, expected %q: %w", path, f.Set.Fingerprint, fingerprint, ErrStale)
 	}
 	set := f.Set
+	if err := set.Validate(p); err != nil {
+		return nil, fmt.Errorf("sketch: load %s: %w", path, err)
+	}
+	if err := set.check(p.Graph.NumNodes()); err != nil {
+		return nil, fmt.Errorf("sketch: load %s: %w", path, err)
+	}
 	set.buildIndex()
 	return &set, nil
 }
@@ -189,8 +250,8 @@ func Load(path, fingerprint string) (*Set, error) {
 // only to the earlier version — and a dynamic daemon must treat that store
 // as stale, never serve it silently. The mismatch error wraps ErrStale and
 // carries both versions.
-func LoadVersioned(path, fingerprint string, version uint64) (*Set, error) {
-	set, err := Load(path, fingerprint)
+func LoadVersioned(path string, p *core.Problem, fingerprint string, version uint64) (*Set, error) {
+	set, err := Load(path, p, fingerprint)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := Save(path, set); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path, Fingerprint(p, opts))
+	got, err := Load(path, p, Fingerprint(p, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestStoreRejectsStaleAndMissing(t *testing.T) {
 	}
 
 	// Wrong fingerprint (e.g. a different seed): stale, never served.
-	if _, err := Load(path, Fingerprint(p, Options{Samples: 32, Seed: 10})); !errors.Is(err, ErrStale) {
+	if _, err := Load(path, p, Fingerprint(p, Options{Samples: 32, Seed: 10})); !errors.Is(err, ErrStale) {
 		t.Fatalf("fingerprint mismatch returned %v, want ErrStale", err)
 	}
 	// Missing file: a cold store, distinguishable from corruption.
-	if _, err := Load(filepath.Join(dir, "absent.json"), set.Fingerprint); !errors.Is(err, os.ErrNotExist) {
+	if _, err := Load(filepath.Join(dir, "absent.json"), p, set.Fingerprint); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file returned %v, want os.ErrNotExist", err)
 	}
 	// Version skew: stale.
@@ -97,14 +97,14 @@ func TestStoreRejectsStaleAndMissing(t *testing.T) {
 	if err := os.WriteFile(path, []byte(skewed), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, set.Fingerprint); !errors.Is(err, ErrStale) {
+	if _, err := Load(path, p, set.Fingerprint); !errors.Is(err, ErrStale) {
 		t.Fatalf("version skew returned %v, want ErrStale", err)
 	}
 	// Corruption: an error, but neither stale nor missing.
 	if err := os.WriteFile(path, []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, set.Fingerprint); err == nil || errors.Is(err, ErrStale) || errors.Is(err, os.ErrNotExist) {
+	if _, err := Load(path, p, set.Fingerprint); err == nil || errors.Is(err, ErrStale) || errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt file returned %v, want a plain decode error", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestLoadVersionedRejectsTrailingVersion(t *testing.T) {
 	}
 	fp := Fingerprint(p, opts)
 
-	got, err := LoadVersioned(path, fp, 3)
+	got, err := LoadVersioned(path, p, fp, 3)
 	if err != nil {
 		t.Fatalf("load at matching version: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestLoadVersionedRejectsTrailingVersion(t *testing.T) {
 		t.Fatalf("footprints did not survive the round trip: %d", len(got.Footprints))
 	}
 
-	_, err = LoadVersioned(path, fp, 7)
+	_, err = LoadVersioned(path, p, fp, 7)
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("trailing version: got %v, want ErrStale", err)
 	}
@@ -185,7 +185,7 @@ func TestLoadVersionedRejectsTrailingVersion(t *testing.T) {
 		t.Fatalf("stale-version error must carry both versions, got %q", msg)
 	}
 	// Wrong fingerprint still loses to the fingerprint check first.
-	if _, err := LoadVersioned(path, "bogus", 3); !errors.Is(err, ErrStale) {
+	if _, err := LoadVersioned(path, p, "bogus", 3); !errors.Is(err, ErrStale) {
 		t.Fatalf("wrong fingerprint: got %v, want ErrStale", err)
 	}
 }

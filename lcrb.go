@@ -161,11 +161,9 @@ type (
 	SketchSolveOptions = sketch.SolveOptions
 )
 
-// BuildSketches samples the RR-set sketch of p: either Options.Samples
-// fixed OPOAO realizations, or — with Options.Epsilon set — an adaptively
-// sized pool grown in doubling rounds until a martingale stopping rule
-// certifies relative error ε. Both modes are deterministic per seed and
-// bit-identical for every worker count.
+// BuildSketches samples the RR-set sketch of p over Options.Samples fixed
+// OPOAO realizations (default 128). The build is deterministic per seed
+// and bit-identical for every worker count.
 func BuildSketches(p *Problem, opts SketchOptions) (*SketchSet, error) {
 	return sketch.Build(p, opts)
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fix lint-bench perfbench-check ci bench bench-all serve serve-smoke load-smoke clean
+.PHONY: all build vet test race lint lint-fix lint-bench perfbench-check ci bench bench-sketch bench-all serve serve-smoke load-smoke clean
 
 all: ci
 
@@ -55,14 +55,14 @@ perfbench-check:
 
 # ci is the gate the workflow runs: lint (fmt + vet + analyzers +
 # suppression audit), the lint timing budget, build, the perfbench compile
-# gate, the full suite under the race detector, then the serving and load
-# smoke tests. The sketch, shard and delta gates are ordinary Go tests
-# inside the race run: the selection fixture (cmd/lcrbbench
-# TestBenchSmokeFixture), sketch worker-count identity and store round trip
-# (internal/sketch), shard-count identity and honest shard loss
-# (internal/shardsolve), and repair ≡ rebuild (internal/sketch
-# TestRepairMatchesRebuildOracleGeneratedStream).
-ci: lint lint-bench build perfbench-check race serve-smoke load-smoke
+# gate, the full suite under the race detector, the sketch benchmark
+# smoke, then the serving and load smoke tests. The sketch, shard and
+# delta gates are ordinary Go tests inside the race run: the selection
+# fixture (cmd/lcrbbench TestBenchSmokeFixture), sketch worker-count
+# identity and store round trip (internal/sketch), shard-count identity
+# and honest shard loss (internal/shardsolve), and repair ≡ rebuild
+# (internal/sketch TestRepairMatchesRebuildOracleGeneratedStream).
+ci: lint lint-bench build perfbench-check race bench-sketch serve-smoke load-smoke
 
 # serve boots the lcrbd solve daemon on the default address with fast
 # defaults; Ctrl-C drains, a second Ctrl-C force-quits.
@@ -85,6 +85,11 @@ load-smoke:
 # workers. BENCH_perf.json records a longer run of it with its environment.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkGreedySigma -benchtime 1x ./internal/core/
+
+# bench-sketch runs every internal/sketch micro-benchmark once (pair index,
+# RIS solve, sampler), so they keep compiling and running.
+bench-sketch:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sketch/
 
 # bench-all runs every benchmark in the repo once.
 bench-all:

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node. Node identifiers are dense: a graph with N nodes
@@ -35,6 +36,41 @@ type Graph struct {
 	// permissive graph legitimately contains instead of silently dropping
 	// them through a default Builder.
 	allowSelfLoops bool
+
+	// digestOnce guards digest, the memoized Digest. The CSR arrays never
+	// change after construction, so one computation serves every caller.
+	digestOnce sync.Once
+	digest     uint64
+}
+
+// Digest returns a 64-bit digest of the adjacency structure: the node
+// count, then every out-neighbour row in node order, each value folded in
+// through the SplitMix64 finalizer. Sketch fingerprints embed it, so the
+// formula is part of their on-disk format. O(V + E) on the first call,
+// memoized after; safe for concurrent use.
+func (g *Graph) Digest() uint64 {
+	g.digestOnce.Do(func() {
+		h := mix64(uint64(g.numNodes))
+		for u := int32(0); u < g.numNodes; u++ {
+			out := g.Out(u)
+			h = mix64(h ^ uint64(len(out)))
+			for _, v := range out {
+				h = mix64(h ^ uint64(uint32(v)))
+			}
+		}
+		g.digest = h
+	})
+	return g.digest
+}
+
+// mix64 is the SplitMix64 finalizer: a fast, well-distributed 64-bit
+// mixer. Not cryptographic; Digest guards against staleness, not
+// adversaries.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // NumNodes returns the number of nodes.

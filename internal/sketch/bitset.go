@@ -6,7 +6,10 @@
 // differential-testing oracle.
 package sketch
 
-import "math/bits"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Bitset is a packed bit vector: bit i lives in word i/64. All kernels are
 // word-parallel — 64 membership answers per machine instruction via
@@ -76,17 +79,19 @@ func (b Bitset) AndNotCount(mask Bitset) int {
 // Above the budget the index serves gains by walking its CSR pair lists
 // against the covered bitset instead — still allocation-free and exactly
 // equal, just not word-parallel. 256 MiB covers every instance the repo's
-// benchmarks and experiments build by orders of magnitude.
-const arenaBudgetBytes = 1 << 28
+// benchmarks and experiments build by orders of magnitude. A variable
+// only so tests can force the fallback.
+var arenaBudgetBytes = 1 << 28
 
 // pairIndex is the node → pair inversion of a Set in CSR form: one flat
 // pair array with int32 offsets per candidate row, plus (budget allowing)
 // a bitset arena holding each candidate's pairs as a row of words so a
 // marginal-gain recount is a single AndNotCount sweep.
 //
-// The index is a pure function of the Pairs slice, so rebuilding it after
-// a Load reproduces the built one field for field — the store round-trip
-// tests compare with reflect.DeepEqual.
+// The index is a pure function of the Pairs slice, whatever the worker
+// count that built it, so rebuilding it after a Load reproduces the built
+// one field for field — the store round-trip tests compare with
+// reflect.DeepEqual.
 type pairIndex struct {
 	// numPairs is len(Set.Pairs); every bitset in play holds that many bits.
 	numPairs int
@@ -106,64 +111,117 @@ type pairIndex struct {
 }
 
 // newPairIndex builds the CSR inversion (and, within budget, the bitset
-// arena) of pairs.
-func newPairIndex(pairs []Pair) *pairIndex {
+// arena) of pairs as a chunked transpose on up to workers goroutines.
+// Each worker counts node occurrences in one contiguous chunk of pairs,
+// the chunks balanced by RR entries. A serial pass over node ids turns the
+// counts into rows in ascending node order, their offsets, and per-chunk
+// write cursors: within a row, chunk c's slots follow every earlier
+// chunk's. Each worker then scatters its chunk's pair indices into its own
+// slots, visiting pairs in index order, so every row's list comes out
+// ascending without a sort, and the arena is filled by row range. The
+// index is therefore identical for every workers value.
+func newPairIndex(pairs []Pair, workers int) *pairIndex {
 	ix := &pairIndex{numPairs: len(pairs), words: (len(pairs) + 63) / 64}
-	maxNode := int32(-1)
-	for _, pair := range pairs {
-		for _, u := range pair.Nodes {
-			if u > maxNode {
-				maxNode = u
+	bounds := pairChunks(pairs, workers)
+	chunks := len(bounds) - 1
+	chunk := func(c int) []Pair { return pairs[bounds[c]:bounds[c+1]] }
+
+	// counts[c][u] is node u's occurrence count in chunk c, sized by the
+	// chunk's own largest id.
+	counts := make([][]int32, chunks)
+	runStriped(chunks, chunks, func(c, _ int) {
+		var cnt []int32
+		for _, pair := range chunk(c) {
+			for _, u := range pair.Nodes {
+				if int(u) >= len(cnt) {
+					cnt = append(cnt, make([]int32, int(u)+1-len(cnt))...)
+				}
+				cnt[u]++
 			}
 		}
+		counts[c] = cnt
+	})
+	maxNode := int32(-1)
+	for _, cnt := range counts {
+		maxNode = max(maxNode, int32(len(cnt))-1)
 	}
+
+	// Rows in ascending node order; each count becomes its chunk's cursor.
 	ix.rowOf = make([]int32, maxNode+1)
-	for i := range ix.rowOf {
-		ix.rowOf[i] = -1
-	}
-	// Occurrence counts per node, then rows in ascending node order.
-	counts := make([]int32, maxNode+1)
-	for _, pair := range pairs {
-		for _, u := range pair.Nodes {
-			counts[u]++
-		}
-	}
+	ix.off = make([]int32, 1, len(ix.rowOf)+1)
+	pos := int32(0)
 	for u := int32(0); u <= maxNode; u++ {
-		if counts[u] > 0 {
-			ix.rowOf[u] = int32(len(ix.nodes))
-			ix.nodes = append(ix.nodes, u)
+		start := pos
+		for _, cnt := range counts {
+			if int(u) < len(cnt) {
+				cnt[u], pos = pos, pos+cnt[u]
+			}
 		}
-	}
-	ix.off = make([]int32, len(ix.nodes)+1)
-	for r, u := range ix.nodes {
-		ix.off[r+1] = ix.off[r] + counts[u]
-	}
-	ix.pairs = make([]int32, ix.off[len(ix.nodes)])
-	cursor := make([]int32, len(ix.nodes))
-	// Pairs are visited in index order, so each row's pair list comes out
-	// ascending without a sort.
-	for pi, pair := range pairs {
-		for _, u := range pair.Nodes {
-			r := ix.rowOf[u]
-			ix.pairs[ix.off[r]+cursor[r]] = int32(pi)
-			cursor[r]++
+		if pos == start {
+			ix.rowOf[u] = -1
+			continue
 		}
+		ix.rowOf[u] = int32(len(ix.nodes))
+		ix.nodes = append(ix.nodes, u)
+		ix.off = append(ix.off, pos)
 	}
+	ix.pairs = make([]int32, pos)
+	runStriped(chunks, chunks, func(c, _ int) {
+		cursor := counts[c]
+		for pi, pair := range chunk(c) {
+			for _, u := range pair.Nodes {
+				ix.pairs[cursor[u]] = int32(bounds[c] + pi)
+				cursor[u]++
+			}
+		}
+	})
 	if n := len(ix.nodes) * ix.words * 8; n > 0 && n <= arenaBudgetBytes {
-		ix.buildArena()
+		ix.buildArena(chunks)
 	}
 	return ix
 }
 
-// buildArena materializes every row's pair list as a bitset row.
-func (ix *pairIndex) buildArena() {
-	ix.arena = make([]uint64, len(ix.nodes)*ix.words)
-	for r := range ix.nodes {
-		row := Bitset(ix.arena[r*ix.words : (r+1)*ix.words])
-		for _, pi := range ix.rowList(int32(r)) {
-			row.Set(pi)
-		}
+// pairChunks splits pairs into contiguous chunks holding about equal
+// numbers of RR entries, chunk c being pairs[bounds[c]:bounds[c+1]]: as
+// many chunks as workers, but no more than there are pairs, and at least
+// one.
+func pairChunks(pairs []Pair, workers int) []int {
+	workers = max(1, min(workers, len(pairs)))
+	total := 0
+	for _, pair := range pairs {
+		total += len(pair.Nodes)
 	}
+	bounds := make([]int, 1, workers+1)
+	seen := 0
+	for i, pair := range pairs {
+		for len(bounds) < workers && seen*workers >= total*len(bounds) {
+			bounds = append(bounds, i)
+		}
+		seen += len(pair.Nodes)
+	}
+	for len(bounds) <= workers {
+		bounds = append(bounds, len(pairs))
+	}
+	return bounds
+}
+
+// buildArena materializes every row's pair list as a bitset row, on up to
+// workers goroutines that each fill a contiguous row range holding about
+// an equal share of the index's pairs.
+func (ix *pairIndex) buildArena(workers int) {
+	ix.arena = make([]uint64, len(ix.nodes)*ix.words)
+	rows, total := len(ix.nodes), int(ix.off[len(ix.nodes)])
+	split := func(k, of int) int32 {
+		return int32(sort.Search(rows, func(r int) bool { return int(ix.off[r])*of >= total*k }))
+	}
+	runStriped(workers, workers, func(w, stride int) {
+		for r := split(w, stride); r < split(w+1, stride); r++ {
+			row := ix.rowBits(r)
+			for _, pi := range ix.rowList(r) {
+				row.Set(pi)
+			}
+		}
+	})
 }
 
 // row returns the row of node u, or -1 when u is in no RR set.

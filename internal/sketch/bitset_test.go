@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -67,7 +68,7 @@ func randomSyntheticSet(src *rng.Source, numPairs, maxNode int) *Set {
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 		set.Pairs = append(set.Pairs, Pair{Realization: int32(pi), End: 0, Nodes: nodes})
 	}
-	set.buildIndex()
+	set.buildIndex(1)
 	return set
 }
 
@@ -210,6 +211,118 @@ func TestPairIndexRowInvariants(t *testing.T) {
 	}
 }
 
+// serialPairIndex is the single-threaded inversion the chunked transpose
+// replaced: one counting pass, rows in ascending node order, one scatter
+// in pair order, then the arena row by row. It is the oracle
+// TestPairIndexBitIdenticalAcrossWorkers holds newPairIndex to.
+func serialPairIndex(pairs []Pair) *pairIndex {
+	ix := &pairIndex{numPairs: len(pairs), words: (len(pairs) + 63) / 64}
+	maxNode := int32(-1)
+	for _, pair := range pairs {
+		for _, u := range pair.Nodes {
+			maxNode = max(maxNode, u)
+		}
+	}
+	ix.rowOf = make([]int32, maxNode+1)
+	counts := make([]int32, maxNode+1)
+	for _, pair := range pairs {
+		for _, u := range pair.Nodes {
+			counts[u]++
+		}
+	}
+	ix.off = []int32{0}
+	for u := int32(0); u <= maxNode; u++ {
+		ix.rowOf[u] = -1
+		if counts[u] > 0 {
+			ix.rowOf[u] = int32(len(ix.nodes))
+			ix.nodes = append(ix.nodes, u)
+			ix.off = append(ix.off, ix.off[len(ix.off)-1]+counts[u])
+		}
+	}
+	ix.pairs = make([]int32, ix.off[len(ix.nodes)])
+	cursor := make([]int32, len(ix.nodes))
+	for pi, pair := range pairs {
+		for _, u := range pair.Nodes {
+			r := ix.rowOf[u]
+			ix.pairs[ix.off[r]+cursor[r]] = int32(pi)
+			cursor[r]++
+		}
+	}
+	if n := len(ix.nodes) * ix.words * 8; n > 0 && n <= arenaBudgetBytes {
+		ix.arena = make([]uint64, len(ix.nodes)*ix.words)
+		for r := range ix.nodes {
+			for _, pi := range ix.rowList(int32(r)) {
+				ix.rowBits(int32(r)).Set(pi)
+			}
+		}
+	}
+	return ix
+}
+
+// TestPairIndexBitIdenticalAcrossWorkers holds the chunked parallel
+// transpose to the serial inversion field for field, for every worker
+// count: on built sketches, on synthetic ones with fewer pairs than
+// workers (down to none), and with the arena forced off.
+func TestPairIndexBitIdenticalAcrossWorkers(t *testing.T) {
+	p := testProblem(t, 300, 40, 41)
+	var sets []*Set
+	for _, samples := range []int{1, 16, 64} {
+		set, err := Build(p, Options{Samples: samples, Seed: 7, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, set)
+	}
+	src := rng.New(717)
+	for _, numPairs := range []int{0, 1, 2, 3, 6, 7, 8, 150} {
+		sets = append(sets, randomSyntheticSet(src, numPairs, 2+src.Intn(90)))
+	}
+	for _, budget := range []int{arenaBudgetBytes, 0} {
+		t.Run(fmt.Sprintf("arenaBudget=%d", budget), func(t *testing.T) {
+			defer func(saved int) { arenaBudgetBytes = saved }(arenaBudgetBytes)
+			arenaBudgetBytes = budget
+			for i, set := range sets {
+				want := serialPairIndex(set.Pairs)
+				if (want.arena != nil) != (budget > 0 && len(want.nodes) > 0) {
+					t.Fatalf("set %d: arena present = %v under budget %d", i, want.arena != nil, budget)
+				}
+				for _, workers := range []int{1, 2, 3, 7} {
+					if got := newPairIndex(set.Pairs, workers); !reflect.DeepEqual(got, want) {
+						t.Fatalf("set %d (%d pairs), workers=%d: index differs from the serial inversion", i, len(set.Pairs), workers)
+					}
+				}
+			}
+		})
+	}
+	// A build's own index, made on its workers, is the serial one too.
+	for i, set := range sets[:3] {
+		if !reflect.DeepEqual(set.index, serialPairIndex(set.Pairs)) {
+			t.Fatalf("built set %d: index differs from the serial inversion", i)
+		}
+	}
+}
+
+// BenchmarkPairIndex times the node → pair inversion, CSR and bitset
+// arena, of a DefaultSamples build on the pinned hep instance, serial and
+// on two workers.
+func BenchmarkPairIndex(b *testing.B) {
+	set, err := Build(hepProblem(b), Options{Seed: 7, Workers: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchIndex = newPairIndex(set.Pairs, workers)
+			}
+		})
+	}
+}
+
+// benchIndex keeps the benchmarked index live.
+var benchIndex *pairIndex
+
 // TestSolveGreedyRISMatchesReference is the end-to-end differential: on the
 // same sketch the bitset solver and the retired map/bool-slice solver must
 // return DeepEqual results — identical protector sequence, gains,
@@ -255,5 +368,62 @@ func TestSolveGreedyRISMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("CSR fallback diverged from reference:\n%+v\n%+v", got, want)
 		}
+	}
+
+	// Tie-heavy sweep for the bucket queue: few realizations make gains
+	// small integers shared by many candidates, and the budgets are the
+	// ones that stop while the last selection's gain bucket still holds
+	// other rows — the next selection of the unbudgeted solve ties it.
+	midBucket := 0
+	for _, seed := range []uint64{41, 42, 43, 44} {
+		p := testProblem(t, 300, 40, seed)
+		for _, samples := range []int{1, 8, 64, 256} {
+			set, err := Build(p, Options{Samples: samples, Seed: seed + 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ri := NewReferenceIndex(set)
+			var cases []SolveOptions
+			for _, alpha := range []float64{0.3, 0.7, 0.9, 0.99, 0.999} {
+				cases = append(cases, SolveOptions{Alpha: alpha})
+				full, err := ri.SolveGreedyRISContext(context.Background(), p, SolveOptions{Alpha: alpha})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ties []int
+				for k := 1; k < len(full.Gains); k++ {
+					if full.Gains[k] == full.Gains[k-1] {
+						ties = append(ties, k)
+					}
+				}
+				if len(ties) > 0 {
+					for _, k := range []int{ties[0], ties[len(ties)/2], ties[len(ties)-1]} {
+						cases = append(cases, SolveOptions{Alpha: alpha, MaxProtectors: k})
+						midBucket++
+					}
+				}
+			}
+			for _, arena := range []bool{true, false} {
+				if !arena {
+					disableArena(set)
+				}
+				for _, opts := range cases {
+					got, err := SolveGreedyRIS(p, set, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ri.SolveGreedyRISContext(context.Background(), p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed=%d samples=%d arena=%v opts=%+v:\nbitset    %+v\nreference %+v", seed, samples, arena, opts, got, want)
+					}
+				}
+			}
+		}
+	}
+	if midBucket == 0 {
+		t.Fatal("no budget stopped mid-bucket; the sweep lost its tie-heavy cases")
 	}
 }

@@ -217,7 +217,7 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 		out.BaselinePairs += len(oldP.Ends) - len(old)
 		out.Footprints[r] = set.Footprints[r]
 	}
-	out.buildIndex()
+	out.buildIndex(workers)
 	return out, stats, nil
 }
 

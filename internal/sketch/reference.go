@@ -155,3 +155,43 @@ func (ri *ReferenceIndex) SolveGreedyRISContext(ctx context.Context, p *core.Pro
 	}
 	return res, nil
 }
+
+// coverEntry is a heap entry of the reference selector. The candidate's
+// gain (marginal pair coverage as of round) and node id are packed into one
+// uint64 comparison key — gain in the high word, complemented node in the
+// low word — so the heap's (gain desc, node asc) order is a single integer
+// compare. Gain fits 32 bits because it is a pair count bounded by
+// numPairs, itself an int32 index domain.
+type coverEntry struct {
+	key   uint64
+	round int32
+}
+
+// coverKey packs (gain desc, node asc) into one max-ordered uint64:
+// key(a) > key(b) ⇔ a precedes b. Complementing the node makes the
+// smaller id win gain ties under the single > compare.
+func coverKey(gain, node int32) uint64 {
+	return uint64(uint32(gain))<<32 | uint64(^uint32(node))
+}
+
+func (e coverEntry) gain() int32 { return int32(uint32(e.key >> 32)) }
+func (e coverEntry) node() int32 { return int32(^uint32(e.key)) }
+
+// coverQueue is the reference selector's container/heap max-heap on
+// gain, ties to the smaller node id. The live selector's bucketQueue pops
+// the same sequence.
+type coverQueue []coverEntry
+
+func (q coverQueue) Len() int           { return len(q) }
+func (q coverQueue) Less(i, j int) bool { return q[i].key > q[j].key }
+func (q coverQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *coverQueue) Push(x interface{}) {
+	*q = append(*q, x.(coverEntry))
+}
+func (q *coverQueue) Pop() interface{} {
+	old := *q
+	n := len(old)
+	x := old[n-1]
+	*q = old[:n-1]
+	return x
+}

@@ -108,7 +108,7 @@ func BuildShardContext(ctx context.Context, p *core.Problem, opts Options, index
 		set.BaselinePairs += base
 		set.Pairs = append(set.Pairs, pairs...)
 	}
-	set.buildIndex()
+	set.buildIndex(1)
 	return set, nil
 }
 

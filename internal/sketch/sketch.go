@@ -201,9 +201,10 @@ func (s *Set) Candidates() []int32 {
 	return out
 }
 
-// buildIndex (re)builds the node → pair inversion.
-func (s *Set) buildIndex() {
-	s.index = newPairIndex(s.Pairs)
+// buildIndex (re)builds the node → pair inversion on up to workers
+// goroutines; the index is identical for every value.
+func (s *Set) buildIndex(workers int) {
+	s.index = newPairIndex(s.Pairs, workers)
 }
 
 // Build samples the sketch for p; see BuildContext.
@@ -375,7 +376,7 @@ func (b *setBuilder) assemble(n int) *Set {
 	if b.opts.Footprints {
 		set.Footprints = append([][]int32(nil), b.perFoot[:n]...)
 	}
-	set.buildIndex()
+	set.buildIndex(b.workers)
 	return set
 }
 

@@ -3,6 +3,7 @@ package sketch
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"lcrb/internal/core"
 )
@@ -106,154 +107,132 @@ type coverState struct {
 
 // greedyCover runs the lazy-greedy max-coverage loop on the set's CSR
 // index until targetPairs pairs are covered, maxProtectors nodes are
-// selected, or no candidate has positive marginal coverage. The returned
-// error is the context's; the best-so-far state accompanies it.
+// selected, or no candidate has positive marginal coverage. It pops
+// candidates in (gain desc, node asc) order from a bucketQueue, so it
+// selects the same sequence with the same evaluation count as reference.go's
+// container/heap selector. The returned error is the context's; the
+// best-so-far state accompanies it.
 func greedyCover(ctx context.Context, set *Set, targetPairs, maxProtectors int) (coverState, error) {
 	var st coverState
 	ix := set.index
 
 	// Round 0: every candidate's initial coverage is its RR-pair count.
-	pq := make(coverQueue, 0, len(ix.nodes))
-	for r, u := range ix.nodes {
-		pq = append(pq, coverEntry{key: coverKey(int32(len(ix.rowList(int32(r)))), u), row: int32(r), round: 0})
-		st.evaluations++
-	}
-	pq.initQueue()
+	q := newBucketQueue(ix)
+	st.evaluations = len(ix.nodes)
 
 	covered := NewBitset(ix.numPairs)
 	round := int32(0)
-	for st.covered < targetPairs && len(st.selected) < maxProtectors && pq.Len() > 0 {
+	for st.covered < targetPairs && len(st.selected) < maxProtectors {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		if top := &pq[0]; top.round != round {
+		r, g, ok := q.peek()
+		if !ok {
+			break
+		}
+		if q.round[r] != round {
 			// Stale upper bound: recount the maximum against current
-			// coverage — one AND-NOT popcount sweep of the candidate's pair
-			// row — in place at the heap root, then restore the invariant
-			// with a single siftDown. Equivalent to the textbook CELF
-			// pop-recount-push (the same unique (gain, node) maximum is
-			// recounted, and reheapifying surfaces the same next maximum)
-			// at half the heap moves; usually the recounted top stays on
-			// top and the siftDown is O(1).
-			top.key = coverKey(int32(ix.gain(top.row, covered)), top.node())
-			top.round = round
+			// coverage — one AND-NOT popcount sweep of its pair row. A
+			// lower gain moves it down to that bucket; an equal one leaves
+			// it at the head, fresh, to be selected next.
+			q.round[r] = round
 			st.evaluations++
-			pq.siftDown(0)
+			if fresh := ix.gain(r, covered); fresh < g {
+				q.pop()
+				q.push(r, fresh)
+			}
 			continue
 		}
-		top := pq.popEntry()
-		if top.gain() <= 0 {
+		if g <= 0 {
 			break // nothing left to cover with any remaining candidate
 		}
-		ix.commit(top.row, covered)
-		st.covered += int(top.gain())
-		st.selected = append(st.selected, top.node())
-		st.gains = append(st.gains, int(top.gain()))
+		q.pop()
+		ix.commit(r, covered)
+		st.covered += g
+		st.selected = append(st.selected, ix.nodes[r])
+		st.gains = append(st.gains, g)
 		round++
 	}
 	return st, nil
 }
 
-// coverEntry is a lazy-greedy priority-queue entry. The candidate's gain
-// (marginal pair coverage as of round) and node id are packed into one
-// uint64 comparison key — gain in the high word, complemented node in the
-// low word — so the heap's (gain desc, node asc) order is a single integer
-// compare and an entry is 16 bytes. Gain fits 32 bits because it is a pair
-// count bounded by numPairs, itself an int32 index domain.
-type coverEntry struct {
-	key   uint64
-	row   int32
-	round int32
+// bucketQueue is the lazy greedy's priority queue: a monotone bucket
+// queue of index rows keyed by last-evaluated gain, popping in (gain desc,
+// node asc) order. Rows ascend by node, so node order is row order.
+//
+// Three facts make a bucket scan reproduce a max-heap's pop sequence.
+// Keys never increase: coverage is submodular, so a recount never beats
+// the gain it replaces. Every reinsertion therefore lands in a bucket
+// below the one being consumed, and the consumed bucket only ever takes
+// back its own head, in place, when a recount leaves the gain unchanged.
+// So when the scan reaches a bucket it already holds every row it will
+// ever hold, and sorting it by row then yields the heap's order, stale and
+// fresh keys alike — selections and evaluation counts match exactly,
+// including the recount of a zero-gain head just before the loop breaks.
+// A push is O(1) and a bucket is sorted once, where the heap sifted on
+// every recount.
+type bucketQueue struct {
+	// first[g] heads the linked list of rows waiting in bucket g, -1 when
+	// empty; next[r] is the row after r in its list.
+	first, next []int32
+	// round[r] is the selection round of row r's last evaluation.
+	round []int32
+	// cur holds bucket top's rows ascending, consumed up to at; every
+	// bucket above top is empty.
+	cur []int32
+	at  int
+	top int
 }
 
-// coverKey packs (gain desc, node asc) into one max-ordered uint64:
-// key(a) > key(b) ⇔ a precedes b. Complementing the node makes the
-// smaller id win gain ties under the single > compare.
-func coverKey(gain, node int32) uint64 {
-	return uint64(uint32(gain))<<32 | uint64(^uint32(node))
-}
-
-func (e coverEntry) gain() int32 { return int32(uint32(e.key >> 32)) }
-func (e coverEntry) node() int32 { return int32(^uint32(e.key)) }
-
-// coverQueue is a max-heap on gain, ties to the smaller node id for
-// determinism. The live solver drives it through the concrete
-// initQueue/popEntry/siftDown below — container/heap's interface
-// indirection boxes every Pop and blocks inlining of the comparisons,
-// which is measurable at this loop's recount rates. The heap.Interface
-// methods remain for reference.go, the retired selector. Both disciplines
-// pop the same unique (gain, node) maximum at every step, so selections
-// and evaluation counts cannot differ between them.
-type coverQueue []coverEntry
-
-func (q coverQueue) Len() int           { return len(q) }
-func (q coverQueue) Less(i, j int) bool { return q[i].key > q[j].key }
-func (q coverQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *coverQueue) Push(x interface{}) {
-	*q = append(*q, x.(coverEntry))
-}
-func (q *coverQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
-// The concrete queue is a 4-ary heap: sifting visits half the levels of a
-// binary heap, and the four-child max scan runs branch-predictably over
-// one cache line of keys. Arity changes which array slots hold which
-// entries, never which entry is the maximum — the pop sequence, and with
-// it selections and evaluation counts, is identical to any other max-heap
-// discipline including reference.go's container/heap.
-
-// initQueue establishes the heap invariant in O(n), like heap.Init.
-// (n-2)/4 is the last internal node of the 4-ary heap.
-func (q coverQueue) initQueue() {
-	for i := (len(q) - 2) / 4; i >= 0; i-- {
-		q.siftDown(i)
+// newBucketQueue queues every row of ix under its RR-pair count.
+func newBucketQueue(ix *pairIndex) *bucketQueue {
+	n := len(ix.nodes)
+	maxGain := 0
+	for r := 0; r < n; r++ {
+		maxGain = max(maxGain, int(ix.off[r+1]-ix.off[r]))
 	}
+	q := &bucketQueue{
+		first: make([]int32, maxGain+1),
+		next:  make([]int32, n),
+		round: make([]int32, n),
+		top:   maxGain + 1,
+	}
+	for g := range q.first {
+		q.first[g] = -1
+	}
+	// Lists are LIFO: pushing rows in descending order leaves each
+	// ascending, so the first sort of every bucket is a linear pass.
+	for r := n - 1; r >= 0; r-- {
+		q.push(int32(r), int(ix.off[r+1]-ix.off[r]))
+	}
+	return q
 }
 
-// popEntry removes and returns the maximum entry, like heap.Pop.
-func (q *coverQueue) popEntry() coverEntry {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	*q = h[:n]
-	if n > 1 {
-		(*q).siftDown(0)
-	}
-	return top
+// push queues row r under gain g, which must lie below the bucket being
+// consumed.
+func (q *bucketQueue) push(r int32, g int) {
+	q.next[r] = q.first[g]
+	q.first[g] = r
 }
 
-// siftDown restores the invariant below i, shifting the largest of the
-// four children up into the hole instead of swapping at every level — one
-// 16-byte move per level plus a single write at the final resting place.
-func (q coverQueue) siftDown(i int) {
-	n := len(q)
-	e := q[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
+// peek returns the maximum — the smallest row of the highest non-empty
+// bucket — and its gain, moving the scan down to that bucket first; ok is
+// false once the queue is empty.
+func (q *bucketQueue) peek() (r int32, g int, ok bool) {
+	for q.at == len(q.cur) {
+		if q.top == 0 {
+			return 0, 0, false
 		}
-		last := first + 4
-		if last > n {
-			last = n
+		q.top--
+		q.cur, q.at = q.cur[:0], 0
+		for r := q.first[q.top]; r >= 0; r = q.next[r] {
+			q.cur = append(q.cur, r)
 		}
-		best, bestKey := first, q[first].key
-		for c := first + 1; c < last; c++ {
-			if k := q[c].key; k > bestKey {
-				best, bestKey = c, k
-			}
-		}
-		if bestKey <= e.key {
-			break
-		}
-		q[i] = q[best]
-		i = best
+		q.first[q.top] = -1
+		slices.Sort(q.cur)
 	}
-	q[i] = e
+	return q.cur[q.at], q.top, true
 }
+
+// pop removes the maximum peek returned.
+func (q *bucketQueue) pop() { q.at++ }

@@ -174,3 +174,24 @@ func TestSolveGreedyRISZeroSimulations(t *testing.T) {
 		t.Fatal("RIS solve missed the α target on the comparison instance")
 	}
 }
+
+// BenchmarkSolveGreedyRIS times the lazy-greedy max-coverage solve at
+// α = 0.9 on a DefaultSamples sketch of the pinned hep instance: the
+// fingerprint check, then the bucket-queue loop of recounts and commits.
+func BenchmarkSolveGreedyRIS(b *testing.B) {
+	p := hepProblem(b)
+	set, err := Build(p, Options{Seed: 7, Workers: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchResult, err = SolveGreedyRIS(p, set, SolveOptions{Alpha: 0.9}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchResult keeps the benchmarked solve live.
+var benchResult *core.GreedyResult

@@ -31,10 +31,11 @@ type storeFile struct {
 // Fingerprint binds a sketch to everything that shapes its contents: a
 // hash of the graph's full adjacency structure, the rumor seed set, the
 // bridge ends, the diffusion model, and the build's seed, sample count and
-// hop horizon. Two
-// problems with equal fingerprints produce bit-identical sketches; any
-// drift — a regenerated graph, a different rumor draw, new build options —
-// changes the fingerprint and invalidates stored sketches.
+// hop horizon. Two problems with equal fingerprints produce bit-identical
+// sketches; any drift — a regenerated graph, a different rumor draw, new
+// build options — changes the fingerprint and invalidates stored
+// sketches. The adjacency hash is graph.Digest, memoized per immutable
+// graph, so after a graph's first fingerprint the rest cost O(|R| + |B|).
 func Fingerprint(p *core.Problem, opts Options) string {
 	maxHops := opts.MaxHops
 	if maxHops == 0 {
@@ -45,23 +46,8 @@ func Fingerprint(p *core.Problem, opts Options) string {
 		samples = DefaultSamples
 	}
 	return fmt.Sprintf("sketch v%d model=opoao graph=%016x rumors=%016x ends=%016x seed=%d samples=%d hops=%d",
-		StoreVersion, graphHash(p), sliceHash(p.Rumors), sliceHash(p.Ends),
+		StoreVersion, p.Graph.Digest(), sliceHash(p.Rumors), sliceHash(p.Ends),
 		opts.Seed, samples, maxHops)
-}
-
-// graphHash digests the adjacency structure: node count plus every
-// out-neighbour list in node order. O(V + E), cheap next to a build.
-func graphHash(p *core.Problem) uint64 {
-	g := p.Graph
-	h := mix64(uint64(g.NumNodes()))
-	for u := int32(0); u < g.NumNodes(); u++ {
-		out := g.Out(u)
-		h = mix64(h ^ uint64(len(out)))
-		for _, v := range out {
-			h = mix64(h ^ uint64(uint32(v)))
-		}
-	}
-	return h
 }
 
 // sliceHash digests an ordered id slice.
@@ -239,7 +225,7 @@ func Load(path string, p *core.Problem, fingerprint string) (*Set, error) {
 	if err := set.check(p.Graph.NumNodes()); err != nil {
 		return nil, fmt.Errorf("sketch: load %s: %w", path, err)
 	}
-	set.buildIndex()
+	set.buildIndex(1)
 	return &set, nil
 }
 

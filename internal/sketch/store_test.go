@@ -2,10 +2,12 @@ package sketch
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -144,6 +146,41 @@ func TestFingerprintSensitivity(t *testing.T) {
 	// Defaults normalize: explicit defaults and zero values agree.
 	if Fingerprint(p, Options{Seed: 9}) != Fingerprint(p, Options{Samples: DefaultSamples, Seed: 9, MaxHops: 31}) {
 		t.Error("zero options and explicit defaults fingerprint differently")
+	}
+}
+
+// TestFingerprintConcurrent fingerprints one fresh graph from several
+// goroutines at once — under -race, the first call's memoized adjacency
+// digest must publish safely — and holds every string to the digest
+// formula fingerprints have always embedded, recomputed here row by row,
+// so stores written before the memo still load.
+func TestFingerprintConcurrent(t *testing.T) {
+	p := testProblem(t, 300, 40, 43)
+	g := p.Graph
+	h := mix64(uint64(g.NumNodes()))
+	for u := int32(0); u < g.NumNodes(); u++ {
+		h = mix64(h ^ uint64(len(g.Out(u))))
+		for _, v := range g.Out(u) {
+			h = mix64(h ^ uint64(uint32(v)))
+		}
+	}
+	want := fmt.Sprintf("sketch v%d model=opoao graph=%016x rumors=%016x ends=%016x seed=9 samples=%d hops=%d",
+		StoreVersion, h, sliceHash(p.Rumors), sliceHash(p.Ends), DefaultSamples, 31)
+
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Fingerprint(p, Options{Seed: 9})
+		}()
+	}
+	wg.Wait()
+	for i, fp := range got {
+		if fp != want {
+			t.Fatalf("goroutine %d: Fingerprint = %q, want %q", i, fp, want)
+		}
 	}
 }
 

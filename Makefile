@@ -56,12 +56,12 @@ perfbench-check:
 # ci is the gate the workflow runs: lint (fmt + vet + analyzers +
 # suppression audit), the lint timing budget, build, the perfbench compile
 # gate, the full suite under the race detector, the sketch benchmark
-# smoke, then the serving and load smoke tests. The sketch, shard and
-# delta gates are ordinary Go tests inside the race run: the selection
-# fixture (cmd/lcrbbench TestBenchSmokeFixture), sketch worker-count
-# identity and store round trip (internal/sketch), shard-count identity
-# and honest shard loss (internal/shardsolve), and repair ≡ rebuild
-# (internal/sketch TestRepairMatchesRebuildOracleGeneratedStream).
+# smoke, then the serving and load smoke tests. The sketch and delta
+# gates are ordinary Go tests inside the race run: the selection fixture
+# (cmd/lcrbbench TestBenchSmokeFixture), sketch worker-count identity,
+# the RR-set ≡ CRN identity and store round trip (internal/sketch), and
+# repair ≡ rebuild (internal/sketch
+# TestRepairMatchesRebuildOracleGeneratedStream).
 ci: lint lint-bench build perfbench-check race bench-sketch serve-smoke load-smoke
 
 # serve boots the lcrbd solve daemon on the default address with fast

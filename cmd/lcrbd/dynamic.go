@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,6 +116,12 @@ func (d *dynTier) ensureInit() error {
 	d.master, d.inst = m, inst
 	d.served = m.Snapshot()
 	return nil
+}
+
+// defaultRequest resolves the daemon's default solve parameters — the
+// instance the dynamic master holds.
+func (s *server) defaultRequest() (*resolvedRequest, error) {
+	return decodeSolveRequest(strings.NewReader("{}"), s.cfg)
 }
 
 // dynEligible reports whether a request resolves to the dynamic master's
@@ -274,11 +281,9 @@ func (d *dynTier) kickRepair() {
 // repairLoop drains the gap between the served snapshot and the master:
 // each pass repairs every warm sketch from the served version onto the
 // current master snapshot (one Repair per sketch covers the whole batch
-// union via DirtySince), then swaps the served snapshot and flushes the
-// in-process shard slices so the tier rebuilds them against the new
-// fingerprints — the same rebuild-from-coordinates path a restarted shard
-// worker takes. The loop exits only when served == master, checked under
-// the lock so a delta racing the exit re-enters via kickRepair.
+// union via DirtySince), then swaps the served snapshot. The loop exits
+// only when served == master, checked under the lock so a delta racing the
+// exit re-enters via kickRepair.
 func (d *dynTier) repairLoop() {
 	for {
 		if d.s.hardDrain.Err() != nil {
@@ -324,9 +329,6 @@ func (d *dynTier) repairLoop() {
 		d.mu.Unlock()
 		d.repairs.Add(1)
 		d.repairLat.record(time.Since(start))
-		// Old-fingerprint shard slices are dead weight now: flush them so
-		// the next sharded solve rebuilds against the new snapshot.
-		d.s.shards.flush()
 		d.s.logf("lcrbd: dynamic: serving version %d (%d dirty nodes) after %v",
 			target.Version, len(dirty), time.Since(start).Round(time.Millisecond))
 	}

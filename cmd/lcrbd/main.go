@@ -89,8 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		sketchN     = fs.Int("sketch-samples", 128, "RR-set sketch realizations for the fast rung (0 disables it)")
 		sketchDir   = fs.String("sketch-dir", "", "directory persisting built sketches across restarts")
 		tenantSpec  = fs.String("tenants", "", "per-tenant admission weights as name:weight,... (unlisted tenants weigh 1)")
-		shardsSpec  = fs.String("shards", "", "sharded RIS tier: a count (in-process) or comma-separated shard worker URLs")
-		shardOf     = fs.String("shard-of", "", "serve POST /v1/shard as slice i/n of the default instance's sketch")
 		dynamic     = fs.Bool("dynamic", false, "mutable default-instance graph behind POST /v1/graph/delta: versioned snapshots, incremental sketch repair")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -107,27 +105,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shardCount, shardURLs, err := parseShards(*shardsSpec)
-	if err != nil {
-		return err
-	}
-	shardOfIndex, shardOfCount, err := parseShardOf(*shardOf)
-	if err != nil {
-		return err
-	}
-	if (shardCount > 0 || len(shardURLs) > 0 || shardOfCount > 0) && *sketchN <= 0 {
-		return fmt.Errorf("-shards/-shard-of need the sketch rung: set -sketch-samples")
-	}
-	if *dynamic {
-		// Shard workers and remote shard hosts hold slices of a graph they
-		// cannot see deltas for; only in-process shards follow the master.
-		if shardOfCount > 0 {
-			return fmt.Errorf("-dynamic is incompatible with -shard-of: shard workers cannot observe graph deltas")
-		}
-		if len(shardURLs) > 0 {
-			return fmt.Errorf("-dynamic is incompatible with remote -shards URLs: use an in-process shard count")
-		}
-	}
 
 	logf := func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
 	s := newServer(serverConfig{
@@ -142,10 +119,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		sketchSamples:  *sketchN,
 		sketchDir:      *sketchDir,
 		tenants:        tenants,
-		shardCount:     shardCount,
-		shardURLs:      shardURLs,
-		shardOfIndex:   shardOfIndex,
-		shardOfCount:   shardOfCount,
 		dynamic:        *dynamic,
 	}, chaos, logf)
 

@@ -17,7 +17,6 @@ import (
 	"lcrb/internal/core"
 	"lcrb/internal/experiment"
 	"lcrb/internal/resilience"
-	"lcrb/internal/shardsolve"
 )
 
 // serverConfig collects the flag-settable knobs of the daemon.
@@ -48,15 +47,6 @@ type serverConfig struct {
 	// robin quantum and waiting-queue share). Unlisted tenants run at
 	// weight 1.
 	tenants map[string]int64
-	// shardCount (in-process) or shardURLs (remote workers) enable the
-	// sharded RIS solve tier; both zero means the tier is off.
-	shardCount int
-	shardURLs  []string
-	// shardOfIndex/shardOfCount make this daemon a shard worker serving
-	// POST /v1/shard for slice shardOfIndex of shardOfCount; count 0 means
-	// not a worker.
-	shardOfIndex int
-	shardOfCount int
 	// dynamic enables the mutable master graph behind POST /v1/graph/delta
 	// with versioned snapshots and incremental sketch repair.
 	dynamic bool
@@ -116,10 +106,6 @@ type solveResponse struct {
 	// Degraded marks a fallback answer; DegradedReason explains the path.
 	Degraded       bool   `json:"degraded"`
 	DegradedReason string `json:"degradedReason,omitempty"`
-	// Shards reports the shard census when the sharded RIS tier produced
-	// the answer: total shards, how many were live at the end, and how
-	// many realizations died with the lost ones.
-	Shards *shardsolve.ShardsInfo `json:"shards,omitempty"`
 	// Staleness reports, in dynamic mode, which snapshot version answered
 	// and how far it trails the master (see dynTier).
 	Staleness *stalenessInfo `json:"staleness,omitempty"`
@@ -187,13 +173,8 @@ type server struct {
 	gate     *resilience.Gate
 	breaker  *resilience.Breaker
 	sketches *sketchStore
-	// shards is the sharded RIS solve tier (nil when -shards is unset);
-	// hedge aggregates the shard coordinator's hedged scatter outcomes for
-	// /v1/stats.
-	shards *shardTier
 	// dyn is the dynamic-graph tier (nil without -dynamic).
-	dyn   *dynTier
-	hedge *resilience.HedgeStats
+	dyn *dynTier
 	// flights coalesces concurrent identical solves (same fingerprint)
 	// into one execution; leaders run under hardDrain, so an impatient
 	// client detaches without killing the solve other clients wait on.
@@ -231,13 +212,10 @@ func newServer(cfg serverConfig, chaos *chaosFaults, logf func(format string, ar
 		logf = func(string, ...any) {}
 	}
 	hardDrain, hardStop := context.WithCancel(context.Background())
-	hedge := &resilience.HedgeStats{}
 	s := &server{
-		cfg:    cfg,
-		chaos:  chaos,
-		hedge:  hedge,
-		shards: newShardTier(cfg.shardCount, cfg.shardURLs, hedge, logf),
-		gate:   resilience.NewGate(cfg.maxInflight, cfg.maxWaiting),
+		cfg:   cfg,
+		chaos: chaos,
+		gate:  resilience.NewGate(cfg.maxInflight, cfg.maxWaiting),
 		breaker: resilience.NewBreaker(resilience.BreakerOptions{
 			FailureThreshold: 3,
 			Cooldown:         2 * time.Second,
@@ -271,7 +249,6 @@ func (s *server) stop() {
 	s.hardStop()
 	s.flights.Wait()
 	s.sketches.drainBuilds()
-	s.shards.wait()
 	s.dyn.wait()
 }
 
@@ -286,9 +263,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/graph/delta", s.handleDelta)
-	if s.cfg.shardOfCount > 0 {
-		mux.Handle("POST "+shardsolve.ShardPath, shardsolve.NewHTTPHandler(s.shardWorkerHost()))
-	}
 	return s.contain(mux)
 }
 
@@ -354,12 +328,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	stats["tenants"] = tenants
-	stats["hedge"] = s.hedge.Snapshot()
 	if s.sketches.enabled() {
 		stats["sketch"] = s.sketches.stats()
-	}
-	if s.shards.enabled() {
-		stats["shards"] = s.shards.stats()
 	}
 	if s.dyn.enabled() {
 		stats["dynamic"] = s.dyn.stats()

@@ -255,26 +255,11 @@ func (st *sketchStore) stats() map[string]any {
 // with zero diffusion simulations. It returns (nil, nil) on a cold or
 // stale store — the caller falls through to the SCBG cover — and always
 // kicks an asynchronous build on a miss so the store warms up.
-//
-// With the sharded tier configured (-shards), the rung scatters the solve
-// over shard workers first: the answer is bit-identical to the local
-// store's when every shard answers, and honestly tagged (shards census,
-// shard_loss reason) when some died. A tier that cannot serve yet — cold
-// slices, or an HTTP-mode request for a non-default instance — falls
-// through to the local store below.
 func (s *server) runRIS(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse) (*solveResponse, error) {
 	if !s.sketches.enabled() {
 		return nil, nil
 	}
 	opts := s.sketches.options(req)
-	if s.shards.enabled() && (s.shards.count > 0 || s.isDefaultInstance(req)) {
-		out, err := s.shards.run(ctx, s.hardDrain, req, prob, opts, resp)
-		if err != nil {
-			s.logf("lcrbd: sharded ris failed, trying local store: %v", err)
-		} else if out != nil {
-			return out, nil
-		}
-	}
 	// In dynamic mode the response carries the served snapshot version the
 	// problem was built on; the store binds warm sketches to it.
 	var version uint64

@@ -68,19 +68,6 @@ func checkSketchDegraded(t *testing.T, status int, body map[string]any, reason s
 	}
 }
 
-// checkNoLadderHedge asserts that no hedged call ran: without shards, the
-// ladder never races one rung against another.
-func checkNoLadderHedge(t *testing.T, url string) {
-	t.Helper()
-	h := statsSection(t, url, "hedge")
-	if h == nil {
-		t.Fatal("no hedge section in /v1/stats")
-	}
-	if won := h["primaryWon"].(float64) + h["hedgeWon"].(float64); won != 0 {
-		t.Fatalf("hedge outcomes = %v, want no hedged ladder calls", h)
-	}
-}
-
 // TestSolveRISColdDegradesThenWarmServes is the fast rung's lifecycle for
 // both ris and auto: a request against a cold store degrades honestly to
 // the SCBG cover (tagged with the cold sketch) while a build warms the
@@ -97,7 +84,6 @@ func TestSolveRISColdDegradesThenWarmServes(t *testing.T) {
 			req := fmt.Sprintf(`{"algorithm":%q,"alpha":0.9,"samples":5}`, algo)
 			status, cold := postSolve(t, ts.URL, req)
 			checkSketchDegraded(t, status, cold, "sketch store cold")
-			checkNoLadderHedge(t, ts.URL)
 			waitForBuilds(t, ts.URL, 1)
 
 			status, warm := postSolve(t, ts.URL, req)
@@ -179,7 +165,6 @@ func TestSolveRISDisabledDegradesHonestly(t *testing.T) {
 		status, body := postSolve(t, ts.URL, fmt.Sprintf(`{"algorithm":%q,"samples":5}`, algo))
 		checkSketchDegraded(t, status, body, "sketch rung disabled")
 	}
-	checkNoLadderHedge(t, ts.URL)
 }
 
 // TestSketchStorePersistsAcrossRestart: a sketch built by one daemon is

@@ -244,8 +244,8 @@ func statDelta(before, after map[string]any, key string) float64 {
 	return a - b
 }
 
-// nestedDelta is statDelta over a counter nested one map deep (the hedge
-// and shard sections of /v1/stats).
+// nestedDelta is statDelta over a counter nested one map deep (the
+// dynamic section of /v1/stats).
 func nestedDelta(before, after map[string]any, section, key string) float64 {
 	b, _ := before[section].(map[string]any)
 	a, _ := after[section].(map[string]any)
@@ -446,22 +446,9 @@ fireLoop:
 			"quotaShed": statDelta(before, after, "quotaShed"),
 			"degraded":  statDelta(before, after, "degraded"),
 			"canceled":  statDelta(before, after, "canceled"),
-			"hedge": map[string]any{
-				"primaryWon": nestedDelta(before, after, "hedge", "primaryWon"),
-				"hedgeWon":   nestedDelta(before, after, "hedge", "hedgeWon"),
-				"allFailed":  nestedDelta(before, after, "hedge", "allFailed"),
-			},
 		}
-		// The shard section only exists on daemons running the sharded
-		// tier; report its solve counters when present.
-		if _, sharded := after["shards"]; sharded {
-			rep.Server["shards"] = map[string]any{
-				"solves":   nestedDelta(before, after, "shards", "solves"),
-				"degraded": nestedDelta(before, after, "shards", "degraded"),
-				"cold":     nestedDelta(before, after, "shards", "cold"),
-			}
-		}
-		// Likewise the dynamic section, on -dynamic daemons.
+		// The dynamic section only exists on -dynamic daemons; report its
+		// counters when present.
 		if _, dynamic := after["dynamic"]; dynamic {
 			rep.Server["dynamic"] = map[string]any{
 				"deltas":      nestedDelta(before, after, "dynamic", "deltas"),
@@ -483,16 +470,6 @@ fireLoop:
 		reqs.OK+reqs.OKDegraded, reqs.OKDegraded, reqs.Shed, reqs.QuotaShed, reqs.OtherErrors, reqs.TransportErrors)
 	fmt.Fprintf(stdout, "lcrbload: latency p50 %.1fms p99 %.1fms p999 %.1fms, coalesce hit rate %.3f\n",
 		lat.P50Millis, lat.P99Millis, lat.P999Mills, rep.Rates.CoalesceHit)
-	if before != nil && after != nil {
-		if won := nestedDelta(before, after, "hedge", "hedgeWon"); won > 0 {
-			fmt.Fprintf(stdout, "lcrbload: hedged backups won %.0f races (primary won %.0f)\n",
-				won, nestedDelta(before, after, "hedge", "primaryWon"))
-		}
-		if solves := nestedDelta(before, after, "shards", "solves"); solves > 0 {
-			fmt.Fprintf(stdout, "lcrbload: sharded tier answered %.0f solves (%.0f degraded)\n",
-				solves, nestedDelta(before, after, "shards", "degraded"))
-		}
-	}
 	if deltaRep != nil {
 		fmt.Fprintf(stdout, "lcrbload: %d deltas applied (%d conflicts, %d errors), repair lag p50 %.1fms p99 %.1fms, stale-serve rate %.3f\n",
 			deltaRep.Issued, deltaRep.Conflicts, deltaRep.Errors,

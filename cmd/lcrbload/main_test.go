@@ -206,20 +206,20 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestNestedDelta(t *testing.T) {
-	before := map[string]any{"hedge": map[string]any{"hedgeWon": 2.0}}
-	after := map[string]any{"hedge": map[string]any{"hedgeWon": 7.0, "allFailed": 1.0}}
-	if d := nestedDelta(before, after, "hedge", "hedgeWon"); d != 5 {
-		t.Fatalf("hedgeWon delta = %v, want 5", d)
+	before := map[string]any{"dynamic": map[string]any{"deltas": 2.0}}
+	after := map[string]any{"dynamic": map[string]any{"deltas": 7.0, "conflicts": 1.0}}
+	if d := nestedDelta(before, after, "dynamic", "deltas"); d != 5 {
+		t.Fatalf("deltas delta = %v, want 5", d)
 	}
 	// Counters that appear only in the after snapshot count from zero.
-	if d := nestedDelta(before, after, "hedge", "allFailed"); d != 1 {
-		t.Fatalf("allFailed delta = %v, want 1", d)
+	if d := nestedDelta(before, after, "dynamic", "conflicts"); d != 1 {
+		t.Fatalf("conflicts delta = %v, want 1", d)
 	}
 	// Sections missing from either snapshot are zero, not a panic.
-	if d := nestedDelta(before, after, "shards", "solves"); d != 0 {
+	if d := nestedDelta(before, after, "sketch", "builds"); d != 0 {
 		t.Fatalf("missing section delta = %v, want 0", d)
 	}
-	if d := nestedDelta(nil, nil, "hedge", "hedgeWon"); d != 0 {
+	if d := nestedDelta(nil, nil, "dynamic", "deltas"); d != 0 {
 		t.Fatalf("nil snapshots delta = %v, want 0", d)
 	}
 }

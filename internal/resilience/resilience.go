@@ -3,8 +3,7 @@
 // and deterministic jitter, a three-state circuit Breaker, a weighted-
 // semaphore admission Gate with load shedding and per-tenant fair
 // queueing, a single-flight Group that coalesces concurrent identical
-// calls into one execution, a Hedge helper that races a backup attempt
-// against a slow primary, and an Interrupt helper implementing the
+// calls into one execution, and an Interrupt helper implementing the
 // double-Ctrl-C escape hatch shared by every command.
 //
 // The primitives follow the repo's robustness conventions: every blocking
@@ -33,9 +32,10 @@ var (
 	// while the queue as a whole still has room: the hot tenant sheds
 	// itself without starving the others.
 	ErrQuotaExceeded = errors.New("resilience: tenant quota exceeded")
-	// ErrPanic is returned (wrapped) by Hedge.DoContext when an attempt
-	// panics. Hedge attempts run on internal goroutines, where an uncaught
-	// panic would kill the whole process instead of failing one request;
-	// the recovery converts it into an ordinary attempt failure.
+	// ErrPanic is returned (wrapped) by Group.DoContext to every waiter
+	// when the flight's leader panics. The leader runs on its own
+	// goroutine, where an uncaught panic would kill the whole process
+	// instead of failing one request; the recovery converts it into an
+	// ordinary error.
 	ErrPanic = errors.New("resilience: attempt panicked")
 )

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -25,7 +24,6 @@ const (
 	goldenHepFixed       = "c86025ab7c97de98b8a5c191c311644873e56a4cc053ffc1c0f9790ce6f39006"
 	goldenLatticeHops100 = "b5315139f30afb81303dbbb2772d285833c7be4c412639f4297265ba76b5e751"
 	goldenHepRepair      = "ceb5b930fb25daceb973167bccc35eedc73803400c366f71f1b4a2c904b3591c"
-	goldenHepShard       = "3ef0b31fe896c79053f1f768589c682adb0ee0181b7ac63e7eebbc7e0f160fd1"
 )
 
 // hepProblem is the pinned hep instance of the golden digests and the
@@ -188,15 +186,6 @@ func TestGoldenSamplerDigestRepair(t *testing.T) {
 		t.Fatalf("repair did not take the incremental path with re-draws: %+v", stats)
 	}
 	checkDigest(t, "hep 0.05 repaired", repaired, goldenHepRepair)
-}
-
-func TestGoldenSamplerDigestShard(t *testing.T) {
-	p := hepProblem(t)
-	slice, err := BuildShardContext(context.Background(), p, Options{Samples: 32, Seed: 7}, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDigest(t, "hep 0.05 shard 1/3", slice, goldenHepShard)
 }
 
 // BenchmarkSampleRealization times the sampler layer: one realization on

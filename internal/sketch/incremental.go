@@ -72,19 +72,13 @@ func Repair(oldP, newP *core.Problem, set *Set, dirty []int32, version uint64, w
 // re-fingerprinted.
 //
 // The input set is never mutated. Kept pairs and footprints are shared
-// with it (both are immutable by convention). Shard slices are rejected —
-// the shard tier rebuilds slices from coordinates instead of repairing
-// them.
+// with it (both are immutable by convention).
 func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirty []int32, version uint64, workers int) (*Set, *RepairStats, error) {
 	if newP == nil {
 		return nil, nil, fmt.Errorf("sketch: repair: nil new problem")
 	}
 	if set == nil {
 		return nil, nil, fmt.Errorf("sketch: repair: nil set")
-	}
-	if set.ShardCount > 0 {
-		return nil, nil, fmt.Errorf("sketch: repair: set is shard slice %d/%d; slices rebuild from coordinates, they do not repair",
-			set.ShardIndex, set.ShardCount)
 	}
 	if err := set.Validate(oldP); err != nil {
 		return nil, nil, fmt.Errorf("sketch: repair: old problem: %w", err)

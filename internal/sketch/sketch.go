@@ -106,9 +106,7 @@ type Options struct {
 	// realization whose footprint avoids a graph mutation re-samples
 	// identically on the mutated graph, which is what lets Repair patch a
 	// sketch incrementally (see incremental.go). Costs one sorted []int32
-	// per realization in memory and in the store. Ignored by shard-slice
-	// builds: slices rebuild from coordinates on mutation, they never
-	// repair.
+	// per realization in memory and in the store.
 	Footprints bool
 }
 
@@ -145,15 +143,6 @@ type Set struct {
 	BaselinePairs int `json:"baselinePairs"`
 	// Pairs holds the coverable pairs in (realization, end) order.
 	Pairs []Pair `json:"pairs"`
-
-	// ShardIndex/ShardCount mark a shard slice (see shard.go): this Set
-	// holds only the realizations ≡ ShardIndex (mod ShardCount) of the
-	// Samples-realization build, and ShardSamples counts them. All zero on
-	// a full build (ShardCount == 0 is the discriminant), keeping full-
-	// build store bytes unchanged across versions.
-	ShardIndex   int `json:"shardIndex,omitempty"`
-	ShardCount   int `json:"shardCount,omitempty"`
-	ShardSamples int `json:"shardSamples,omitempty"`
 
 	// Footprints[r], present when built with Options.Footprints, is the
 	// sorted node set realization r's sampling read with effect — the

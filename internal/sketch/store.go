@@ -72,20 +72,14 @@ func mix64(x uint64) uint64 {
 // Validate checks that the sketch was built for exactly this problem with
 // its recorded build options, returning an error wrapping ErrStale on any
 // mismatch. The error text always carries both fingerprints — the one the
-// sketch stores and the one the problem expects — so a shard operator can
-// read which of graph/rumors/ends/sizing/shard coordinates drifted instead
-// of diffing stores by hand.
+// sketch stores and the one the problem expects — so an operator can read
+// which of graph/rumors/ends/sizing drifted instead of diffing stores by
+// hand.
 func (s *Set) Validate(p *core.Problem) error {
 	if p == nil {
 		return fmt.Errorf("sketch: validate: nil problem")
 	}
-	opts := Options{Seed: s.Seed, Samples: s.Samples, MaxHops: s.MaxHops}
-	want := Fingerprint(p, opts)
-	if s.ShardCount > 0 {
-		// Shard slice: the fingerprint binds the shard coordinates too, so
-		// a slice never validates as the full sketch or another slice.
-		want = ShardFingerprint(p, opts, s.ShardIndex, s.ShardCount)
-	}
+	want := Fingerprint(p, Options{Seed: s.Seed, Samples: s.Samples, MaxHops: s.MaxHops})
 	if s.Fingerprint != want {
 		return fmt.Errorf("sketch: validate: found fingerprint %q, expected %q: %w", s.Fingerprint, want, ErrStale)
 	}
@@ -98,7 +92,7 @@ func (s *Set) Validate(p *core.Problem) error {
 // check verifies the invariants every built Set meets, so a decoded store
 // can be trusted before its coverage index is sized from it: positive
 // sample and end counts, pairs in strictly increasing (realization, end)
-// order within range (and within the slice's residue class), every RR set
+// order within range, every RR set
 // a non-empty strictly ascending list of node ids in [0, numNodes), pair
 // and baseline counts summing to the sampled total, and footprints, when
 // present, one strictly ascending id list per realization.
@@ -106,22 +100,10 @@ func (s *Set) check(numNodes int32) error {
 	if s.Samples < 1 || s.Samples > math.MaxInt32 || s.NumEnds < 1 || s.NumEnds > math.MaxInt32 {
 		return fmt.Errorf("sketch: corrupt store: samples = %d, ends = %d out of [1, 2^31)", s.Samples, s.NumEnds)
 	}
-	held := s.Samples
-	switch {
-	case s.ShardCount == 0 && s.ShardIndex == 0 && s.ShardSamples == 0:
-	case s.ShardCount > 0 && s.ShardIndex >= 0 && s.ShardIndex < s.ShardCount &&
-		s.ShardSamples == ShardRealizations(s.Samples, s.ShardIndex, s.ShardCount):
-		held = s.ShardSamples
-	default:
-		return fmt.Errorf("sketch: corrupt store: shard %d/%d holding %d of %d realizations", s.ShardIndex, s.ShardCount, s.ShardSamples, s.Samples)
-	}
 	for i, pair := range s.Pairs {
 		r, e := pair.Realization, pair.End
 		if r < 0 || int(r) >= s.Samples || e < 0 || int(e) >= s.NumEnds {
 			return fmt.Errorf("sketch: corrupt store: pair %d: (realization %d, end %d) out of range", i, r, e)
-		}
-		if s.ShardCount > 0 && int(r)%s.ShardCount != s.ShardIndex {
-			return fmt.Errorf("sketch: corrupt store: pair %d: realization %d outside shard %d/%d", i, r, s.ShardIndex, s.ShardCount)
 		}
 		if i > 0 {
 			prev := s.Pairs[i-1]
@@ -133,11 +115,11 @@ func (s *Set) check(numNodes int32) error {
 			return fmt.Errorf("sketch: corrupt store: pair %d: RR set is not a non-empty ascending list of node ids in [0,%d)", i, numNodes)
 		}
 	}
-	if s.BaselinePairs+len(s.Pairs) != held*s.NumEnds {
+	if s.BaselinePairs+len(s.Pairs) != s.Samples*s.NumEnds {
 		return fmt.Errorf("sketch: corrupt store: %d baseline + %d coverable pairs, want %d realizations × %d ends",
-			s.BaselinePairs, len(s.Pairs), held, s.NumEnds)
+			s.BaselinePairs, len(s.Pairs), s.Samples, s.NumEnds)
 	}
-	if len(s.Footprints) > 0 && (s.ShardCount > 0 || len(s.Footprints) != s.Samples) {
+	if len(s.Footprints) > 0 && len(s.Footprints) != s.Samples {
 		return fmt.Errorf("sketch: corrupt store: %d footprints for %d realizations", len(s.Footprints), s.Samples)
 	}
 	for r, fp := range s.Footprints {

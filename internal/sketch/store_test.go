@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -224,5 +225,129 @@ func TestLoadVersionedRejectsTrailingVersion(t *testing.T) {
 	// Wrong fingerprint still loses to the fingerprint check first.
 	if _, err := LoadVersioned(path, p, "bogus", 3); !errors.Is(err, ErrStale) {
 		t.Fatalf("wrong fingerprint: got %v, want ErrStale", err)
+	}
+}
+
+// TestErrStaleTextCarriesBothFingerprints is the regression for the
+// once-opaque staleness report: every ErrStale path — Load fingerprint
+// mismatch, Load version skew, Validate drift — must name both the found
+// and the expected fingerprint in the error text.
+func TestErrStaleTextCarriesBothFingerprints(t *testing.T) {
+	p := testProblem(t, 300, 40, 41)
+	opts := Options{Samples: 16, Seed: 7}
+	set, err := Build(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sketch.json")
+	if err := Save(path, set); err != nil {
+		t.Fatal(err)
+	}
+
+	wrong := Fingerprint(p, Options{Samples: opts.Samples, Seed: opts.Seed + 1})
+	_, err = Load(path, p, wrong)
+	if !errors.Is(err, ErrStale) {
+		t.Fatalf("Load returned %v, want ErrStale", err)
+	}
+	for _, fp := range []string{set.Fingerprint, wrong} {
+		if !strings.Contains(err.Error(), fp) {
+			t.Fatalf("Load stale text %q misses fingerprint %q", err, fp)
+		}
+	}
+
+	// Version skew: rewrite the envelope with a bumped version; the text
+	// must still carry both fingerprints, not just the version numbers.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := strings.Replace(string(data), `{"version":1`, `{"version":99`, 1)
+	if skewed == string(data) {
+		t.Fatal("version substring not found in store bytes")
+	}
+	if err := os.WriteFile(path, []byte(skewed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(path, p, wrong)
+	if !errors.Is(err, ErrStale) {
+		t.Fatalf("version skew returned %v, want ErrStale", err)
+	}
+	for _, fp := range []string{set.Fingerprint, wrong} {
+		if !strings.Contains(err.Error(), fp) {
+			t.Fatalf("version-skew stale text %q misses fingerprint %q", err, fp)
+		}
+	}
+
+	// Validate drift: the problem changed under the sketch.
+	other := testProblem(t, 300, 40, 43)
+	verr := set.Validate(other)
+	if !errors.Is(verr, ErrStale) {
+		t.Fatalf("Validate returned %v, want ErrStale", verr)
+	}
+	if !strings.Contains(verr.Error(), set.Fingerprint) {
+		t.Fatalf("Validate stale text %q misses the found fingerprint", verr)
+	}
+	wantFP := Fingerprint(other, Options{Seed: set.Seed, Samples: set.Samples, MaxHops: set.MaxHops})
+	if !strings.Contains(verr.Error(), wantFP) {
+		t.Fatalf("Validate stale text %q misses the expected fingerprint", verr)
+	}
+}
+
+// TestLoadRejectsLegacyShardSlice writes a store in the shape older
+// versions saved for one slice of a realization-partitioned build — the
+// realizations ≡ 1 (mod 2), the keys shardIndex/shardCount/shardSamples,
+// and a fingerprint qualified with " shard=1/2" — and checks that it is
+// never served as the full sketch: under the full-build fingerprint it is
+// stale, and relabelled with that fingerprint its pair counts fail the
+// content checks.
+func TestLoadRejectsLegacyShardSlice(t *testing.T) {
+	p := testProblem(t, 300, 40, 41)
+	opts := Options{Samples: 16, Seed: 7}
+	full, err := Build(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := Fingerprint(p, opts)
+	legacy := func(fingerprint string) []byte {
+		t.Helper()
+		var pairs []Pair
+		for _, pair := range full.Pairs {
+			if pair.Realization%2 == 1 {
+				pairs = append(pairs, pair)
+			}
+		}
+		held := opts.Samples / 2
+		data, err := json.Marshal(map[string]any{
+			"version": StoreVersion,
+			"set": map[string]any{
+				"samples":       full.Samples,
+				"seed":          full.Seed,
+				"maxHops":       full.MaxHops,
+				"numEnds":       full.NumEnds,
+				"fingerprint":   fingerprint,
+				"baselinePairs": held*full.NumEnds - len(pairs),
+				"pairs":         pairs,
+				"shardIndex":    1,
+				"shardCount":    2,
+				"shardSamples":  held,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	path := filepath.Join(t.TempDir(), "slice.json")
+	if err := os.WriteFile(path, legacy(fp+" shard=1/2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path, p, fp); !errors.Is(err, ErrStale) {
+		t.Fatalf("legacy slice store returned %v, want ErrStale", err)
+	}
+	if err := os.WriteFile(path, legacy(fp), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Load(path, p, fp); err == nil {
+		t.Fatalf("relabelled slice loaded as the full sketch (%d pairs of %d)", len(got.Pairs), len(full.Pairs))
 	}
 }

@@ -86,10 +86,11 @@ load-smoke:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkGreedySigma -benchtime 1x ./internal/core/
 
-# bench-sketch runs every internal/sketch micro-benchmark once (pair index,
-# RIS solve, sampler), so they keep compiling and running.
+# bench-sketch runs every internal/rrset and internal/sketch micro-benchmark
+# once (sampler, pair index, cover, RIS solve), so they keep compiling and
+# running.
 bench-sketch:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sketch/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/rrset/ ./internal/sketch/
 
 # bench-all runs every benchmark in the repo once.
 bench-all:

@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		exp      = fs.String("exp", "all", "experiment: fig4..fig9, table1, opoao, doam, alpha, detector, noise, nullmodel, extended, transfer or all")
-		scale    = fs.Float64("scale", 0.1, "network scale (1.0 = paper size; expect long runtimes)")
+		scale    = fs.Float64("scale", 0.1, "network scale (1.0 = paper size)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		quiet    = fs.Bool("quiet", false, "suppress progress output on stderr")
 		timeout  = fs.Duration("timeout", 0, "overall wall-clock budget (0 = none)")

@@ -17,7 +17,9 @@ type chaosFaults struct {
 	// breaker in front of the instance cache.
 	load *diffusion.Fault
 	// sigma fires inside the greedy's σ̂ Monte-Carlo realizations,
-	// exercising the fallback ladder (greedy → SCBG → heuristic).
+	// exercising the fallback ladder (greedy → SCBG → heuristic). Setting
+	// it switches the greedy rung from its default RR-set engine to the
+	// Monte-Carlo CELF engine, whose realizations the fault wraps.
 	sigma *diffusion.Fault
 }
 

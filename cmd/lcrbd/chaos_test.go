@@ -187,7 +187,7 @@ func TestChaosDrainCancelsInFlight(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		s.hardStop()
 	}()
-	status, body := postSolve(t, ts.URL, `{"algorithm":"greedy","samples":500,"alpha":0.99}`)
+	status, body := postSolve(t, ts.URL, `{"algorithm":"greedy","samples":20000,"alpha":0.99}`)
 	if status != http.StatusOK {
 		t.Fatalf("drained solve = %d %v, want degraded 200", status, body)
 	}

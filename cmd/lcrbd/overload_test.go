@@ -70,7 +70,7 @@ func TestSolveCoalescesIdenticalRequests(t *testing.T) {
 	before := getStats(t, ts.URL)
 
 	const n = 8
-	req := `{"algorithm":"greedy","samples":25,"alpha":0.99,"seed":9}`
+	req := `{"algorithm":"greedy","samples":2000,"alpha":0.99,"seed":9}`
 	type result struct {
 		status int
 		body   map[string]any
@@ -232,7 +232,7 @@ func TestClientDisconnectCountedNotDegraded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/solve",
-		strings.NewReader(`{"algorithm":"greedy","samples":25,"alpha":0.99,"seed":3}`))
+		strings.NewReader(`{"algorithm":"greedy","samples":2000,"alpha":0.99,"seed":3}`))
 	if err != nil {
 		t.Fatalf("new request: %v", err)
 	}

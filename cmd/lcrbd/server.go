@@ -72,11 +72,13 @@ type solveRequest struct {
 	// exactly; a cold or stale store (which starts a background build), a
 	// disabled sketch rung or a failed RIS solve serves the SCBG cover,
 	// tagged degraded with the sketch reason; the Proximity/MaxDegree
-	// heuristic answers when SCBG cannot. greedy runs the Monte-Carlo
-	// CELF greedy and degrades to SCBG, then the heuristic, when
-	// interrupted.
+	// heuristic answers when SCBG cannot. greedy runs the paper's greedy
+	// (core.GreedyContext: exact lazy cover over the RR sets of its own
+	// Samples realizations, sampled per request; the Monte-Carlo CELF
+	// engine under the -chaos sigma fault) and degrades to SCBG, then the
+	// heuristic, when interrupted.
 	Algorithm string `json:"algorithm"`
-	// Samples is the σ̂ Monte-Carlo sample count (default 10).
+	// Samples is the greedy's σ̂ realization count (default 10).
 	Samples int `json:"samples"`
 	// MaxHops is the simulation horizon (default 31).
 	MaxHops int `json:"maxHops"`

@@ -461,7 +461,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	slowDone := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(base+"/v1/solve", "application/json",
-			strings.NewReader(`{"algorithm":"greedy","samples":40,"alpha":0.99,"seed":5}`))
+			strings.NewReader(`{"algorithm":"greedy","samples":5000,"alpha":0.99,"seed":5}`))
 		if err != nil {
 			slowDone <- -1
 			return

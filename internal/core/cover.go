@@ -1,0 +1,115 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"lcrb/internal/rrset"
+)
+
+// coverGreedy is GreedyContext's default engine: algorithm 1 on the RR
+// sets of its own common-random-numbers realizations. σ̂(S) × Samples over
+// those realizations is exactly the number of (realization, end) pairs the
+// rumor never reaches plus the pairs whose RR set S intersects (the RR-set
+// ≡ CRN identity that internal/sketch's TestSigmaEqualsCRNRealizationCount
+// pins), so the greedy over candidate marginal gains is a greedy max
+// coverage over pairs. The realizations are sampled once, on the workers,
+// their RR sets are cut down to the candidate pool, and the selection is
+// rrset's lazy cover with integer gains: no diffusion is re-simulated per
+// candidate.
+//
+// The budgets follow the partial-result contract of GreedyContext: the
+// context and the wall-clock deadline are checked before every sampled
+// realization; then the context before every recount and selection, and
+// MaxEvaluations and the deadline before every row count, one count being
+// one evaluation.
+func coverGreedy(ctx context.Context, p *Problem, opts GreedyOptions, candidates []int32, realSeeds []uint64, maxProtectors, workers int, deadline time.Time) (*GreedyResult, error) {
+	expired := func() bool { return !deadline.IsZero() && !time.Now().Before(deadline) }
+	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, opts.MaxHops, false)
+	reals, err := smp.Draw(realSeeds, nil, workers, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if expired() {
+			return fmt.Errorf("%w: wall-clock budget spent before realization %d", ErrBudgetExhausted, i)
+		}
+		return nil
+	}, IsInterruption)
+	if err != nil {
+		// Interrupted before any selection: the empty seed set is the
+		// honest partial answer.
+		return &GreedyResult{Partial: true}, fmt.Errorf("core: greedy: sample realizations: %w", err)
+	}
+
+	// Only pool members may be selected, so each RR set keeps only them,
+	// filtered in place: the index then holds at most one row per pool
+	// member instead of one per RR-set node.
+	inPool := make([]bool, p.Graph.NumNodes())
+	for _, u := range candidates {
+		inPool[u] = true
+	}
+	baseline := 0
+	var pairs []rrset.Pair
+	for _, r := range reals {
+		baseline += r.Baseline
+		for _, pr := range r.Pairs {
+			nodes := pr.Nodes[:0]
+			for _, u := range pr.Nodes {
+				if inPool[u] {
+					nodes = append(nodes, u)
+				}
+			}
+			pr.Nodes = nodes
+			pairs = append(pairs, pr)
+		}
+	}
+	ix := rrset.NewIndex(pairs, workers)
+
+	n := float64(len(realSeeds))
+	// The α target in pair units: σ̂(S) ≥ RequiredEnds(α) ⇔ covered pairs
+	// ≥ required·N − baseline pairs, an exact integer comparison.
+	targetPairs := p.RequiredEnds(opts.Alpha)*len(realSeeds) - baseline
+	var c rrset.Cover
+	if targetPairs > 0 {
+		copts := rrset.CoverOptions{
+			Target:    targetPairs,
+			MaxSelect: maxProtectors,
+			Plain:     opts.Plain,
+			Budget: func(evals int) error {
+				if opts.MaxEvaluations > 0 && evals >= opts.MaxEvaluations {
+					return exhaustedErr(evals)
+				}
+				if expired() {
+					return expiredErr(evals)
+				}
+				return nil
+			},
+		}
+		if opts.OnRound != nil {
+			copts.OnSelect = func(c rrset.Cover) {
+				notifyRound(opts.OnRound, c.Selected, float64(c.Gains[len(c.Gains)-1])/n, float64(baseline+c.Covered)/n)
+			}
+		}
+		c, err = ix.Cover(ctx, copts)
+	}
+
+	res := &GreedyResult{
+		Protectors:    c.Selected,
+		ProtectedEnds: float64(baseline+c.Covered) / n,
+		BaselineEnds:  float64(baseline) / n,
+		Achieved:      c.Covered >= targetPairs,
+		Evaluations:   c.Evaluations,
+	}
+	if res.Protectors == nil {
+		res.Protectors = []int32{}
+	}
+	for _, g := range c.Gains {
+		res.Gains = append(res.Gains, float64(g)/n)
+	}
+	if err != nil {
+		res.Partial = true
+		return res, fmt.Errorf("core: greedy: %w", err)
+	}
+	return res, nil
+}

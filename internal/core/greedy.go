@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
 	"lcrb/internal/bridge"
 	"lcrb/internal/diffusion"
-	"lcrb/internal/rng"
+	"lcrb/internal/rrset"
 )
 
 // DefaultGreedyHops matches the paper's 31-hop OPOAO simulations.
@@ -28,8 +29,8 @@ type GreedyOptions struct {
 	// Alpha is the fraction of bridge ends to protect, in (0, 1).
 	// Defaults to 0.9.
 	Alpha float64
-	// Samples is the number of Monte-Carlo realizations behind the σ̂
-	// estimate. Defaults to 30.
+	// Samples is the number of fixed realizations behind the σ̂ estimate.
+	// Defaults to 30.
 	Samples int
 	// Seed drives the realizations; the same seed reproduces the run.
 	Seed uint64
@@ -42,8 +43,9 @@ type GreedyOptions struct {
 	// supply all nodes explicitly to reproduce the unrestricted argmax of
 	// algorithm 1.
 	Candidates []int32
-	// Plain disables CELF lazy evaluation and re-evaluates every candidate
-	// each round, exactly as algorithm 1 is written. Output is identical;
+	// Plain disables lazy evaluation and re-evaluates every candidate each
+	// round, exactly as algorithm 1 is written: on the default engine it
+	// recounts every remaining pool row every round. Output is identical;
 	// only the evaluation count changes. Kept for the ablation benchmark.
 	Plain bool
 	// MaxProtectors caps the seed-set size. 0 means |B|.
@@ -53,14 +55,22 @@ type GreedyOptions struct {
 	// protect the most bridge ends). 0 means DefaultMaxCandidates;
 	// negative means unlimited. Ignored when Candidates is set explicitly.
 	MaxCandidates int
-	// Realization selects the diffusion model σ̂ is estimated under. Nil
-	// means the paper's OPOAO model; diffusion.ICRealization(p) extends
-	// the greedy to the competitive Independent Cascade model (the
-	// paper's "other diffusion models" future-work direction).
+	// Realization selects the engine and the diffusion model σ̂ is
+	// estimated under. Nil means the paper's OPOAO model on the default
+	// engine: the RR sets of the Samples realizations are sampled once and
+	// the greedy runs as exact lazy max coverage over them (see
+	// internal/rrset), with no diffusion re-simulated per candidate. Any
+	// non-nil Realization selects the Monte-Carlo CELF engine, which runs
+	// every candidate's σ̂ as Samples fresh realizations: the same answer
+	// for diffusion.OPOAORealization(), at Evaluations × Samples
+	// simulations; diffusion.ICRealization(p) extends the greedy to the
+	// competitive Independent Cascade model (the paper's "other diffusion
+	// models" future-work direction).
 	Realization diffusion.Realization
-	// MaxEvaluations caps the number of σ̂ evaluations. 0 means unlimited.
-	// When the cap is hit mid-selection, the best-so-far seed set is
-	// returned with Partial set and an error wrapping ErrBudgetExhausted.
+	// MaxEvaluations caps the number of σ̂ evaluations (see
+	// GreedyResult.Evaluations). 0 means unlimited. When the cap is hit
+	// mid-selection, the best-so-far seed set is returned with Partial set
+	// and an error wrapping ErrBudgetExhausted.
 	MaxEvaluations int
 	// MaxDuration caps the wall-clock time of the selection. 0 means
 	// unlimited. Expiry follows the same partial-result contract as
@@ -85,23 +95,26 @@ type GreedyOptions struct {
 	// not block: the selection waits on it. It never affects the selection
 	// itself, which stays bit-identical with or without a callback.
 	OnRound func(GreedyRound)
-	// Workers parallelizes σ̂ evaluation on up to this many goroutines: the
-	// candidate batches of every plain round and of the CELF
-	// initialization round run concurrently across seed sets, and single
-	// estimates (the baseline, CELF re-evaluations) run concurrently
-	// across their Monte-Carlo samples. 0 or 1 means serial; negative
-	// means GOMAXPROCS. The selection — Protectors, Gains, Evaluations,
-	// ProtectedEnds — is bit-identical for every worker count, because the
+	// Workers parallelizes on up to this many goroutines. The default
+	// engine samples its realizations and builds its pair index
+	// concurrently; the selection itself is serial. The Monte-Carlo engine
+	// runs the candidate batches of every plain round and of the CELF
+	// initialization round concurrently across seed sets, and single
+	// estimates (the baseline, CELF re-evaluations) concurrently across
+	// their samples. 0 or 1 means serial; negative means GOMAXPROCS. The
+	// selection — Protectors, Gains, Evaluations, ProtectedEnds — is
+	// bit-identical for every worker count, because the
 	// common-random-numbers realizations are pure functions of
-	// (realization seed, seed set) and budget accounting is committed in
-	// submission order.
+	// (realization seed, seed set) and results and budget charges are
+	// committed in a fixed order.
 	Workers int
 }
 
-// DefaultMaxCandidates bounds the greedy's default candidate pool. Every
-// σ̂ evaluation costs a full Monte-Carlo diffusion, so on large communities
-// an unbounded pool dominates the runtime; the cap keeps the strongest
-// candidates by bridge-end coverage.
+// DefaultMaxCandidates bounds the greedy's default candidate pool, keeping
+// the strongest candidates by bridge-end coverage. It shapes the answer on
+// both engines, so it stays fixed: on the Monte-Carlo engine every
+// candidate's σ̂ evaluation costs Samples diffusions, while on the default
+// engine a candidate costs one row count per round it is recounted.
 const DefaultMaxCandidates = 300
 
 // GreedyRound is the snapshot delivered to GreedyOptions.OnRound after one
@@ -123,8 +136,9 @@ type GreedyRound struct {
 type GreedyResult struct {
 	// Protectors is the selected seed set S_P, in selection order.
 	Protectors []int32
-	// ProtectedEnds is σ̂(S_P): the Monte-Carlo estimate of the expected
-	// number of bridge ends that end the diffusion uninfected.
+	// ProtectedEnds is σ̂(S_P): the estimate, over the Samples fixed
+	// realizations, of the expected number of bridge ends that end the
+	// diffusion uninfected.
 	ProtectedEnds float64
 	// BaselineEnds is σ̂(∅): bridge ends expected to stay uninfected with
 	// no protection at all (OPOAO does not reach everything in bounded
@@ -132,8 +146,11 @@ type GreedyResult struct {
 	BaselineEnds float64
 	// Achieved reports whether σ̂(S_P) reached the α·|B| target.
 	Achieved bool
-	// Evaluations counts σ̂ evaluations (the CELF-vs-plain ablation
-	// metric).
+	// Evaluations counts σ̂ evaluations (the lazy-vs-plain ablation
+	// metric). On the default engine one evaluation is one row count: the
+	// first count of every candidate that lies in some RR set, then every
+	// recount. On the Monte-Carlo engine it is one estimate over all
+	// samples: the baseline, then every candidate set scored.
 	Evaluations int
 	// Gains records the marginal gain of each selected protector.
 	Gains []float64
@@ -150,6 +167,13 @@ type GreedyResult struct {
 // submodular (Theorem 1), so the greedy solution is within (1 − 1/e) of
 // optimal; submodularity also licenses the CELF lazy evaluation used here.
 //
+// σ̂ is estimated on Samples fixed realizations (common random numbers).
+// By default the greedy counts it exactly as RR-set coverage over those
+// realizations and runs as lazy max coverage; an explicit
+// GreedyOptions.Realization selects the Monte-Carlo CELF engine, which
+// re-simulates them per candidate set and, under OPOAO, selects the same
+// protectors.
+//
 // σ̂ counts a bridge end as protected when the rumor fails to infect it
 // within MaxHops — whether because the protector cascade claimed it first
 // or because the rumor never arrived. This makes the α·|B| stopping rule of
@@ -161,8 +185,10 @@ func Greedy(p *Problem, opts GreedyOptions) (*GreedyResult, error) {
 }
 
 // GreedyContext is Greedy with cooperative cancellation and budgets. The
-// context is checked before every σ̂ evaluation and between the Monte-Carlo
-// samples inside one, so cancellation latency is one bounded diffusion.
+// default engine checks the context and the wall-clock budget before every
+// sampled realization and every row count; the Monte-Carlo engine checks
+// them before every σ̂ evaluation and between the samples inside one. So
+// cancellation latency is one bounded realization.
 //
 // On interruption — ctx canceled, ctx deadline exceeded, or the
 // MaxEvaluations/MaxDuration budget exhausted — the best-so-far seed set is
@@ -204,18 +230,6 @@ func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*Greedy
 		maxProtectors = len(p.Ends)
 	}
 
-	// One fixed realization seed per Monte-Carlo sample: evaluating σ̂ for
-	// different protector sets reuses the same randomness (common random
-	// numbers), which is exactly the fixed (G_R, G_P) pair of Lemma 4.
-	realSeeds := make([]uint64, opts.Samples)
-	seedSrc := rng.New(opts.Seed)
-	for i := range realSeeds {
-		realSeeds[i] = seedSrc.Uint64()
-	}
-	realization := opts.Realization
-	if realization == nil {
-		realization = diffusion.RunOPOAORealization
-	}
 	workers := opts.Workers
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -223,31 +237,41 @@ func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*Greedy
 	if workers < 1 {
 		workers = 1
 	}
-	ev := &sigmaEvaluator{
-		//lint:ignore ctxflow the evaluator lives for exactly one Greedy call; the field is call-scoped plumbing to worker goroutines, not a pinned lifetime
-		ctx:       ctx,
-		p:         p,
-		realSeeds: realSeeds,
-		maxHops:   opts.MaxHops,
-		run:       realization,
-		workers:   workers,
-		maxEvals:  opts.MaxEvaluations,
-		cache:     make(map[string]float64),
-	}
 	if opts.DeadlineMargin < 0 {
 		return nil, fmt.Errorf("core: greedy: deadline margin = %v must not be negative", opts.DeadlineMargin)
 	}
+	var deadline time.Time
 	if opts.MaxDuration > 0 {
-		ev.deadline = time.Now().Add(opts.MaxDuration)
+		deadline = time.Now().Add(opts.MaxDuration)
 	}
 	if d, ok := ctx.Deadline(); ok && opts.DeadlineMargin > 0 {
 		// Fold the context deadline, minus the reserved margin, into the
 		// wall-clock budget: expiry then surfaces as ErrBudgetExhausted
 		// with the best-so-far seed set while the context is still alive.
 		d = d.Add(-opts.DeadlineMargin)
-		if ev.deadline.IsZero() || d.Before(ev.deadline) {
-			ev.deadline = d
+		if deadline.IsZero() || d.Before(deadline) {
+			deadline = d
 		}
+	}
+	// One fixed realization seed per sample: σ̂ of every protector set is
+	// counted on the same randomness (common random numbers), which is
+	// exactly the fixed (G_R, G_P) pair of Lemma 4.
+	realSeeds := rrset.Seeds(opts.Seed, opts.Samples)
+	if opts.Realization == nil {
+		return coverGreedy(ctx, p, opts, candidates, realSeeds, maxProtectors, workers, deadline)
+	}
+
+	ev := &sigmaEvaluator{
+		//lint:ignore ctxflow the evaluator lives for exactly one Greedy call; the field is call-scoped plumbing to worker goroutines, not a pinned lifetime
+		ctx:       ctx,
+		p:         p,
+		realSeeds: realSeeds,
+		maxHops:   opts.MaxHops,
+		run:       opts.Realization,
+		workers:   workers,
+		maxEvals:  opts.MaxEvaluations,
+		deadline:  deadline,
+		cache:     make(map[string]int),
 	}
 
 	res := &GreedyResult{}
@@ -265,21 +289,24 @@ func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*Greedy
 		// evaluator is sound.
 		return nil, fmt.Errorf("core: greedy: evaluate baseline: %w", err)
 	}
-	res.BaselineEnds = baseline
+	n := float64(opts.Samples)
+	res.BaselineEnds = float64(baseline) / n
 
-	target := float64(p.RequiredEnds(opts.Alpha))
-	score := res.BaselineEnds
+	// Scores and gains are counts over the realizations (σ̂ × samples), so
+	// the stopping rule and every gain comparison are exact.
+	target := p.RequiredEnds(opts.Alpha) * opts.Samples
+	score := baseline
 	selected := make([]int32, 0, maxProtectors)
 
 	var loopErr error
 	if opts.Plain {
-		loopErr = res.plainLoop(ev, candidates, &selected, &score, target, maxProtectors, opts.OnRound)
+		loopErr = res.plainLoop(ev, candidates, &selected, &score, target, maxProtectors, n, opts.OnRound)
 	} else {
-		loopErr = res.celfLoop(ev, candidates, &selected, &score, target, maxProtectors, opts.OnRound)
+		loopErr = res.celfLoop(ev, candidates, &selected, &score, target, maxProtectors, n, opts.OnRound)
 	}
 
 	res.Protectors = selected
-	res.ProtectedEnds = score
+	res.ProtectedEnds = float64(score) / n
 	res.Achieved = score >= target
 	res.Evaluations = ev.evals
 	if loopErr != nil {
@@ -307,7 +334,9 @@ func IsInterruption(err error) bool {
 // isInterruption is the internal alias of IsInterruption.
 func isInterruption(err error) bool { return IsInterruption(err) }
 
-// greedyCandidates resolves the candidate pool.
+// greedyCandidates resolves the candidate pool, ascending and without
+// duplicates, so every engine and loop breaks gain ties to the smaller
+// node id.
 func greedyCandidates(p *Problem, opts GreedyOptions) ([]int32, error) {
 	if opts.Candidates != nil {
 		out := make([]int32, 0, len(opts.Candidates))
@@ -319,7 +348,8 @@ func greedyCandidates(p *Problem, opts GreedyOptions) ([]int32, error) {
 				out = append(out, u)
 			}
 		}
-		return out, nil
+		slices.Sort(out)
+		return slices.Compact(out), nil
 	}
 	trees, err := bridge.Build(p.Graph, p.Rumors, p.Ends)
 	if err != nil {
@@ -359,8 +389,8 @@ func greedyCandidates(p *Problem, opts GreedyOptions) ([]int32, error) {
 // Each extension gets its own freshly copied seed set; extending with
 // append(*selected, u) would alias selected's spare backing capacity
 // across the whole batch. An evaluator failure stops the loop with the
-// selection made so far intact.
-func (r *GreedyResult) plainLoop(ev *sigmaEvaluator, candidates []int32, selected *[]int32, score *float64, target float64, maxProtectors int, onRound func(GreedyRound)) error {
+// selection made so far intact. Scores are counts over the n samples.
+func (r *GreedyResult) plainLoop(ev *sigmaEvaluator, candidates []int32, selected *[]int32, score *int, target, maxProtectors int, n float64, onRound func(GreedyRound)) error {
 	remaining := append([]int32(nil), candidates...)
 	for *score < target && len(*selected) < maxProtectors && len(remaining) > 0 {
 		sets := make([][]int32, len(remaining))
@@ -380,9 +410,9 @@ func (r *GreedyResult) plainLoop(ev *sigmaEvaluator, candidates []int32, selecte
 		if bestIdx < 0 {
 			break // no candidate has positive marginal gain
 		}
-		r.Gains = append(r.Gains, bestScore-*score)
+		r.Gains = append(r.Gains, float64(bestScore-*score)/n)
 		*selected = append(*selected, remaining[bestIdx])
-		notifyRound(onRound, *selected, bestScore-*score, bestScore)
+		notifyRound(onRound, *selected, float64(bestScore-*score)/n, float64(bestScore)/n)
 		*score = bestScore
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
@@ -400,7 +430,7 @@ func (r *GreedyResult) plainLoop(ev *sigmaEvaluator, candidates []int32, selecte
 // first). Evaluating that forced sweep as one concurrent batch yields the
 // identical heap state — same gains against the same baseline — while
 // exposing the algorithm's one embarrassingly parallel phase.
-func (r *GreedyResult) celfLoop(ev *sigmaEvaluator, candidates []int32, selected *[]int32, score *float64, target float64, maxProtectors int, onRound func(GreedyRound)) error {
+func (r *GreedyResult) celfLoop(ev *sigmaEvaluator, candidates []int32, selected *[]int32, score *int, target, maxProtectors int, n float64, onRound func(GreedyRound)) error {
 	if *score >= target || len(*selected) >= maxProtectors || len(candidates) == 0 {
 		return nil
 	}
@@ -426,10 +456,10 @@ func (r *GreedyResult) celfLoop(ev *sigmaEvaluator, candidates []int32, selected
 			if top.gain <= 0 {
 				break
 			}
-			r.Gains = append(r.Gains, top.gain)
+			r.Gains = append(r.Gains, float64(top.gain)/n)
 			*selected = append(*selected, top.node)
 			*score += top.gain
-			notifyRound(onRound, *selected, top.gain, *score)
+			notifyRound(onRound, *selected, float64(top.gain)/n, float64(*score)/n)
 			round++
 			continue
 		}
@@ -460,10 +490,11 @@ func notifyRound(onRound func(GreedyRound), selected []int32, gain, score float6
 	})
 }
 
-// celfEntry is a CELF priority-queue entry.
+// celfEntry is a CELF priority-queue entry; gain is a count over the
+// samples.
 type celfEntry struct {
 	node  int32
-	gain  float64
+	gain  int
 	round int
 }
 

@@ -97,23 +97,25 @@ func TestGreedyCELFMatchesPlain(t *testing.T) {
 	if p.NumEnds() == 0 {
 		t.Skip("no bridge ends for this draw")
 	}
-	base := GreedyOptions{Alpha: 0.8, Samples: 10, Seed: 3}
-	celf, err := Greedy(p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainOpts := base
-	plainOpts.Plain = true
-	plain, err := Greedy(p, plainOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(celf.Protectors, plain.Protectors) {
-		t.Fatalf("CELF %v != plain %v", celf.Protectors, plain.Protectors)
-	}
-	if celf.Evaluations > plain.Evaluations {
-		t.Fatalf("CELF used %d evaluations, plain %d; lazy evaluation should not cost more",
-			celf.Evaluations, plain.Evaluations)
+	for _, engine := range greedyEngines {
+		base := GreedyOptions{Alpha: 0.8, Samples: 10, Seed: 3, Realization: engine.realization}
+		celf, err := Greedy(p, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plainOpts := base
+		plainOpts.Plain = true
+		plain, err := Greedy(p, plainOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(celf.Protectors, plain.Protectors) {
+			t.Fatalf("%s: CELF %v != plain %v", engine.name, celf.Protectors, plain.Protectors)
+		}
+		if celf.Evaluations > plain.Evaluations {
+			t.Fatalf("%s: CELF used %d evaluations, plain %d; lazy evaluation should not cost more",
+				engine.name, celf.Evaluations, plain.Evaluations)
+		}
 	}
 }
 
@@ -246,7 +248,14 @@ func TestGreedyEvaluationsCounted(t *testing.T) {
 // the selection at all.
 func TestGreedyOnRoundStreamsPrefixes(t *testing.T) {
 	p := fixtureProblem(t)
-	opts := GreedyOptions{Alpha: 0.9, Samples: 20, Seed: 1}
+	for _, engine := range greedyEngines {
+		t.Logf("engine %s", engine.name)
+		checkOnRoundStreamsPrefixes(t, p, GreedyOptions{Alpha: 0.9, Samples: 20, Seed: 1, Realization: engine.realization})
+	}
+}
+
+func checkOnRoundStreamsPrefixes(t *testing.T, p *Problem, opts GreedyOptions) {
+	t.Helper()
 	plain, err := Greedy(p, opts)
 	if err != nil {
 		t.Fatal(err)

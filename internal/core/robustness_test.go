@@ -94,37 +94,39 @@ func TestGreedyContextDeadlineReturnsPartial(t *testing.T) {
 
 func TestGreedyMaxEvaluationsPrefix(t *testing.T) {
 	p := fixtureProblem(t)
-	opts := GreedyOptions{Alpha: 0.9, Samples: 10, Seed: 3}
-	full, err := Greedy(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Partial {
-		t.Fatal("unconstrained run reported Partial")
-	}
-	for budget := 1; budget < full.Evaluations; budget++ {
-		capped := opts
-		capped.MaxEvaluations = budget
-		res, err := Greedy(p, capped)
-		if !errors.Is(err, ErrBudgetExhausted) {
-			t.Fatalf("budget %d: err = %v, want ErrBudgetExhausted", budget, err)
+	for _, engine := range greedyEngines {
+		opts := GreedyOptions{Alpha: 0.9, Samples: 10, Seed: 3, Realization: engine.realization}
+		full, err := Greedy(p, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res == nil || !res.Partial {
-			t.Fatalf("budget %d: res = %+v, want non-nil partial result", budget, res)
+		if full.Partial {
+			t.Fatalf("%s: unconstrained run reported Partial", engine.name)
 		}
-		if res.Evaluations > budget {
-			t.Fatalf("budget %d: %d evaluations performed", budget, res.Evaluations)
-		}
-		// Greedy selections are deterministic, so an interrupted run's seed
-		// set must be a prefix of the uninterrupted run's.
-		if len(res.Protectors) > len(full.Protectors) {
-			t.Fatalf("budget %d: partial selection longer than full: %v vs %v",
-				budget, res.Protectors, full.Protectors)
-		}
-		for i, u := range res.Protectors {
-			if u != full.Protectors[i] {
-				t.Fatalf("budget %d: partial %v is not a prefix of %v",
-					budget, res.Protectors, full.Protectors)
+		for budget := 1; budget < full.Evaluations; budget++ {
+			capped := opts
+			capped.MaxEvaluations = budget
+			res, err := Greedy(p, capped)
+			if !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatalf("%s: budget %d: err = %v, want ErrBudgetExhausted", engine.name, budget, err)
+			}
+			if res == nil || !res.Partial {
+				t.Fatalf("%s: budget %d: res = %+v, want non-nil partial result", engine.name, budget, res)
+			}
+			if res.Evaluations > budget {
+				t.Fatalf("%s: budget %d: %d evaluations performed", engine.name, budget, res.Evaluations)
+			}
+			// Greedy selections are deterministic, so an interrupted run's
+			// seed set must be a prefix of the uninterrupted run's.
+			if len(res.Protectors) > len(full.Protectors) {
+				t.Fatalf("%s: budget %d: partial selection longer than full: %v vs %v",
+					engine.name, budget, res.Protectors, full.Protectors)
+			}
+			for i, u := range res.Protectors {
+				if u != full.Protectors[i] {
+					t.Fatalf("%s: budget %d: partial %v is not a prefix of %v",
+						engine.name, budget, res.Protectors, full.Protectors)
+				}
 			}
 		}
 	}

@@ -13,7 +13,10 @@ import (
 )
 
 // sigmaEvaluator estimates σ̂(A) over the fixed realizations, enforcing the
-// context and the evaluation/wall-clock budgets.
+// context and the evaluation/wall-clock budgets. Estimates are integer
+// counts — bridge ends left uninfected, summed over the realizations, so
+// σ̂ × samples — which keeps every gain comparison exact: float σ̂
+// differences carry rounding noise that would break gain ties at random.
 //
 // Evaluations can run concurrently — across the Monte-Carlo samples inside
 // one estimate call and across the candidate seed sets of one estimateBatch
@@ -36,7 +39,7 @@ type sigmaEvaluator struct {
 	// extension the run has already scored is free: no realizations, no
 	// budget charge. Keys are deterministic, hence so are hits — the cache
 	// never breaks worker-count invariance.
-	cache map[string]float64
+	cache map[string]int
 }
 
 // sigmaKey is the canonical cache key of a protector seed set: the sorted
@@ -71,24 +74,26 @@ func (ev *sigmaEvaluator) expired() bool {
 	return !ev.deadline.IsZero() && !time.Now().Before(ev.deadline)
 }
 
-// exhaustedErr is the MaxEvaluations expiry error at the current charge
-// count.
-func (ev *sigmaEvaluator) exhaustedErr() error {
-	return fmt.Errorf("%w: %d evaluations used", ErrBudgetExhausted, ev.evals)
+// exhaustedErr is the MaxEvaluations expiry error after evals charged
+// evaluations, for both engines.
+func exhaustedErr(evals int) error {
+	return fmt.Errorf("%w: %d evaluations used", ErrBudgetExhausted, evals)
 }
 
-// expiredErr is the MaxDuration expiry error at the current charge count.
-func (ev *sigmaEvaluator) expiredErr() error {
-	return fmt.Errorf("%w: wall-clock budget spent after %d evaluations", ErrBudgetExhausted, ev.evals)
+// expiredErr is the wall-clock expiry error after evals charged
+// evaluations, for both engines.
+func expiredErr(evals int) error {
+	return fmt.Errorf("%w: wall-clock budget spent after %d evaluations", ErrBudgetExhausted, evals)
 }
 
-// estimate returns the mean number of bridge ends left uninfected when the
-// given protector seed set is used, running the Monte-Carlo samples on up
-// to ev.workers goroutines. It fails fast on cancellation, budget expiry,
+// estimate returns the number of bridge ends left uninfected when the
+// given protector seed set is used, summed over the realizations (σ̂ ×
+// samples), running the Monte-Carlo samples on up to ev.workers
+// goroutines. It fails fast on cancellation, budget expiry,
 // or a realization error — callers receive the wrapped cause and decide
 // whether the partial selection is still useful. Only a completed
 // evaluation is charged against MaxEvaluations.
-func (ev *sigmaEvaluator) estimate(protectors []int32) (float64, error) {
+func (ev *sigmaEvaluator) estimate(protectors []int32) (int, error) {
 	if err := ev.ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -97,19 +102,18 @@ func (ev *sigmaEvaluator) estimate(protectors []int32) (float64, error) {
 		return v, nil
 	}
 	if ev.maxEvals > 0 && ev.evals >= ev.maxEvals {
-		return 0, ev.exhaustedErr()
+		return 0, exhaustedErr(ev.evals)
 	}
 	if ev.expired() {
-		return 0, ev.expiredErr()
+		return 0, expiredErr(ev.evals)
 	}
 	total, err := ev.runSamples(protectors, ev.workers)
 	if err != nil {
 		return 0, err
 	}
 	ev.evals++
-	v := float64(total) / float64(len(ev.realSeeds))
-	ev.cache[key] = v
-	return v, nil
+	ev.cache[key] = total
+	return total, nil
 }
 
 // estimateBatch evaluates σ̂ for many seed sets, running cache misses
@@ -119,7 +123,7 @@ func (ev *sigmaEvaluator) estimate(protectors []int32) (float64, error) {
 // estimate on each set in sequence — the batch is an optimization, never a
 // semantic change. On error the sets before the failing submission are
 // still charged and cached; the error is returned in their stead.
-func (ev *sigmaEvaluator) estimateBatch(sets [][]int32) ([]float64, error) {
+func (ev *sigmaEvaluator) estimateBatch(sets [][]int32) ([]int, error) {
 	if err := ev.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -150,7 +154,7 @@ func (ev *sigmaEvaluator) estimateBatch(sets [][]int32) ([]float64, error) {
 		}
 	}
 
-	vals := make([]float64, len(misses))
+	vals := make([]int, len(misses))
 	errs := make([]error, len(misses))
 	workers := ev.workers
 	if workers > allowed {
@@ -179,7 +183,7 @@ func (ev *sigmaEvaluator) estimateBatch(sets [][]int32) ([]float64, error) {
 	// first occurrence just committed; the first over-budget or failed
 	// submission aborts with everything before it charged, exactly like the
 	// serial scan.
-	out := make([]float64, len(sets))
+	out := make([]int, len(sets))
 	next := 0
 	for i := range sets {
 		if v, ok := ev.cache[keys[i]]; ok {
@@ -189,7 +193,7 @@ func (ev *sigmaEvaluator) estimateBatch(sets [][]int32) ([]float64, error) {
 		j := next
 		next++
 		if j >= allowed {
-			return nil, ev.exhaustedErr()
+			return nil, exhaustedErr(ev.evals)
 		}
 		if errs[j] != nil {
 			return nil, errs[j]
@@ -205,20 +209,16 @@ func (ev *sigmaEvaluator) estimateBatch(sets [][]int32) ([]float64, error) {
 // serial loop checks before every estimate) followed by a serial sample
 // sweep — batch concurrency comes from evaluating many seed sets at once,
 // not from splitting each set's samples.
-func (ev *sigmaEvaluator) evaluateOne(protectors []int32) (float64, error) {
+func (ev *sigmaEvaluator) evaluateOne(protectors []int32) (int, error) {
 	if ev.expired() {
-		return 0, ev.expiredErr()
+		return 0, expiredErr(ev.evals)
 	}
-	total, err := ev.runSamples(protectors, 1)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total) / float64(len(ev.realSeeds)), nil
+	return ev.runSamples(protectors, 1)
 }
 
 // runSamples sums the protected-end counts of every fixed realization,
 // using up to workers goroutines. The per-sample counts are integers, so
-// the sum — and hence σ̂ — is exact regardless of evaluation order. The
+// the sum is exact regardless of evaluation order. The
 // context is checked before every realization; a panicking realization is
 // contained into an error wrapping diffusion.ErrPanic instead of tearing
 // down the pool.

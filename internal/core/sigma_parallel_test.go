@@ -62,11 +62,11 @@ func signatureOf(r *GreedyResult) greedySignature {
 
 // TestGreedyBitIdenticalAcrossWorkers is the worker-count invariance
 // guarantee: Protectors, Gains, Evaluations and the σ̂ scores are
-// byte-identical for every worker count, for both the CELF and the plain
-// loop. Running it under -race (the CI gate does) also serves as the
-// regression test for the seed-set aliasing bug: before extensions were
-// copied per evaluation, the batched path raced on the shared backing
-// array of the selected slice.
+// byte-identical for every worker count, for both engines and both the
+// lazy and the plain loop. Running it under -race (the CI gate does) also
+// serves as the regression test for the seed-set aliasing bug: before
+// extensions were copied per evaluation, the batched path raced on the
+// shared backing array of the selected slice.
 func TestGreedyBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, tt := range []struct {
 		name string
@@ -76,23 +76,25 @@ func TestGreedyBitIdenticalAcrossWorkers(t *testing.T) {
 		{"community", batchProblem(t)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			for _, plain := range []bool{false, true} {
-				opts := GreedyOptions{Alpha: 0.9, Samples: 12, Seed: 3, Plain: plain, Workers: 1}
-				serial, err := Greedy(tt.p, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := signatureOf(serial)
-				for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0), -1} {
-					par := opts
-					par.Workers = workers
-					got, err := Greedy(tt.p, par)
+			for _, engine := range greedyEngines {
+				for _, plain := range []bool{false, true} {
+					opts := GreedyOptions{Alpha: 0.9, Samples: 12, Seed: 3, Plain: plain, Workers: 1, Realization: engine.realization}
+					serial, err := Greedy(tt.p, opts)
 					if err != nil {
-						t.Fatalf("plain=%v workers=%d: %v", plain, workers, err)
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(signatureOf(got), want) {
-						t.Fatalf("plain=%v workers=%d diverged:\n got %+v\nwant %+v",
-							plain, workers, signatureOf(got), want)
+					want := signatureOf(serial)
+					for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0), -1} {
+						par := opts
+						par.Workers = workers
+						got, err := Greedy(tt.p, par)
+						if err != nil {
+							t.Fatalf("%s plain=%v workers=%d: %v", engine.name, plain, workers, err)
+						}
+						if !reflect.DeepEqual(signatureOf(got), want) {
+							t.Fatalf("%s plain=%v workers=%d diverged:\n got %+v\nwant %+v",
+								engine.name, plain, workers, signatureOf(got), want)
+						}
 					}
 				}
 			}
@@ -267,6 +269,6 @@ func newTestEvaluator(p *Problem, samples, workers int) *sigmaEvaluator {
 		maxHops:   DefaultGreedyHops,
 		run:       diffusion.RunOPOAORealization,
 		workers:   workers,
-		cache:     make(map[string]float64),
+		cache:     make(map[string]int),
 	}
 }

@@ -15,7 +15,8 @@ import (
 // edge list has no line for them. The committed corpus under
 // testdata/fuzz/FuzzReadEdgeList covers comments, sparse and negative ids,
 // self-loops, duplicate edges, CRLF and tab separators, an id past int64
-// and malformed lines.
+// and malformed lines; fuzzEdgeListWant pins the exact shape of the inputs
+// it lists.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		el, err := ReadEdgeList(bytes.NewReader(data))
@@ -35,6 +36,17 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if el.Dropped < 0 {
 			t.Fatalf("accepted Dropped = %d", el.Dropped)
+		}
+		// Only kept edge lines intern ids, so no accepted node is isolated.
+		for v := int32(0); v < g.NumNodes(); v++ {
+			if g.OutDegree(v) == 0 && g.InDegree(v) == 0 {
+				t.Fatalf("node %d (label %d) has no edge", v, el.Labels[v])
+			}
+		}
+		if want, ok := fuzzEdgeListWant[string(data)]; ok {
+			if got := [3]int64{int64(g.NumNodes()), g.NumEdges(), el.Dropped}; got != want {
+				t.Fatalf("(nodes, edges, dropped) = %v, want %v", got, want)
+			}
 		}
 
 		var buf bytes.Buffer
@@ -61,4 +73,11 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Fatalf("round trip edges differ:\n got %v\nwant %v", got, want)
 		}
 	})
+}
+
+// fuzzEdgeListWant pins (nodes, edges, dropped) for corpus inputs: the
+// self-loop-isolated input's two self-loops are dropped and counted, and
+// their ids 0 and 3 become no node.
+var fuzzEdgeListWant = map[string][3]int64{
+	"0 0\n1 2\n3 3\n2 1\n": {2, 2, 2},
 }

@@ -226,9 +226,11 @@ type Builder struct {
 	dropped int64
 	// overwritten counts duplicate-edge collapses observed by the latest
 	// Build — earlier instances overwritten by a later AddEdge of the same
-	// (u, v). Recomputed per Build (a pure function of the recorded edges),
-	// so reusing the Builder never double-counts.
+	// (u, v) — and loops the self-loops it refused. Both are recomputed per
+	// Build (pure functions of the recorded edges), so reusing the Builder
+	// never double-counts.
 	overwritten int64
+	loops       int64
 }
 
 // NewBuilder returns a Builder for a graph with numNodes nodes.
@@ -276,11 +278,13 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Dropped returns the number of recorded edges that did not survive into
 // the built graph as distinct edges: edges AddEdge ignored because an
-// endpoint was negative, plus duplicate instances overwritten by a later
-// AddEdge of the same (u, v) in the latest Build (last-write-wins). The
+// endpoint was negative, plus, in the latest Build, the self-loops it
+// refused (without AllowSelfLoops) and duplicate instances overwritten by
+// a later AddEdge of the same (u, v) (last-write-wins). The
 // negative-endpoint count accumulates across Build calls, matching the
-// Builder's reuse contract; the overwrite count reflects the latest Build.
-func (b *Builder) Dropped() int64 { return b.dropped + b.overwritten }
+// Builder's reuse contract; the self-loop and overwrite counts reflect the
+// latest Build.
+func (b *Builder) Dropped() int64 { return b.dropped + b.loops + b.overwritten }
 
 // Build produces the immutable graph. The Builder may be reused afterwards;
 // its recorded edges are retained.
@@ -289,8 +293,10 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, errors.New("graph: edges recorded but node space is empty")
 	}
 	edges := make([]Edge, 0, len(b.edges))
+	b.loops = 0
 	for _, e := range b.edges {
 		if e.U == e.V && !b.allowSelfLoops {
+			b.loops++
 			continue
 		}
 		edges = append(edges, e)

@@ -89,6 +89,31 @@ func TestSelfLoopsDroppedByDefault(t *testing.T) {
 	}
 }
 
+// TestBuilderDroppedCountsSelfLoops: a self-loop Build refuses did not
+// survive into the graph, so Dropped counts it — once per Build, like the
+// duplicate overwrites — and a kept self-loop is not dropped.
+func TestBuilderDroppedCountsSelfLoops(t *testing.T) {
+	b := NewBuilder(2)
+	b.AddEdge(0, 0)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 1)
+	for build := 0; build < 2; build++ {
+		if _, err := b.Build(); err != nil {
+			t.Fatal(err)
+		}
+		if b.Dropped() != 2 {
+			t.Fatalf("build %d: Dropped = %d, want 2 (two refused self-loops)", build, b.Dropped())
+		}
+	}
+	b.AllowSelfLoops()
+	if _, err := b.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Dropped() != 0 {
+		t.Fatalf("Dropped = %d with self-loops allowed, want 0", b.Dropped())
+	}
+}
+
 func TestSelfLoopsKeptWhenAllowed(t *testing.T) {
 	b := NewBuilder(2).AllowSelfLoops()
 	b.AddEdge(0, 0)

@@ -20,10 +20,11 @@ type EdgeList struct {
 	// found in the input.
 	Labels []int64
 	// Dropped counts well-formed edge lines ignored because an endpoint
-	// was negative (plus any edges the Builder itself refused). Malformed
-	// lines are still hard errors; a negative identifier is a data quirk
-	// real exports contain, so it is skipped and accounted for rather than
-	// failing the whole file.
+	// was negative or the line is a self-loop, plus duplicate lines the
+	// Builder collapsed. Malformed lines are still hard errors; negative
+	// identifiers and self-loops are data quirks real exports contain, so
+	// they are skipped and accounted for rather than failing the whole
+	// file.
 	Dropped int64
 }
 
@@ -31,7 +32,8 @@ type EdgeList struct {
 // style: one "source target" pair per line, with '#' starting a comment.
 // External identifiers may be arbitrary non-negative integers; they are
 // remapped to dense identifiers in first-seen order. Lines with negative
-// identifiers are dropped and counted in EdgeList.Dropped.
+// identifiers and self-loops are dropped and counted in EdgeList.Dropped;
+// an identifier seen only on such lines becomes no node.
 func ReadEdgeList(r io.Reader) (*EdgeList, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -72,8 +74,10 @@ func ReadEdgeList(r io.Reader) (*EdgeList, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad target %q: %w", lineNo, fields[1], err)
 		}
-		if u < 0 || v < 0 {
-			dropped++ // counted before interning: no label space for ids we refuse
+		if u < 0 || v < 0 || u == v {
+			// Negative ids and self-loops are refused before interning, so
+			// an id seen only on refused lines takes no node or label.
+			dropped++
 			continue
 		}
 		b.AddEdge(intern(u), intern(v))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lcrb/internal/rng"
+	"lcrb/internal/rrset"
 )
 
 // TestBitsetKernelsAgainstNaive drives the word-parallel kernels against a
@@ -17,8 +18,8 @@ func TestBitsetKernelsAgainstNaive(t *testing.T) {
 	src := rng.New(9001)
 	for _, n := range []int{0, 1, 63, 64, 65, 130, 1000} {
 		for trial := 0; trial < 10; trial++ {
-			b, bRef := NewBitset(n), make([]bool, n)
-			m, mRef := NewBitset(n), make([]bool, n)
+			b, bRef := rrset.NewBitset(n), make([]bool, n)
+			m, mRef := rrset.NewBitset(n), make([]bool, n)
 			for i := 0; i < n/2; i++ {
 				bi, mi := int32(src.Intn(n)), int32(src.Intn(n))
 				b.Set(bi)
@@ -73,9 +74,9 @@ func randomSyntheticSet(src *rng.Source, numPairs, maxNode int) *Set {
 }
 
 // disableArena forces the CSR fallback path, as if the rows had blown
-// arenaBudgetBytes, so both gain/commit implementations get the same
+// rrset.ArenaBudgetBytes, so both gain/commit implementations get the same
 // differential coverage.
-func disableArena(set *Set) { set.index.arena = nil }
+func disableArena(set *Set) { set.index.Arena = nil }
 
 // checkIndexMatchesReference asserts every query the live index answers
 // agrees pair for pair with the retired map/bool-slice machinery.
@@ -100,7 +101,7 @@ func checkIndexMatchesReference(t *testing.T, src *rng.Source, set *Set) {
 			}
 		}
 		// Throw in nodes outside the candidate set; they must contribute 0.
-		protectors = append(protectors, -1, int32(len(ix.rowOf))+7)
+		protectors = append(protectors, -1, int32(len(ix.RowOf))+7)
 		if got, want := set.coveredPairs(protectors), ri.CoveredPairs(protectors); got != want {
 			t.Fatalf("coveredPairs(%v) = %d, want %d", protectors, got, want)
 		}
@@ -112,7 +113,7 @@ func checkIndexMatchesReference(t *testing.T, src *rng.Source, set *Set) {
 	// Marginal gains under random partial coverage: the AND-NOT popcount
 	// (or CSR walk) must equal the []bool recount for every candidate row.
 	for trial := 0; trial < 10; trial++ {
-		covered := NewBitset(ix.numPairs)
+		covered := rrset.NewBitset(ix.NumPairs)
 		coveredRef := make([]bool, len(set.Pairs))
 		for pi := range set.Pairs {
 			if src.Bool(0.4) {
@@ -120,17 +121,17 @@ func checkIndexMatchesReference(t *testing.T, src *rng.Source, set *Set) {
 				coveredRef[pi] = true
 			}
 		}
-		for r, u := range ix.nodes {
-			if got, want := ix.gain(int32(r), covered), ri.Gain(u, coveredRef); got != want {
+		for r, u := range ix.Nodes {
+			if got, want := ix.Gain(int32(r), covered), ri.Gain(u, coveredRef); got != want {
 				t.Fatalf("gain(node %d) = %d, want %d", u, got, want)
 			}
 		}
 	}
 
 	// commit must mark exactly the row's pairs.
-	for r, u := range ix.nodes {
-		covered := NewBitset(ix.numPairs)
-		ix.commit(int32(r), covered)
+	for r, u := range ix.Nodes {
+		covered := rrset.NewBitset(ix.NumPairs)
+		ix.Commit(int32(r), covered)
 		if got, want := covered.Count(), len(ri.byNode[u]); got != want {
 			t.Fatalf("commit(node %d) covered %d pairs, want %d", u, got, want)
 		}
@@ -173,17 +174,17 @@ func TestPairIndexRowInvariants(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		set := randomSyntheticSet(src, 1+src.Intn(150), 2+src.Intn(90))
 		ix := set.index
-		if ix.numPairs != len(set.Pairs) || ix.words != (len(set.Pairs)+63)/64 {
-			t.Fatalf("dims = (%d, %d) for %d pairs", ix.numPairs, ix.words, len(set.Pairs))
+		if ix.NumPairs != len(set.Pairs) || ix.Words != (len(set.Pairs)+63)/64 {
+			t.Fatalf("dims = (%d, %d) for %d pairs", ix.NumPairs, ix.Words, len(set.Pairs))
 		}
-		for r, u := range ix.nodes {
-			if r > 0 && ix.nodes[r-1] >= u {
-				t.Fatalf("nodes not strictly ascending at row %d: %v", r, ix.nodes)
+		for r, u := range ix.Nodes {
+			if r > 0 && ix.Nodes[r-1] >= u {
+				t.Fatalf("nodes not strictly ascending at row %d: %v", r, ix.Nodes)
 			}
-			if ix.row(u) != int32(r) {
-				t.Fatalf("row(%d) = %d, want %d", u, ix.row(u), r)
+			if ix.Row(u) != int32(r) {
+				t.Fatalf("row(%d) = %d, want %d", u, ix.Row(u), r)
 			}
-			list := ix.rowList(int32(r))
+			list := ix.RowList(int32(r))
 			if len(list) == 0 {
 				t.Fatalf("node %d holds an empty row", u)
 			}
@@ -192,7 +193,7 @@ func TestPairIndexRowInvariants(t *testing.T) {
 					t.Fatalf("row %d pair list not strictly ascending: %v", r, list)
 				}
 			}
-			row := ix.rowBits(int32(r))
+			row := ix.RowBits(int32(r))
 			if row == nil {
 				t.Fatal("arena unexpectedly off on a tiny index")
 			}
@@ -205,7 +206,7 @@ func TestPairIndexRowInvariants(t *testing.T) {
 				}
 			}
 		}
-		if ix.row(-5) != -1 || ix.row(int32(len(ix.rowOf))+3) != -1 {
+		if ix.Row(-5) != -1 || ix.Row(int32(len(ix.RowOf))+3) != -1 {
 			t.Fatal("out-of-range nodes must map to row -1")
 		}
 	}
@@ -214,45 +215,45 @@ func TestPairIndexRowInvariants(t *testing.T) {
 // serialPairIndex is the single-threaded inversion the chunked transpose
 // replaced: one counting pass, rows in ascending node order, one scatter
 // in pair order, then the arena row by row. It is the oracle
-// TestPairIndexBitIdenticalAcrossWorkers holds newPairIndex to.
-func serialPairIndex(pairs []Pair) *pairIndex {
-	ix := &pairIndex{numPairs: len(pairs), words: (len(pairs) + 63) / 64}
+// TestPairIndexBitIdenticalAcrossWorkers holds rrset.NewIndex to.
+func serialPairIndex(pairs []Pair) *rrset.Index {
+	ix := &rrset.Index{NumPairs: len(pairs), Words: (len(pairs) + 63) / 64}
 	maxNode := int32(-1)
 	for _, pair := range pairs {
 		for _, u := range pair.Nodes {
 			maxNode = max(maxNode, u)
 		}
 	}
-	ix.rowOf = make([]int32, maxNode+1)
+	ix.RowOf = make([]int32, maxNode+1)
 	counts := make([]int32, maxNode+1)
 	for _, pair := range pairs {
 		for _, u := range pair.Nodes {
 			counts[u]++
 		}
 	}
-	ix.off = []int32{0}
+	ix.Off = []int32{0}
 	for u := int32(0); u <= maxNode; u++ {
-		ix.rowOf[u] = -1
+		ix.RowOf[u] = -1
 		if counts[u] > 0 {
-			ix.rowOf[u] = int32(len(ix.nodes))
-			ix.nodes = append(ix.nodes, u)
-			ix.off = append(ix.off, ix.off[len(ix.off)-1]+counts[u])
+			ix.RowOf[u] = int32(len(ix.Nodes))
+			ix.Nodes = append(ix.Nodes, u)
+			ix.Off = append(ix.Off, ix.Off[len(ix.Off)-1]+counts[u])
 		}
 	}
-	ix.pairs = make([]int32, ix.off[len(ix.nodes)])
-	cursor := make([]int32, len(ix.nodes))
+	ix.Pairs = make([]int32, ix.Off[len(ix.Nodes)])
+	cursor := make([]int32, len(ix.Nodes))
 	for pi, pair := range pairs {
 		for _, u := range pair.Nodes {
-			r := ix.rowOf[u]
-			ix.pairs[ix.off[r]+cursor[r]] = int32(pi)
+			r := ix.RowOf[u]
+			ix.Pairs[ix.Off[r]+cursor[r]] = int32(pi)
 			cursor[r]++
 		}
 	}
-	if n := len(ix.nodes) * ix.words * 8; n > 0 && n <= arenaBudgetBytes {
-		ix.arena = make([]uint64, len(ix.nodes)*ix.words)
-		for r := range ix.nodes {
-			for _, pi := range ix.rowList(int32(r)) {
-				ix.rowBits(int32(r)).Set(pi)
+	if n := len(ix.Nodes) * ix.Words * 8; n > 0 && n <= rrset.ArenaBudgetBytes {
+		ix.Arena = make([]uint64, len(ix.Nodes)*ix.Words)
+		for r := range ix.Nodes {
+			for _, pi := range ix.RowList(int32(r)) {
+				ix.RowBits(int32(r)).Set(pi)
 			}
 		}
 	}
@@ -277,17 +278,17 @@ func TestPairIndexBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, numPairs := range []int{0, 1, 2, 3, 6, 7, 8, 150} {
 		sets = append(sets, randomSyntheticSet(src, numPairs, 2+src.Intn(90)))
 	}
-	for _, budget := range []int{arenaBudgetBytes, 0} {
+	for _, budget := range []int{rrset.ArenaBudgetBytes, 0} {
 		t.Run(fmt.Sprintf("arenaBudget=%d", budget), func(t *testing.T) {
-			defer func(saved int) { arenaBudgetBytes = saved }(arenaBudgetBytes)
-			arenaBudgetBytes = budget
+			defer func(saved int) { rrset.ArenaBudgetBytes = saved }(rrset.ArenaBudgetBytes)
+			rrset.ArenaBudgetBytes = budget
 			for i, set := range sets {
 				want := serialPairIndex(set.Pairs)
-				if (want.arena != nil) != (budget > 0 && len(want.nodes) > 0) {
-					t.Fatalf("set %d: arena present = %v under budget %d", i, want.arena != nil, budget)
+				if (want.Arena != nil) != (budget > 0 && len(want.Nodes) > 0) {
+					t.Fatalf("set %d: arena present = %v under budget %d", i, want.Arena != nil, budget)
 				}
 				for _, workers := range []int{1, 2, 3, 7} {
-					if got := newPairIndex(set.Pairs, workers); !reflect.DeepEqual(got, want) {
+					if got := rrset.NewIndex(set.Pairs, workers); !reflect.DeepEqual(got, want) {
 						t.Fatalf("set %d (%d pairs), workers=%d: index differs from the serial inversion", i, len(set.Pairs), workers)
 					}
 				}
@@ -301,27 +302,6 @@ func TestPairIndexBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkPairIndex times the node → pair inversion, CSR and bitset
-// arena, of a DefaultSamples build on the pinned hep instance, serial and
-// on two workers.
-func BenchmarkPairIndex(b *testing.B) {
-	set, err := Build(hepProblem(b), Options{Seed: 7, Workers: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchIndex = newPairIndex(set.Pairs, workers)
-			}
-		})
-	}
-}
-
-// benchIndex keeps the benchmarked index live.
-var benchIndex *pairIndex
 
 // TestSolveGreedyRISMatchesReference is the end-to-end differential: on the
 // same sketch the bitset solver and the retired map/bool-slice solver must

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"testing"
 
 	"lcrb/internal/community"
@@ -12,6 +11,7 @@ import (
 	"lcrb/internal/dyngraph"
 	"lcrb/internal/gen"
 	"lcrb/internal/rng"
+	"lcrb/internal/rrset"
 )
 
 // Golden sampler digests: a SHA-256 over Pairs, BaselinePairs and
@@ -134,11 +134,11 @@ func TestGoldenSamplerDigestLongHorizon(t *testing.T) {
 
 	late := 0
 	src := rng.New(11)
-	sc := newSampler(p, hops, false).newScratch()
+	sc := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, hops, false).NewScratch()
 	for r := 0; r < set.Samples; r++ {
-		sc.forward(src.Uint64())
+		arr := sc.Arrivals(src.Uint64())
 		for _, e := range p.Ends {
-			if sc.arr[e] > 63 {
+			if arr[e] > 63 {
 				late++
 			}
 		}
@@ -187,26 +187,3 @@ func TestGoldenSamplerDigestRepair(t *testing.T) {
 	}
 	checkDigest(t, "hep 0.05 repaired", repaired, goldenHepRepair)
 }
-
-// BenchmarkSampleRealization times the sampler layer: one realization on
-// the pinned hep instance (the forward pass that fills the step-target
-// table, then the level sweeps of every batch of bridge ends), with the
-// scratch built once, as a build does per worker. The footprints case is
-// how Repair samples.
-func BenchmarkSampleRealization(b *testing.B) {
-	p := hepProblem(b)
-	for _, footprints := range []bool{false, true} {
-		b.Run(fmt.Sprintf("footprints=%v", footprints), func(b *testing.B) {
-			sc := newSampler(p, core.DefaultGreedyHops, footprints).newScratch()
-			seeds := rng.New(7)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchPairs, _, _ = sc.sample(seeds.Uint64(), int32(i))
-			}
-		})
-	}
-}
-
-// benchPairs keeps the benchmarked result live.
-var benchPairs []Pair

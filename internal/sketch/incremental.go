@@ -29,10 +29,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"lcrb/internal/core"
-	"lcrb/internal/rng"
+	"lcrb/internal/rrset"
 )
 
 // ErrNoFootprints is returned (wrapped) by Repair when the sketch carries
@@ -133,54 +132,13 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 	stats.Kept = set.Samples - len(redraw)
 
 	// Re-derive the CRN seed stream — a pure function of Set.Seed — and
-	// re-draw the hit realizations against the new snapshot, striped across
-	// workers into index slots exactly like grow(), so the repaired sketch
-	// is worker-count invariant.
-	seedSrc := rng.New(set.Seed)
-	realSeeds := make([]uint64, set.Samples)
-	for i := range realSeeds {
-		realSeeds[i] = seedSrc.Uint64()
-	}
-	type redrawn struct {
-		pairs []Pair
-		foot  []int32
-	}
-	results := make([]redrawn, len(redraw))
-	errs := make([]error, len(redraw))
-	drawOne := func(sc *scratch, slot int) {
-		if err := ctx.Err(); err != nil {
-			errs[slot] = err
-			return
-		}
-		r := redraw[slot]
-		pairs, _, foot := sc.sample(realSeeds[r], int32(r))
-		results[slot] = redrawn{pairs: pairs, foot: foot}
-	}
-	smp := newSampler(newP, set.MaxHops, true)
-	runStriped(len(redraw), workers, func(w, stride int) {
-		sc := smp.newScratch()
-		for slot := w; slot < len(redraw); slot += stride {
-			drawOne(sc, slot)
-			if errs[slot] != nil {
-				return
-			}
-		}
-	})
-	var cancelErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if core.IsInterruption(err) {
-			if cancelErr == nil {
-				cancelErr = err
-			}
-			continue
-		}
+	// re-draw the hit realizations against the new snapshot into slots, so
+	// the repaired sketch is worker-count invariant.
+	smp := rrset.NewSampler(newP.Graph, newP.Rumors, newP.Ends, set.MaxHops, true)
+	results, err := smp.Draw(rrset.Seeds(set.Seed, set.Samples), redraw, workers,
+		func(int) error { return ctx.Err() }, core.IsInterruption)
+	if err != nil {
 		return nil, nil, err
-	}
-	if cancelErr != nil {
-		return nil, nil, cancelErr
 	}
 
 	// Reassemble in realization order: kept realizations share pairs and
@@ -200,9 +158,9 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 	next := 0 // cursor into redraw/results
 	for r := 0; r < set.Samples; r++ {
 		if next < len(redraw) && redraw[next] == r {
-			out.Pairs = append(out.Pairs, results[next].pairs...)
-			out.BaselinePairs += len(newP.Ends) - len(results[next].pairs)
-			out.Footprints[r] = results[next].foot
+			out.Pairs = append(out.Pairs, results[next].Pairs...)
+			out.BaselinePairs += results[next].Baseline
+			out.Footprints[r] = results[next].Footprint
 			next++
 			continue
 		}
@@ -229,33 +187,6 @@ func pairStarts(set *Set) []int {
 	}
 	starts[set.Samples] = i
 	return starts
-}
-
-// runStriped runs fn(w, stride) on `workers` goroutines (inline when one),
-// the worker-pool shape of grow().
-func runStriped(items, workers int, fn func(w, stride int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > items {
-		workers = items
-	}
-	if workers <= 1 {
-		if items > 0 {
-			fn(0, 1)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(w, workers)
-		}()
-	}
-	wg.Wait()
 }
 
 // equalIDs reports element-wise equality of two id slices.

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lcrb/internal/community"
@@ -11,6 +12,7 @@ import (
 	"lcrb/internal/gen"
 	"lcrb/internal/graph"
 	"lcrb/internal/rng"
+	"lcrb/internal/rrset"
 )
 
 // blockProblem cuts g into consecutive blocks of size nodes and seeds the
@@ -77,12 +79,12 @@ func TestSweepMatchesReferenceSampler(t *testing.T) {
 		}
 		for _, hops := range []int{1, 31, 63, 64, 100} {
 			for _, footprints := range []bool{false, true} {
-				sc := newSampler(p, hops, footprints).newScratch()
+				sc := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, hops, footprints).NewScratch()
 				ref := newRefScratch(p, hops, footprints)
 				seeds := rng.New(uint64(hops))
 				for r := int32(0); r < 6; r++ {
 					seed := seeds.Uint64()
-					pairs, base, foot := sc.sample(seed, r)
+					pairs, base, foot := sc.Sample(seed, r)
 					wantPairs, wantBase, wantFoot := ref.sample(seed, r)
 					where := fmt.Sprintf("%s hops=%d footprints=%v realization %d", name, hops, footprints, r)
 					if (len(pairs) > 0 || len(wantPairs) > 0) && !reflect.DeepEqual(pairs, wantPairs) {
@@ -96,7 +98,15 @@ func TestSweepMatchesReferenceSampler(t *testing.T) {
 					}
 					realizations++
 					unreached += base
-					if len(sc.order) > 64 && sc.arr[p.Ends[sc.order[0]]] != sc.arr[p.Ends[sc.order[63]]] {
+					// The first batch of 64 coverable ends, in t_R order,
+					// spans more than one arrival hop.
+					arr := sc.Arrivals(seed)
+					var order []int32
+					for _, pr := range pairs {
+						order = append(order, arr[p.Ends[pr.End]])
+					}
+					slices.Sort(order)
+					if len(order) > 64 && order[0] != order[63] {
 						mixedBatches++
 					}
 					for _, pr := range pairs {
@@ -140,18 +150,18 @@ func TestSamplerArrivalsMatchForwardSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, footprints := range []bool{true, false} {
-		sc := newSampler(p, maxHops, footprints).newScratch()
-		sc.forward(realSeed)
+		sc := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, maxHops, footprints).NewScratch()
+		arrivals := sc.Arrivals(realSeed)
 		last := int32(0)
 		for _, e := range p.Ends {
-			last = max(last, sc.arr[e])
+			last = max(last, arrivals[e])
 		}
 		for v := int32(0); v < g.NumNodes(); v++ {
 			e, activated := tr.Of(v)
 			if activated != (res.Status[v] != diffusion.Inactive) {
 				t.Fatalf("node %d: trace and status disagree", v)
 			}
-			arr := sc.arr[v]
+			arr := arrivals[v]
 			if !footprints && activated && int32(e.Hop) > last {
 				if arr >= 0 {
 					t.Fatalf("node %d: arrival %d after the last end arrival %d", v, arr, last)
@@ -178,12 +188,11 @@ func TestSamplerArrivalsSeedsAndHopBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := blockProblem(t, g, 25, []int32{3, 3, 7})
-	sc := newSampler(p, 1, true).newScratch()
-	sc.forward(9)
-	if sc.arr[3] != 0 || sc.arr[7] != 0 {
-		t.Fatalf("seed arrivals = %d, %d, want 0, 0", sc.arr[3], sc.arr[7])
+	arr := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, 1, true).NewScratch().Arrivals(9)
+	if arr[3] != 0 || arr[7] != 0 {
+		t.Fatalf("seed arrivals = %d, %d, want 0, 0", arr[3], arr[7])
 	}
-	for v, a := range sc.arr {
+	for v, a := range arr {
 		if a > 1 {
 			t.Fatalf("node %d arrived at hop %d with MaxHops 1", v, a)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lcrb"
+	"lcrb/internal/diffusion"
 )
 
 // TestFacadeEndToEnd drives the whole pipeline through the public API:
@@ -128,11 +129,15 @@ func TestFacadeRobustness(t *testing.T) {
 		t.Skip("no bridge ends for this draw")
 	}
 
-	res, err := lcrb.SolveGreedy(prob, lcrb.GreedyOptions{Alpha: 0.8, Samples: 8, Seed: 2, MaxEvaluations: 2})
-	if !errors.Is(err, lcrb.ErrBudgetExhausted) {
-		t.Fatalf("SolveGreedy: err = %v, want ErrBudgetExhausted", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatalf("SolveGreedy: result = %+v, want non-nil partial", res)
+	// Both engines: the default RR-set cover and, with an explicit
+	// realization, the Monte-Carlo one.
+	for _, realization := range []diffusion.Realization{nil, diffusion.OPOAORealization()} {
+		res, err := lcrb.SolveGreedy(prob, lcrb.GreedyOptions{Alpha: 0.8, Samples: 8, Seed: 2, MaxEvaluations: 2, Realization: realization})
+		if !errors.Is(err, lcrb.ErrBudgetExhausted) {
+			t.Fatalf("SolveGreedy: err = %v, want ErrBudgetExhausted", err)
+		}
+		if res == nil || !res.Partial {
+			t.Fatalf("SolveGreedy: result = %+v, want non-nil partial", res)
+		}
 	}
 }

@@ -306,33 +306,6 @@ func BenchmarkSCBGSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCandidatePool ablates the greedy's candidate cap: a
-// tighter pool trades σ̂ evaluations (and runtime) against selection
-// quality.
-func BenchmarkAblationCandidatePool(b *testing.B) {
-	prob := benchProblem(b)
-	for _, limit := range []int{50, 300, -1} {
-		name := fmt.Sprintf("max=%d", limit)
-		if limit < 0 {
-			name = "max=unlimited"
-		}
-		b.Run(name, func(b *testing.B) {
-			var protectors, evals int
-			for i := 0; i < b.N; i++ {
-				res, err := core.Greedy(prob, core.GreedyOptions{
-					Alpha: 0.8, Samples: 8, Seed: 3, MaxCandidates: limit,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				protectors, evals = len(res.Protectors), res.Evaluations
-			}
-			b.ReportMetric(float64(protectors), "protectors")
-			b.ReportMetric(float64(evals), "sigma_evals")
-		})
-	}
-}
-
 // BenchmarkGreedyUnderIC measures the LCRB-P greedy running on the
 // competitive-IC realization instead of OPOAO (the future-work extension).
 func BenchmarkGreedyUnderIC(b *testing.B) {

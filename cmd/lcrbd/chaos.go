@@ -17,9 +17,10 @@ type chaosFaults struct {
 	// breaker in front of the instance cache.
 	load *diffusion.Fault
 	// sigma fires inside the greedy's σ̂ Monte-Carlo realizations,
-	// exercising the fallback ladder (greedy → SCBG → heuristic). Setting
-	// it switches the greedy rung from its default RR-set engine to the
-	// Monte-Carlo CELF engine, whose realizations the fault wraps.
+	// exercising the ladder's degrade path (greedy → SCBG → heuristic).
+	// Setting it switches explicit greedy requests from core.GreedyContext's
+	// default RR-set engine to the Monte-Carlo CELF engine, whose
+	// realizations the fault wraps; auto and ris never run it.
 	sigma *diffusion.Fault
 }
 

@@ -176,6 +176,7 @@ func TestChaosSigmaPanicContained(t *testing.T) {
 // an honestly-tagged degraded 200 — never a hung or bare-failed request.
 func TestChaosDrainCancelsInFlight(t *testing.T) {
 	s := newServer(testConfig(), nil, t.Logf)
+	s.holdSolve = true
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
@@ -187,7 +188,7 @@ func TestChaosDrainCancelsInFlight(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		s.hardStop()
 	}()
-	status, body := postSolve(t, ts.URL, `{"algorithm":"greedy","samples":20000,"alpha":0.99}`)
+	status, body := postSolve(t, ts.URL, `{"algorithm":"greedy","alpha":0.99}`)
 	if status != http.StatusOK {
 		t.Fatalf("drained solve = %d %v, want degraded 200", status, body)
 	}

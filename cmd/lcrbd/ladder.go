@@ -17,18 +17,19 @@ func (s *server) requestRNG(req *resolvedRequest) *rng.Source {
 	return rng.New(req.Seed + 100)
 }
 
-// solve runs one request down its ladder. auto and ris share one:
+// solve runs one request down its ladder. greedy, auto and ris share one
+// (solveCover):
 //
-//	warm RR-set sketch (RIS max coverage, zero simulations)
-//	  → SCBG cover while the sketch is cold, disabled or failed
+//	the paper's greedy as lazy max coverage over RR sets — a warm
+//	sketch's for auto and ris, the request's own realizations for greedy
+//	  → SCBG cover while the sketch is cold, disabled or failed, or the
+//	    greedy was interrupted
 //	    → Proximity/MaxDegree heuristic, which always answers
 //
-// Explicit greedy runs CELF greedy → SCBG cover on interruption →
-// heuristic. Every rung past the first tags the response Degraded with the
-// reason, so a client under deadline pressure receives an honest cheaper
-// answer instead of a bare 5xx. Only instance-build failures (circuit
-// open, generator broken) and dead-before-start contexts surface as
-// errors.
+// Every rung past the first tags the response Degraded with the reason, so
+// a client under deadline pressure receives an honest cheaper answer
+// instead of a bare 5xx. Only instance-build failures (circuit open,
+// generator broken) and dead-before-start contexts surface as errors.
 func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveResponse, error) {
 	prob, staleness, err := s.problem(req)
 	if err != nil {
@@ -45,10 +46,8 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 	}
 
 	switch req.Algorithm {
-	case "greedy":
-		return s.solveGreedy(ctx, req, prob, resp)
-	case "auto", "ris":
-		return s.solveRIS(ctx, req, prob, resp)
+	case "greedy", "auto", "ris":
+		return s.solveCover(ctx, req, prob, resp)
 	case "scbg":
 		sres, serr := s.runSCBG(ctx, req, prob)
 		if serr != nil && (sres == nil || sres.UncoverableEnds == 0) {
@@ -79,64 +78,51 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 	}
 }
 
-// solveRIS serves auto and ris from a warm sketch. A cold store (whose
-// miss starts a background build), a disabled rung or a failed RIS solve
-// degrades to the SCBG cover, tagged with the sketch reason.
-func (s *server) solveRIS(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse) (*solveResponse, error) {
-	ans, err := s.runRIS(ctx, req, prob, resp)
-	if err == nil && ans != nil {
-		return ans, nil
+// solveCover serves greedy, auto and ris. The selection comes from one of
+// two sources: auto and ris read the warm sketch store (runRIS, answered as
+// "ris"), greedy samples its own realizations per request (runGreedy,
+// answered as "greedy"). An exact selection fills the response; a source
+// that fails degrades to the SCBG cover, tagged with its reason, and when
+// SCBG fails too, to the heuristic bottom rung.
+func (s *server) solveCover(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse) (*solveResponse, error) {
+	if s.holdSolve {
+		// Test seam: keep the solve in flight until its context ends.
+		<-ctx.Done()
 	}
-	reason := "sketch store cold: build started in background"
-	if !s.sketches.enabled() {
-		reason = "sketch rung disabled (-sketch-samples 0)"
-	} else if err != nil {
-		reason = fmt.Sprintf("ris solve failed (%v)", err)
+	algorithm := "ris"
+	var res *core.GreedyResult
+	var err error
+	if req.Algorithm == "greedy" {
+		algorithm = "greedy"
+		if res, err = s.runGreedy(ctx, req, prob); err != nil {
+			err = fmt.Errorf("greedy interrupted (%w)", err)
+		}
+	} else {
+		res, err = s.runRIS(ctx, req, prob, resp.Staleness)
 	}
-	out, serr := s.degradeToSCBG(ctx, req, prob, resp, reason)
-	if serr != nil {
-		return s.degradeToHeuristic(req, prob, resp, fmt.Sprintf("%s; scbg failed (%v)", reason, serr))
-	}
-	return out, nil
-}
-
-// solveGreedy runs the explicitly requested CELF greedy. An interrupted
-// greedy (deadline, drain or σ̂ fault) degrades to the SCBG cover, and
-// when SCBG fails too, to the heuristic bottom rung.
-func (s *server) solveGreedy(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse) (*solveResponse, error) {
-	res, err := s.runGreedy(ctx, req, prob)
+	out := *resp
 	if err == nil {
-		out := *resp
-		out.Algorithm = "greedy"
+		out.Algorithm = algorithm
 		out.Protectors = res.Protectors
 		out.ProtectedEnds = res.ProtectedEnds
 		out.Achieved = res.Achieved
 		return &out, nil
 	}
-	if out, serr := s.degradeToSCBG(ctx, req, prob, resp, fmt.Sprintf("greedy interrupted (%v)", err)); serr == nil {
-		return out, nil
+	sres, serr := s.runSCBG(ctx, req, prob)
+	if serr != nil && (sres == nil || sres.UncoverableEnds == 0) {
+		return s.degradeToHeuristic(req, prob, resp, fmt.Sprintf("%v; scbg failed (%v)", err, serr))
 	}
-	return s.degradeToHeuristic(req, prob, resp, fmt.Sprintf("exact solvers unavailable (%v)", err))
-}
-
-// degradeToSCBG serves the SCBG cover tagged Degraded with reason. A cover
-// that leaves some ends uncoverable still answers; any other SCBG failure
-// is returned for the caller to fall through to the heuristic.
-func (s *server) degradeToSCBG(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse, reason string) (*solveResponse, error) {
-	sres, err := s.runSCBG(ctx, req, prob)
-	if err != nil && (sres == nil || sres.UncoverableEnds == 0) {
-		return nil, err
-	}
-	out := *resp
 	fillSCBG(&out, prob, req.Alpha, sres)
 	out.Degraded = true
-	out.DegradedReason = reason + ": served SCBG cover"
+	out.DegradedReason = fmt.Sprintf("%v: served SCBG cover", err)
 	return &out, nil
 }
 
-// runGreedy is the exact rung: CELF greedy with the request deadline folded
-// into its evaluation budget (DeadlineMargin), so it stops early with a
-// valid prefix instead of being killed mid-evaluation.
+// runGreedy selects by core.GreedyContext on the request's own Samples
+// realizations (seed Seed + 200), with the request deadline folded into its
+// budget (DeadlineMargin), so it stops early with a valid prefix instead of
+// being killed mid-selection. OnRound streams each committed round, and the
+// chaos sigma fault switches it to the Monte-Carlo engine it wraps.
 func (s *server) runGreedy(ctx context.Context, req *resolvedRequest, prob *core.Problem) (*core.GreedyResult, error) {
 	opts := core.GreedyOptions{
 		Alpha:          req.Alpha,

@@ -58,19 +58,21 @@ func TestSolveCoalescesIdenticalRequests(t *testing.T) {
 	cfg.maxInflight = 16
 	cfg.maxWaiting = 16
 	s := newServer(cfg, nil, t.Logf)
+	s.holdSolve = true
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	defer s.stop()
 
-	// Warm the instance cache so the slow identical solves below spend
-	// their time inside one coalescable greedy run.
+	// Warm the instance cache so the identical solves below spend their
+	// time inside one coalescable greedy run, held in flight until its
+	// deadline.
 	if status, body := postSolve(t, ts.URL, `{"algorithm":"scbg","seed":9}`); status != http.StatusOK {
 		t.Fatalf("warmup: %d %v", status, body)
 	}
 	before := getStats(t, ts.URL)
 
 	const n = 8
-	req := `{"algorithm":"greedy","samples":2000,"alpha":0.99,"seed":9}`
+	req := `{"algorithm":"greedy","alpha":0.99,"seed":9,"timeoutMillis":1000}`
 	type result struct {
 		status int
 		body   map[string]any
@@ -220,6 +222,7 @@ func TestTenantQuotaExceededTyped429(t *testing.T) {
 // The coalesced flight keeps running under the drain context.
 func TestClientDisconnectCountedNotDegraded(t *testing.T) {
 	s := newServer(testConfig(), nil, t.Logf)
+	s.holdSolve = true
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	defer s.stop()
@@ -232,7 +235,7 @@ func TestClientDisconnectCountedNotDegraded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/solve",
-		strings.NewReader(`{"algorithm":"greedy","samples":2000,"alpha":0.99,"seed":3}`))
+		strings.NewReader(`{"algorithm":"greedy","alpha":0.99,"seed":3}`))
 	if err != nil {
 		t.Fatalf("new request: %v", err)
 	}

@@ -68,15 +68,15 @@ type solveRequest struct {
 	// Alpha is the protection level for greedy (default 0.9).
 	Alpha float64 `json:"alpha"`
 	// Algorithm is auto (default), greedy, ris, scbg, proximity or
-	// maxdegree. auto and ris are one ladder: a warm RR-set sketch answers
-	// exactly; a cold or stale store (which starts a background build), a
-	// disabled sketch rung or a failed RIS solve serves the SCBG cover,
-	// tagged degraded with the sketch reason; the Proximity/MaxDegree
-	// heuristic answers when SCBG cannot. greedy runs the paper's greedy
-	// (core.GreedyContext: exact lazy cover over the RR sets of its own
-	// Samples realizations, sampled per request; the Monte-Carlo CELF
-	// engine under the -chaos sigma fault) and degrades to SCBG, then the
-	// heuristic, when interrupted.
+	// maxdegree. greedy, auto and ris are one ladder: the paper's greedy
+	// as exact lazy cover over RR sets, from a warm sketch for auto and ris
+	// (answered as "ris") or from the request's own Samples realizations
+	// for greedy (core.GreedyContext, answered as "greedy"; the
+	// Monte-Carlo CELF engine under the -chaos sigma fault). A cold or
+	// stale store (which starts a background build), a disabled sketch
+	// rung, a failed RIS solve or an interrupted greedy serves the SCBG
+	// cover, tagged degraded with the reason; the Proximity/MaxDegree
+	// heuristic answers when SCBG cannot.
 	Algorithm string `json:"algorithm"`
 	// Samples is the greedy's σ̂ realization count (default 10).
 	Samples int `json:"samples"`
@@ -203,6 +203,11 @@ type server struct {
 	// shutdown open.
 	hardDrain context.Context
 	hardStop  context.CancelFunc
+
+	// holdSolve, set only by tests, holds every greedy, auto and ris solve
+	// in flight until its context ends, so drain, coalescing and
+	// disconnect tests do not depend on how fast the greedy runs.
+	holdSolve bool
 }
 
 // newServer wires the serving state. logf receives operational log lines.

@@ -251,36 +251,32 @@ func (st *sketchStore) stats() map[string]any {
 	return out
 }
 
-// runRIS serves the fast rung from a warm sketch: lazy-greedy max coverage
-// with zero diffusion simulations. It returns (nil, nil) on a cold or
-// stale store — the caller falls through to the SCBG cover — and always
-// kicks an asynchronous build on a miss so the store warms up.
-func (s *server) runRIS(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse) (*solveResponse, error) {
+// runRIS selects from a warm sketch: lazy-greedy max coverage with zero
+// diffusion simulations. A disabled rung, a cold or stale store and a
+// failed RIS solve return an error naming the cause, which the caller
+// serves as its degradation reason; a miss also kicks an asynchronous
+// build so the store warms up.
+func (s *server) runRIS(ctx context.Context, req *resolvedRequest, prob *core.Problem, staleness *stalenessInfo) (*core.GreedyResult, error) {
 	if !s.sketches.enabled() {
-		return nil, nil
+		return nil, errors.New("sketch rung disabled (-sketch-samples 0)")
 	}
 	opts := s.sketches.options(req)
 	// In dynamic mode the response carries the served snapshot version the
 	// problem was built on; the store binds warm sketches to it.
 	var version uint64
-	if resp.Staleness != nil {
-		version = resp.Staleness.Version
+	if staleness != nil {
+		version = staleness.Version
 	}
 	set := s.sketches.get(prob, opts, version)
 	if set == nil {
 		s.sketches.ensure(s.hardDrain, prob, opts, version)
-		return nil, nil
+		return nil, errors.New("sketch store cold: build started in background")
 	}
 	res, err := sketch.SolveGreedyRISContext(ctx, prob, set, sketch.SolveOptions{Alpha: req.Alpha})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ris solve failed (%w)", err)
 	}
-	out := *resp
-	out.Algorithm = "ris"
-	out.Protectors = res.Protectors
-	out.ProtectedEnds = res.ProtectedEnds
-	out.Achieved = res.Achieved
-	return &out, nil
+	return res, nil
 }
 
 // extendAssign pads a community assignment to n nodes; nodes born after

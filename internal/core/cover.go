@@ -15,16 +15,16 @@ import (
 // ≡ CRN identity that internal/sketch's TestSigmaEqualsCRNRealizationCount
 // pins), so the greedy over candidate marginal gains is a greedy max
 // coverage over pairs. The realizations are sampled once, on the workers,
-// their RR sets are cut down to the candidate pool, and the selection is
-// rrset's lazy cover with integer gains: no diffusion is re-simulated per
-// candidate.
+// and the selection is rrset's lazy cover with integer gains over every
+// node in some RR set — algorithm 1's unrestricted argmax, since a node in
+// no RR set has zero gain. No diffusion is re-simulated per candidate.
 //
 // The budgets follow the partial-result contract of GreedyContext: the
 // context and the wall-clock deadline are checked before every sampled
 // realization; then the context before every recount and selection, and
 // MaxEvaluations and the deadline before every row count, one count being
 // one evaluation.
-func coverGreedy(ctx context.Context, p *Problem, opts GreedyOptions, candidates []int32, realSeeds []uint64, maxProtectors, workers int, deadline time.Time) (*GreedyResult, error) {
+func coverGreedy(ctx context.Context, p *Problem, opts GreedyOptions, realSeeds []uint64, maxProtectors, workers int, deadline time.Time) (*GreedyResult, error) {
 	expired := func() bool { return !deadline.IsZero() && !time.Now().Before(deadline) }
 	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, opts.MaxHops, false)
 	reals, err := smp.Draw(realSeeds, nil, workers, func(i int) error {
@@ -42,27 +42,11 @@ func coverGreedy(ctx context.Context, p *Problem, opts GreedyOptions, candidates
 		return &GreedyResult{Partial: true}, fmt.Errorf("core: greedy: sample realizations: %w", err)
 	}
 
-	// Only pool members may be selected, so each RR set keeps only them,
-	// filtered in place: the index then holds at most one row per pool
-	// member instead of one per RR-set node.
-	inPool := make([]bool, p.Graph.NumNodes())
-	for _, u := range candidates {
-		inPool[u] = true
-	}
 	baseline := 0
 	var pairs []rrset.Pair
 	for _, r := range reals {
 		baseline += r.Baseline
-		for _, pr := range r.Pairs {
-			nodes := pr.Nodes[:0]
-			for _, u := range pr.Nodes {
-				if inPool[u] {
-					nodes = append(nodes, u)
-				}
-			}
-			pr.Nodes = nodes
-			pairs = append(pairs, pr)
-		}
+		pairs = append(pairs, r.Pairs...)
 	}
 	ix := rrset.NewIndex(pairs, workers)
 

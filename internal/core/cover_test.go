@@ -22,14 +22,10 @@ var greedyEngines = []struct {
 	{"montecarlo", diffusion.OPOAORealization()},
 }
 
-// poolRows counts the rows the default engine counts for opts on p: the
-// candidates of its pool that lie in some RR set of its realizations.
-func poolRows(t *testing.T, p *Problem, opts GreedyOptions) int {
+// rrRows counts the rows the default engine counts for opts on p: the
+// nodes that lie in some RR set of its realizations.
+func rrRows(t *testing.T, p *Problem, opts GreedyOptions) int {
 	t.Helper()
-	candidates, err := greedyCandidates(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, DefaultGreedyHops, false)
 	reals, err := smp.Draw(rrset.Seeds(opts.Seed, opts.Samples), nil, 1, func(int) error { return nil }, IsInterruption)
 	if err != nil {
@@ -39,14 +35,7 @@ func poolRows(t *testing.T, p *Problem, opts GreedyOptions) int {
 	for _, r := range reals {
 		pairs = append(pairs, r.Pairs...)
 	}
-	ix := rrset.NewIndex(pairs, 1)
-	rows := 0
-	for _, u := range candidates {
-		if ix.Row(u) >= 0 {
-			rows++
-		}
-	}
-	return rows
+	return len(rrset.NewIndex(pairs, 1).Nodes)
 }
 
 // checkPrefix fails unless got is a prefix of want.
@@ -59,10 +48,10 @@ func checkPrefix(t *testing.T, what string, got, want []int32) {
 
 // TestGreedyCoverChargesEveryRowCount pins the default engine's
 // evaluation accounting: every row count is one evaluation — the first
-// count of each pool row, then every lazy recount — and MaxEvaluations
-// stops the selection before the count that would exceed it, so an
-// exhausted run reports exactly its budget with a prefix of the full
-// selection. Below the pool size no selection is made.
+// count of each row, then every lazy recount — and MaxEvaluations stops
+// the selection before the count that would exceed it, so an exhausted
+// run reports exactly its budget with a prefix of the full selection.
+// Below the row count no selection is made.
 func TestGreedyCoverChargesEveryRowCount(t *testing.T) {
 	p := batchProblem(t)
 	opts := GreedyOptions{Alpha: 0.9, Samples: 12, Seed: 3}
@@ -70,7 +59,7 @@ func TestGreedyCoverChargesEveryRowCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := poolRows(t, p, opts)
+	rows := rrRows(t, p, opts)
 	if len(full.Protectors) < 2 || full.Evaluations <= rows {
 		t.Fatalf("instance too easy: %d protectors, %d evaluations over %d rows", len(full.Protectors), full.Evaluations, rows)
 	}
@@ -85,7 +74,7 @@ func TestGreedyCoverChargesEveryRowCount(t *testing.T) {
 			t.Fatalf("budget %d: %d evaluations charged", budget, res.Evaluations)
 		}
 		if budget < rows && len(res.Protectors) != 0 {
-			t.Fatalf("budget %d below the %d pool rows selected %v", budget, rows, res.Protectors)
+			t.Fatalf("budget %d below the %d rows selected %v", budget, rows, res.Protectors)
 		}
 		checkPrefix(t, "budget", res.Protectors, full.Protectors)
 	}
@@ -97,10 +86,10 @@ func TestGreedyCoverChargesEveryRowCount(t *testing.T) {
 }
 
 // TestGreedyCoverPlainRecountsEveryRow pins Plain on the default engine:
-// round 0 counts every pool row once and every later round recounts every
-// row still unselected, so with the selection stopped by MaxProtectors
-// after k rounds, Evaluations = R + (R−1) + … + (R−k+1) over R pool rows —
-// and the selection equals the lazy one.
+// round 0 counts every row once and every later round recounts every row
+// still unselected, so with the selection stopped by MaxProtectors after k
+// rounds, Evaluations = R + (R−1) + … + (R−k+1) over R rows — and the
+// selection equals the lazy one.
 func TestGreedyCoverPlainRecountsEveryRow(t *testing.T) {
 	p := batchProblem(t)
 	const k = 4
@@ -112,7 +101,7 @@ func TestGreedyCoverPlainRecountsEveryRow(t *testing.T) {
 	if len(res.Protectors) != k {
 		t.Fatalf("selected %d protectors, want the cap %d", len(res.Protectors), k)
 	}
-	rows := poolRows(t, p, opts)
+	rows := rrRows(t, p, opts)
 	want := 0
 	for j := 0; j < k; j++ {
 		want += rows - j

@@ -6,11 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
-	"sort"
 	"time"
 
-	"lcrb/internal/bridge"
 	"lcrb/internal/diffusion"
 	"lcrb/internal/rrset"
 )
@@ -37,24 +34,13 @@ type GreedyOptions struct {
 	// MaxHops bounds each simulated diffusion. Defaults to
 	// DefaultGreedyHops.
 	MaxHops int
-	// Candidates restricts the search space. Nil means the union of the
-	// bridge ends' backward search trees (every node that can reach a
-	// bridge end ahead of the rumor), which keeps the greedy tractable;
-	// supply all nodes explicitly to reproduce the unrestricted argmax of
-	// algorithm 1.
-	Candidates []int32
 	// Plain disables lazy evaluation and re-evaluates every candidate each
 	// round, exactly as algorithm 1 is written: on the default engine it
-	// recounts every remaining pool row every round. Output is identical;
+	// recounts every remaining row every round. Output is identical;
 	// only the evaluation count changes. Kept for the ablation benchmark.
 	Plain bool
 	// MaxProtectors caps the seed-set size. 0 means |B|.
 	MaxProtectors int
-	// MaxCandidates caps the default candidate pool, keeping the nodes
-	// that appear in the most backward search trees (the ones able to
-	// protect the most bridge ends). 0 means DefaultMaxCandidates;
-	// negative means unlimited. Ignored when Candidates is set explicitly.
-	MaxCandidates int
 	// Realization selects the engine and the diffusion model σ̂ is
 	// estimated under. Nil means the paper's OPOAO model on the default
 	// engine: the RR sets of the Samples realizations are sampled once and
@@ -109,13 +95,6 @@ type GreedyOptions struct {
 	// committed in a fixed order.
 	Workers int
 }
-
-// DefaultMaxCandidates bounds the greedy's default candidate pool, keeping
-// the strongest candidates by bridge-end coverage. It shapes the answer on
-// both engines, so it stays fixed: on the Monte-Carlo engine every
-// candidate's σ̂ evaluation costs Samples diffusions, while on the default
-// engine a candidate costs one row count per round it is recounted.
-const DefaultMaxCandidates = 300
 
 // GreedyRound is the snapshot delivered to GreedyOptions.OnRound after one
 // selection round commits.
@@ -221,10 +200,6 @@ func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*Greedy
 	if len(p.Ends) == 0 {
 		return nil, ErrNoBridgeEnds
 	}
-	candidates, err := greedyCandidates(p, opts)
-	if err != nil {
-		return nil, err
-	}
 	maxProtectors := opts.MaxProtectors
 	if maxProtectors <= 0 {
 		maxProtectors = len(p.Ends)
@@ -258,8 +233,9 @@ func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*Greedy
 	// exactly the fixed (G_R, G_P) pair of Lemma 4.
 	realSeeds := rrset.Seeds(opts.Seed, opts.Samples)
 	if opts.Realization == nil {
-		return coverGreedy(ctx, p, opts, candidates, realSeeds, maxProtectors, workers, deadline)
+		return coverGreedy(ctx, p, opts, realSeeds, maxProtectors, workers, deadline)
 	}
+	candidates := greedyCandidates(p)
 
 	ev := &sigmaEvaluator{
 		//lint:ignore ctxflow the evaluator lives for exactly one Greedy call; the field is call-scoped plumbing to worker goroutines, not a pinned lifetime
@@ -278,7 +254,7 @@ func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*Greedy
 	baseline, err := ev.estimate(nil)
 	if err != nil {
 		res.Evaluations = ev.evals
-		if isInterruption(err) {
+		if IsInterruption(err) {
 			// Interrupted before any selection: the empty seed set is the
 			// honest partial answer.
 			res.Partial = true
@@ -331,56 +307,18 @@ func IsInterruption(err error) bool {
 		errors.Is(err, ErrBudgetExhausted)
 }
 
-// isInterruption is the internal alias of IsInterruption.
-func isInterruption(err error) bool { return IsInterruption(err) }
-
-// greedyCandidates resolves the candidate pool, ascending and without
-// duplicates, so every engine and loop breaks gain ties to the smaller
-// node id.
-func greedyCandidates(p *Problem, opts GreedyOptions) ([]int32, error) {
-	if opts.Candidates != nil {
-		out := make([]int32, 0, len(opts.Candidates))
-		for _, u := range opts.Candidates {
-			if u < 0 || u >= p.Graph.NumNodes() {
-				return nil, fmt.Errorf("core: greedy: candidate %d out of range [0,%d)", u, p.Graph.NumNodes())
-			}
-			if !p.isRumor[u] {
-				out = append(out, u)
-			}
+// greedyCandidates lists the Monte-Carlo engine's candidates: every node
+// that is not a rumor seed, ascending, so algorithm 1's argmax runs over
+// the whole graph and every loop breaks gain ties to the smaller node id.
+func greedyCandidates(p *Problem) []int32 {
+	n := p.Graph.NumNodes()
+	out := make([]int32, 0, n)
+	for u := int32(0); u < n; u++ {
+		if !p.isRumor[u] {
+			out = append(out, u)
 		}
-		slices.Sort(out)
-		return slices.Compact(out), nil
 	}
-	trees, err := bridge.Build(p.Graph, p.Rumors, p.Ends)
-	if err != nil {
-		return nil, fmt.Errorf("core: greedy: build candidate pool: %w", err)
-	}
-	// The candidates are the inversion's nodes, ascending; the coverage
-	// len(Covers[i]) of candidate i, the number of backward search trees
-	// containing it, bounds how many bridge ends it can protect.
-	cov := trees.Invert()
-	out := cov.Candidates
-
-	limit := opts.MaxCandidates
-	if limit == 0 {
-		limit = DefaultMaxCandidates
-	}
-	if limit > 0 && len(out) > limit {
-		// Keep the top candidates by coverage, ties to smaller node ids.
-		idx := make([]int, len(out))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return len(cov.Covers[idx[a]]) > len(cov.Covers[idx[b]]) })
-		idx = idx[:limit]
-		sort.Ints(idx)
-		top := make([]int32, limit)
-		for k, i := range idx {
-			top[k] = out[i]
-		}
-		out = top
-	}
-	return out, nil
+	return out
 }
 
 // plainLoop is algorithm 1 verbatim: every remaining candidate is

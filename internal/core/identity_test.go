@@ -10,7 +10,6 @@ import (
 	"lcrb/internal/community"
 	"lcrb/internal/diffusion"
 	"lcrb/internal/gen"
-	"lcrb/internal/rng"
 	"lcrb/internal/rrset"
 )
 
@@ -79,41 +78,34 @@ func checkMatchesMonteCarlo(t *testing.T, p *Problem, opts GreedyOptions) *Greed
 // TestGreedyMatchesMonteCarlo pins the engine identity: the default
 // engine's lazy cover over its RR sets selects exactly what the retained
 // Monte-Carlo CELF engine selects over the same common-random-numbers
-// realizations, across instances, sample counts, candidate pools (the
-// capped bridge-tree pool, the uncapped one, and an explicit unsorted
-// list holding a rumor seed and a duplicate), lazy and plain loops, and
-// horizons.
+// realizations, both taking algorithm 1's argmax over every node, across
+// instances, sample counts, protector caps, lazy and plain loops, and
+// horizons. The cap axis gives MaxProtectors each of its forms: capped
+// below the selection's natural length, the default 0, negative (also
+// |B|), and |B| set explicitly.
 func TestGreedyMatchesMonteCarlo(t *testing.T) {
 	for _, inst := range []struct {
 		nodes, comm int32
 		seed        uint64
 	}{{100, 15, 41}, {120, 20, 17}, {150, 20, 5}} {
 		p := identityProblem(t, inst.nodes, inst.comm, inst.seed)
-		// An explicit pool: a shuffled draw of nodes, a duplicate, and a
-		// rumor seed, which the pool must drop.
-		pick := rng.New(inst.seed)
-		var explicit []int32
-		for _, i := range pick.Perm(int(p.Graph.NumNodes()))[:p.Graph.NumNodes()/3] {
-			explicit = append(explicit, int32(i))
-		}
-		explicit = append(explicit, explicit[0], p.Rumors[0])
-		pools := []struct {
+		caps := []struct {
 			name string
 			opts GreedyOptions
 		}{
-			{"capped", GreedyOptions{MaxCandidates: 40}},
+			{"capped", GreedyOptions{MaxProtectors: 2}},
 			{"default", GreedyOptions{}},
-			{"uncapped", GreedyOptions{MaxCandidates: -1}},
-			{"explicit", GreedyOptions{Candidates: explicit}},
+			{"uncapped", GreedyOptions{MaxProtectors: -1}},
+			{"explicit", GreedyOptions{MaxProtectors: p.NumEnds()}},
 		}
 		for _, samples := range []int{10, 30} {
-			for _, pool := range pools {
+			for _, pc := range caps {
 				for _, plain := range []bool{false, true} {
 					for _, hops := range []int{1, 31} {
 						name := fmt.Sprintf("n%d-seed%d/samples=%d/%s/plain=%v/hops=%d",
-							inst.nodes, inst.seed, samples, pool.name, plain, hops)
+							inst.nodes, inst.seed, samples, pc.name, plain, hops)
 						t.Run(name, func(t *testing.T) {
-							opts := pool.opts
+							opts := pc.opts
 							opts.Alpha, opts.Samples, opts.Seed, opts.MaxHops, opts.Plain = 0.9, samples, inst.seed+3, hops, plain
 							checkMatchesMonteCarlo(t, p, opts)
 						})
@@ -131,7 +123,7 @@ func TestGreedyMatchesMonteCarlo(t *testing.T) {
 func TestGreedyMatchesMonteCarloTieHeavy(t *testing.T) {
 	p := identityProblem(t, 300, 40, 41)
 	for _, plain := range []bool{false, true} {
-		opts := GreedyOptions{Alpha: 0.99, Samples: 1, Seed: 9, MaxCandidates: -1, Plain: plain}
+		opts := GreedyOptions{Alpha: 0.99, Samples: 1, Seed: 9, Plain: plain}
 		res := checkMatchesMonteCarlo(t, p, opts)
 		if len(res.Protectors) < 2 {
 			t.Fatalf("plain=%v: only %d selections", plain, len(res.Protectors))

@@ -287,7 +287,7 @@ func firstSampleError(errs []error, errAt []int) error {
 		if err == nil {
 			continue
 		}
-		if isInterruption(err) {
+		if IsInterruption(err) {
 			if cancelAt < 0 || errAt[w] < cancelAt {
 				cancel, cancelAt = err, errAt[w]
 			}

@@ -14,7 +14,7 @@ import (
 )
 
 // batchProblem builds a mid-sized instance whose greedy runs several
-// selection rounds over a real candidate pool — big enough that the
+// selection rounds over a real candidate set — big enough that the
 // batched paths (plain rounds, CELF round 0) actually fan out.
 func batchProblem(t *testing.T) *Problem {
 	t.Helper()

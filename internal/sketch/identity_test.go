@@ -2,8 +2,11 @@ package sketch
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"lcrb/internal/bridge"
+	"lcrb/internal/core"
 	"lcrb/internal/diffusion"
 	"lcrb/internal/rng"
 )
@@ -90,6 +93,60 @@ func TestSigmaEqualsCRNRealizationCount(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestGreedyBitIdenticalToSketchSolve pins core.GreedyContext to the RIS
+// path: for equal (Seed, Samples, MaxHops) the greedy's default engine and
+// Build + SolveGreedyRIS cover the same RR sets, so they must select the
+// same Protectors in the same order, with equal ProtectedEnds and
+// Achieved. Both take algorithm 1's argmax over every node; the hep
+// instance's backward search trees hold more than 300 nodes, so a greedy
+// restricted to a smaller candidate pool fails here.
+func TestGreedyBitIdenticalToSketchSolve(t *testing.T) {
+	hep := hepProblem(t)
+	trees, err := bridge.Build(hep.Graph, hep.Rumors, hep.Ends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(trees.Invert().Candidates); n <= 300 {
+		t.Fatalf("hep instance's search trees hold %d nodes, want more than 300", n)
+	}
+	for _, inst := range []struct {
+		name string
+		p    *core.Problem
+	}{
+		{"n300-seed41", testProblem(t, 300, 40, 41)},
+		{"n400-seed5", testProblem(t, 400, 60, 5)},
+		{"hep", hep},
+	} {
+		p := inst.p
+		for _, samples := range []int{10, 32} {
+			for _, hops := range []int{1, 31} {
+				t.Run(fmt.Sprintf("%s/samples=%d/hops=%d", inst.name, samples, hops), func(t *testing.T) {
+					const seed = 11
+					got, err := core.Greedy(p, core.GreedyOptions{Samples: samples, Seed: seed, MaxHops: hops, Workers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					set, err := Build(p, Options{Samples: samples, Seed: seed, MaxHops: hops, Workers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := SolveGreedyRIS(p, set, SolveOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Protectors, want.Protectors) {
+						t.Fatalf("greedy Protectors %v, sketch solve %v", got.Protectors, want.Protectors)
+					}
+					if got.ProtectedEnds != want.ProtectedEnds || got.Achieved != want.Achieved {
+						t.Fatalf("greedy (protected, achieved) = (%v, %v), sketch solve (%v, %v)",
+							got.ProtectedEnds, got.Achieved, want.ProtectedEnds, want.Achieved)
+					}
+				})
+			}
 		}
 	}
 }

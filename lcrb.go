@@ -15,7 +15,8 @@
 //   - Louvain community detection (internal/community)
 //   - the LCRB problem with its bridge ends (NewProblem)
 //   - the Set-Cover-Based Greedy for LCRB-D (SolveSCBG) and the
-//     CELF-accelerated submodular greedy for LCRB-P (SolveGreedy)
+//     submodular greedy for LCRB-P (SolveGreedy), as lazy max coverage
+//     over the RR sets of its own realizations
 //   - the RR-set sketch path for LCRB-P: BuildSketches, then
 //     SolveGreedyRIS with zero diffusion simulations per solve
 //   - simulation under the OPOAO and DOAM models, plus competitive IC/LT

@@ -306,20 +306,6 @@ func BenchmarkSCBGSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyUnderIC measures the LCRB-P greedy running on the
-// competitive-IC realization instead of OPOAO (the future-work extension).
-func BenchmarkGreedyUnderIC(b *testing.B) {
-	prob := benchProblem(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Greedy(prob, core.GreedyOptions{
-			Alpha: 0.8, Samples: 8, Seed: 3,
-			Realization: diffusion.ICRealization(0.2),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMonteCarloWorkers measures the parallel Monte-Carlo driver at
 // different worker counts (single-core machines will show no speedup, but
 // the determinism contract is exercised either way).

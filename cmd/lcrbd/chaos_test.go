@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,36 +14,128 @@ import (
 
 // TestParseChaos covers the spec grammar.
 func TestParseChaos(t *testing.T) {
-	cf, err := parseChaos("load:1,sigma:3/5:panic")
+	cf, err := parseChaos("load:1,solve:3/5:panic")
 	if err != nil {
 		t.Fatalf("parseChaos: %v", err)
 	}
 	if cf.load == nil || cf.load.FailOn != 1 || cf.load.Every != 0 || cf.load.Panic {
 		t.Fatalf("load fault = %+v", cf.load)
 	}
-	if cf.sigma == nil || cf.sigma.FailOn != 3 || cf.sigma.Every != 5 || !cf.sigma.Panic {
-		t.Fatalf("sigma fault = %+v", cf.sigma)
+	if cf.solve == nil || cf.solve.FailOn != 3 || cf.solve.Every != 5 || !cf.solve.Panic {
+		t.Fatalf("solve fault = %+v", cf.solve)
 	}
 	every, err := parseChaos("load:2/2")
-	if err != nil || every.load == nil || every.load.FailOn != 2 || every.load.Every != 2 || every.load.Panic || every.sigma != nil {
+	if err != nil || every.load == nil || every.load.FailOn != 2 || every.load.Every != 2 || every.load.Panic || every.solve != nil {
 		t.Fatalf("load:2/2 = %+v, %v", every, err)
 	}
 
 	empty, err := parseChaos("")
-	if err != nil || empty.load != nil || empty.sigma != nil {
+	if err != nil || empty.load != nil || empty.solve != nil {
 		t.Fatalf("empty spec = %+v, %v", empty, err)
 	}
 
-	for _, bad := range []string{"load", "load:x", "load:0", "load:1:boom", "reactor:1", "load:1/z"} {
+	for _, bad := range []string{
+		"load", "load:x", "load:0", "load:1:boom", "reactor:1", "load:1/z",
+		"sigma:1", "load:1/0", "load:1/-2", "load:1,load:5", "solve:1,solve:2/3:panic",
+	} {
 		if _, err := parseChaos(bad); err == nil {
 			t.Fatalf("parseChaos(%q) accepted", bad)
 		}
 	}
 }
 
+// TestFaultEveryOneFromFirst regression-tests the FailOn=1, Every=1
+// boundary: every single invocation fails — the first because n == FailOn,
+// and each later n because (n-FailOn)%1 == 0.
+func TestFaultEveryOneFromFirst(t *testing.T) {
+	f := &fault{FailOn: 1, Every: 1}
+	for i := 1; i <= 20; i++ {
+		if err := f.Check(); !errors.Is(err, errInjected) {
+			t.Fatalf("invocation %d: err = %v, want errInjected", i, err)
+		}
+	}
+}
+
+// TestFaultEveryWithoutFailOnDisabled regression-tests the FailOn=0
+// boundary: Every alone is not a schedule, the fault stays disabled.
+func TestFaultEveryWithoutFailOnDisabled(t *testing.T) {
+	f := &fault{Every: 1}
+	for i := 1; i <= 20; i++ {
+		if err := f.Check(); err != nil {
+			t.Fatalf("invocation %d: err = %v, want nil for FailOn=0", i, err)
+		}
+	}
+	neg := &fault{FailOn: -3, Every: 2}
+	for i := 1; i <= 20; i++ {
+		if err := neg.Check(); err != nil {
+			t.Fatalf("invocation %d: err = %v, want nil for negative FailOn", i, err)
+		}
+	}
+}
+
+// TestFaultOnceOnly fires exactly on invocation FailOn when Every is 0.
+func TestFaultOnceOnly(t *testing.T) {
+	f := &fault{FailOn: 3}
+	for i := 1; i <= 10; i++ {
+		err := f.Check()
+		if i == 3 && !errors.Is(err, errInjected) {
+			t.Fatalf("invocation 3: err = %v, want errInjected", err)
+		}
+		if i != 3 && err != nil {
+			t.Fatalf("invocation %d: err = %v, want nil", i, err)
+		}
+	}
+}
+
+// TestFaultEverySchedule fires on FailOn and every Every-th call after.
+func TestFaultEverySchedule(t *testing.T) {
+	f := &fault{FailOn: 2, Every: 3}
+	var failed []int
+	for i := 1; i <= 12; i++ {
+		if err := f.Check(); err != nil {
+			failed = append(failed, i)
+		}
+	}
+	if want := []int{2, 5, 8, 11}; fmt.Sprint(failed) != fmt.Sprint(want) {
+		t.Fatalf("failed invocations = %v, want %v", failed, want)
+	}
+}
+
+// TestFaultEvery runs the FailOn=2, Every=3 schedule in panic mode: the
+// scheduled invocations 2, 5 and 8 panic, every other one passes.
+func TestFaultEvery(t *testing.T) {
+	f := &fault{FailOn: 2, Every: 3, Panic: true}
+	var fired []int
+	for i := 1; i <= 9; i++ {
+		func() {
+			defer func() {
+				if recover() != nil {
+					fired = append(fired, i)
+				}
+			}()
+			if err := f.Check(); err != nil {
+				t.Fatalf("invocation %d: err = %v, want a panic or nil in panic mode", i, err)
+			}
+		}()
+	}
+	if want := []int{2, 5, 8}; fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("panicked on %v, want %v", fired, want)
+	}
+}
+
+// TestFaultNilCheck keeps Check nil-safe so optional faults need no guard.
+func TestFaultNilCheck(t *testing.T) {
+	var f *fault
+	for i := 0; i < 3; i++ {
+		if err := f.Check(); err != nil {
+			t.Fatalf("nil fault Check = %v, want nil", err)
+		}
+	}
+}
+
 // TestChaosStorm is the end-to-end resilience gate: 60 concurrent solves
-// against a daemon with injected σ̂ faults (including panics) and a flaky
-// first graph load. Every single response must be one of
+// against a daemon with injected selection faults and a flaky first graph
+// load. Every single response must be one of
 //
 //   - an exact answer (200, degraded=false),
 //   - an honestly-tagged degraded answer (200, degraded=true, reason set),
@@ -51,10 +144,10 @@ func TestParseChaos(t *testing.T) {
 // the process must keep serving throughout, and the drain must then turn
 // new solves away with the typed draining envelope.
 func TestChaosStorm(t *testing.T) {
-	// σ̂ realizations fail on call 10 and every 7th after — constantly —
-	// and every 35th failure is a panic-shaped one via a second fault.
-	// The first instance build attempt fails too, exercising the retry.
-	chaos, err := parseChaos("load:1,sigma:10/7")
+	// The greedy, auto and ris selections fail on call 10 and every 7th
+	// after. The first instance build attempt fails too, exercising the
+	// retry.
+	chaos, err := parseChaos("load:1,solve:10/7")
 	if err != nil {
 		t.Fatalf("parseChaos: %v", err)
 	}
@@ -150,24 +243,41 @@ func TestChaosStorm(t *testing.T) {
 	}
 }
 
-// TestChaosSigmaPanicContained injects panicking σ̂ realizations: the
-// greedy's containment plus the ladder must turn them into degraded
-// answers, never a crash, never a bare 500.
-func TestChaosSigmaPanicContained(t *testing.T) {
-	chaos, err := parseChaos("sigma:1/1:panic")
+// TestChaosSolvePanicContained panics every LCRB-P selection: solveCover
+// must recover it into the selection's error and degrade down the ladder,
+// answering a degraded 200 — never a crash, never a bare 500 — for greedy
+// and for ris with a warm sketch store alike.
+func TestChaosSolvePanicContained(t *testing.T) {
+	chaos, err := parseChaos("solve:1/1:panic")
 	if err != nil {
 		t.Fatalf("parseChaos: %v", err)
 	}
-	s := newServer(testConfig(), chaos, t.Logf)
+	s := newServer(sketchTestConfig(""), nil, t.Logf)
+	t.Cleanup(s.stop)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	status, body := postSolve(t, ts.URL, `{"algorithm":"greedy","samples":3}`)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d body %v, want degraded 200", status, body)
+	// Warm the sketch store before arming the fault, so the ris request
+	// below would otherwise be answered by the sketch.
+	const ris = `{"algorithm":"ris","samples":3}`
+	postSolve(t, ts.URL, ris)
+	waitForBuilds(t, ts.URL, 1)
+	if status, body := postSolve(t, ts.URL, ris); status != http.StatusOK || body["algorithm"] != "ris" {
+		t.Fatalf("warm ris = %d %v, want an exact ris answer", status, body)
 	}
-	if !body["degraded"].(bool) {
-		t.Fatalf("poisoned σ̂ served an undegraded answer: %v", body)
+	s.chaos = chaos
+
+	for _, req := range []string{`{"algorithm":"greedy","samples":3}`, ris} {
+		status, body := postSolve(t, ts.URL, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d body %v, want degraded 200", req, status, body)
+		}
+		if body["degraded"] != true || !strings.Contains(body["degradedReason"].(string), "selection panicked") {
+			t.Fatalf("%s: poisoned selection not degraded with its panic: %v", req, body)
+		}
+	}
+	if calls := chaos.solve.calls.Load(); calls != 2 {
+		t.Fatalf("solve fault checked %d times, want once per selection (2)", calls)
 	}
 }
 

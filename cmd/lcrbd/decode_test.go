@@ -45,6 +45,9 @@ func TestDecodeSolveRequestBounds(t *testing.T) {
 		{"negative scale", `{"scale":-1}`, "scale -1 out of (0,1]"},
 		{"scale above one", `{"scale":2}`, "scale 2 out of (0,1]"},
 		{"negative samples", `{"samples":-3}`, "samples -3 must not be negative"},
+		{"samples at the limit", `{"algorithm":"greedy","samples":5000}`, ""},
+		{"samples above the limit", `{"algorithm":"greedy","samples":5001}`, "samples 5001 above the limit 5000"},
+		{"samples overflowing an allocation", `{"algorithm":"greedy","samples":4611686018427387904}`, "samples 4611686018427387904 above the limit 5000"},
 		{"negative timeout", `{"timeoutMillis":-1}`, "timeoutMillis -1 must not be negative"},
 		{"timeout overflowing a duration", `{"timeoutMillis":9223372036854775807}`, "timeoutMillis 9223372036854775807 out of range"},
 		{"negative communitySize", `{"communitySize":-2}`, "communitySize -2 must not be negative"},
@@ -183,7 +186,7 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 		default:
 			t.Fatalf("accepted algorithm %q", req.Algorithm)
 		}
-		if req.Samples <= 0 || req.MaxHops <= 0 {
+		if req.Samples <= 0 || req.Samples > maxSamples || req.MaxHops <= 0 {
 			t.Fatalf("accepted samples %d, maxHops %d", req.Samples, req.MaxHops)
 		}
 		if req.timeout <= 0 {

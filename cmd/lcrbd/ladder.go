@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"lcrb/internal/core"
-	"lcrb/internal/diffusion"
 	"lcrb/internal/heuristic"
 	"lcrb/internal/rng"
 )
@@ -79,27 +78,17 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 }
 
 // solveCover serves greedy, auto and ris. The selection comes from one of
-// two sources: auto and ris read the warm sketch store (runRIS, answered as
-// "ris"), greedy samples its own realizations per request (runGreedy,
-// answered as "greedy"). An exact selection fills the response; a source
+// two sources (see selectCover): auto and ris read the warm sketch store
+// (answered as "ris"), greedy samples its own realizations per request
+// (answered as "greedy"). An exact selection fills the response; a source
 // that fails degrades to the SCBG cover, tagged with its reason, and when
 // SCBG fails too, to the heuristic bottom rung.
 func (s *server) solveCover(ctx context.Context, req *resolvedRequest, prob *core.Problem, resp *solveResponse) (*solveResponse, error) {
-	if s.holdSolve {
-		// Test seam: keep the solve in flight until its context ends.
-		<-ctx.Done()
-	}
 	algorithm := "ris"
-	var res *core.GreedyResult
-	var err error
 	if req.Algorithm == "greedy" {
 		algorithm = "greedy"
-		if res, err = s.runGreedy(ctx, req, prob); err != nil {
-			err = fmt.Errorf("greedy interrupted (%w)", err)
-		}
-	} else {
-		res, err = s.runRIS(ctx, req, prob, resp.Staleness)
 	}
+	res, err := s.selectCover(ctx, req, prob, resp.Staleness)
 	out := *resp
 	if err == nil {
 		out.Algorithm = algorithm
@@ -118,13 +107,39 @@ func (s *server) solveCover(ctx context.Context, req *resolvedRequest, prob *cor
 	return &out, nil
 }
 
+// selectCover runs solveCover's LCRB-P selection: runRIS for auto and ris,
+// runGreedy for greedy. The chaos solve fault fires here, before the
+// library call, and a panic on this goroutine — injected, or a real one
+// from the selection — is recovered into the selection's error, so the
+// ladder degrades to SCBG instead of the request answering a bare 500.
+func (s *server) selectCover(ctx context.Context, req *resolvedRequest, prob *core.Problem, staleness *stalenessInfo) (res *core.GreedyResult, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res, err = nil, fmt.Errorf("%s selection panicked (%v)", req.Algorithm, rec)
+		}
+	}()
+	if s.holdSolve {
+		// Test seam: keep the solve in flight until its context ends.
+		<-ctx.Done()
+	}
+	if err := s.chaos.solve.Check(); err != nil {
+		return nil, fmt.Errorf("%s selection failed (%w)", req.Algorithm, err)
+	}
+	if req.Algorithm != "greedy" {
+		return s.runRIS(ctx, req, prob, staleness)
+	}
+	if res, err = s.runGreedy(ctx, req, prob); err != nil {
+		err = fmt.Errorf("greedy interrupted (%w)", err)
+	}
+	return res, err
+}
+
 // runGreedy selects by core.GreedyContext on the request's own Samples
 // realizations (seed Seed + 200), with the request deadline folded into its
 // budget (DeadlineMargin), so it stops early with a valid prefix instead of
-// being killed mid-selection. OnRound streams each committed round, and the
-// chaos sigma fault switches it to the Monte-Carlo engine it wraps.
+// being killed mid-selection. OnRound streams each committed round.
 func (s *server) runGreedy(ctx context.Context, req *resolvedRequest, prob *core.Problem) (*core.GreedyResult, error) {
-	opts := core.GreedyOptions{
+	return core.GreedyContext(ctx, prob, core.GreedyOptions{
 		Alpha:          req.Alpha,
 		Samples:        req.Samples,
 		Seed:           req.Seed + 200,
@@ -132,11 +147,7 @@ func (s *server) runGreedy(ctx context.Context, req *resolvedRequest, prob *core
 		Workers:        s.cfg.workers,
 		DeadlineMargin: s.cfg.deadlineMargin,
 		OnRound:        req.onRound,
-	}
-	if s.chaos.sigma != nil {
-		opts.Realization = s.chaos.sigma.Realization(diffusion.OPOAORealization())
-	}
-	return core.GreedyContext(ctx, prob, opts)
+	})
 }
 
 // runSCBG is the SCBG cover rung. Like greedy it gives up deadlineMargin

@@ -84,7 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxInflight = fs.Int64("max-inflight", 4, "concurrent solves admitted")
 		maxWaiting  = fs.Int("max-waiting", 8, "solves queued behind the in-flight ones before shedding")
 		drain       = fs.Duration("drain", 15*time.Second, "drain window for in-flight solves on shutdown")
-		chaosSpec   = fs.String("chaos", "", "fault injection: stage:failon[/every][:panic],... (stages: load, sigma)")
+		chaosSpec   = fs.String("chaos", "", "fault injection: stage:failon[/every][:panic],... (stages: load, solve)")
 		portFile    = fs.String("port-file", "", "write the bound port here once listening (for scripts)")
 		sketchN     = fs.Int("sketch-samples", 128, "RR-set sketch realizations for the fast rung (0 disables it)")
 		sketchDir   = fs.String("sketch-dir", "", "directory persisting built sketches across restarts")

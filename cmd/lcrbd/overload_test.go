@@ -461,12 +461,12 @@ func TestSolveStreamRejectsBeforeOpening(t *testing.T) {
 
 // TestChaosStormOverload is the composed end-to-end gate: concurrent
 // coalescable solves, tenant-tagged traffic and streams against a daemon
-// with injected σ̂ faults, with a drain landing mid-storm. Every plain
+// with injected selection faults, with a drain landing mid-storm. Every plain
 // response must be exact, honestly degraded or a typed error; every stream
 // that opened must end with exactly one terminal event (drain included);
 // and the final stop() must return — no leaked flight, no hung stream.
 func TestChaosStormOverload(t *testing.T) {
-	chaos, err := parseChaos("sigma:10/7")
+	chaos, err := parseChaos("solve:10/7")
 	if err != nil {
 		t.Fatalf("parseChaos: %v", err)
 	}

@@ -71,14 +71,15 @@ type solveRequest struct {
 	// maxdegree. greedy, auto and ris are one ladder: the paper's greedy
 	// as exact lazy cover over RR sets, from a warm sketch for auto and ris
 	// (answered as "ris") or from the request's own Samples realizations
-	// for greedy (core.GreedyContext, answered as "greedy"; the
-	// Monte-Carlo CELF engine under the -chaos sigma fault). A cold or
+	// for greedy (core.GreedyContext, answered as "greedy"). A cold or
 	// stale store (which starts a background build), a disabled sketch
-	// rung, a failed RIS solve or an interrupted greedy serves the SCBG
-	// cover, tagged degraded with the reason; the Proximity/MaxDegree
-	// heuristic answers when SCBG cannot.
+	// rung, a failed RIS solve, an interrupted greedy or a failed or
+	// panicking selection (the -chaos solve fault) serves the SCBG cover,
+	// tagged degraded with the reason; the Proximity/MaxDegree heuristic
+	// answers when SCBG cannot.
 	Algorithm string `json:"algorithm"`
-	// Samples is the greedy's σ̂ realization count (default 10).
+	// Samples is the greedy's σ̂ realization count (default 10, at most
+	// maxSamples).
 	Samples int `json:"samples"`
 	// MaxHops is the simulation horizon (default 31).
 	MaxHops int `json:"maxHops"`
@@ -204,8 +205,8 @@ type server struct {
 	hardDrain context.Context
 	hardStop  context.CancelFunc
 
-	// holdSolve, set only by tests, holds every greedy, auto and ris solve
-	// in flight until its context ends, so drain, coalescing and
+	// holdSolve, set only by tests, holds every greedy, auto and ris
+	// selection in flight until its context ends, so drain, coalescing and
 	// disconnect tests do not depend on how fast the greedy runs.
 	holdSolve bool
 }
@@ -492,6 +493,12 @@ func (s *server) countError(r *http.Request, code string, err error) {
 // errBadRequest marks solve errors caused by the request, not the server.
 var errBadRequest = errors.New("bad request")
 
+// maxSamples bounds a request's samples: the greedy sizes its realization
+// seeds and RR sets by it before any budget check, so an unbounded count
+// is an unbounded allocation. 5000 is the largest count the repository's
+// own clients and tests send.
+const maxSamples = 5000
+
 // decodeSolveRequest parses and validates the request body, folding in the
 // server defaults. The returned request has a resolved timeout.
 func decodeSolveRequest(body io.Reader, cfg serverConfig) (*resolvedRequest, error) {
@@ -558,6 +565,9 @@ func decodeSolveRequest(body io.Reader, cfg serverConfig) (*resolvedRequest, err
 	}
 	if req.Samples < 0 {
 		return nil, fmt.Errorf("samples %d must not be negative", req.Samples)
+	}
+	if req.Samples > maxSamples {
+		return nil, fmt.Errorf("samples %d above the limit %d", req.Samples, maxSamples)
 	}
 	if req.MaxHops < 0 {
 		return nil, fmt.Errorf("maxHops %d must not be negative", req.MaxHops)

@@ -8,7 +8,7 @@ import (
 	"lcrb/internal/rrset"
 )
 
-// coverGreedy is GreedyContext's default engine: algorithm 1 on the RR
+// coverGreedy is GreedyContext's engine: algorithm 1 on the RR
 // sets of its own common-random-numbers realizations. σ̂(S) × Samples over
 // those realizations is exactly the number of (realization, end) pairs the
 // rumor never reaches plus the pairs whose RR set S intersects (the RR-set
@@ -62,10 +62,10 @@ func coverGreedy(ctx context.Context, p *Problem, opts GreedyOptions, realSeeds 
 			Plain:     opts.Plain,
 			Budget: func(evals int) error {
 				if opts.MaxEvaluations > 0 && evals >= opts.MaxEvaluations {
-					return exhaustedErr(evals)
+					return fmt.Errorf("%w: %d evaluations used", ErrBudgetExhausted, evals)
 				}
 				if expired() {
-					return expiredErr(evals)
+					return fmt.Errorf("%w: wall-clock budget spent after %d evaluations", ErrBudgetExhausted, evals)
 				}
 				return nil
 			},

@@ -7,22 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"lcrb/internal/diffusion"
 	"lcrb/internal/rrset"
 )
 
-// greedyEngines are GreedyContext's two engines: the default lazy cover
-// over RR sets (nil Realization) and the retained Monte-Carlo CELF engine,
-// forced with an explicit OPOAO realization.
-var greedyEngines = []struct {
-	name        string
-	realization diffusion.Realization
-}{
-	{"cover", nil},
-	{"montecarlo", diffusion.OPOAORealization()},
-}
-
-// rrRows counts the rows the default engine counts for opts on p: the
+// rrRows counts the rows GreedyContext counts for opts on p: the
 // nodes that lie in some RR set of its realizations.
 func rrRows(t *testing.T, p *Problem, opts GreedyOptions) int {
 	t.Helper()
@@ -46,7 +34,7 @@ func checkPrefix(t *testing.T, what string, got, want []int32) {
 	}
 }
 
-// TestGreedyCoverChargesEveryRowCount pins the default engine's
+// TestGreedyCoverChargesEveryRowCount pins GreedyContext's
 // evaluation accounting: every row count is one evaluation — the first
 // count of each row, then every lazy recount — and MaxEvaluations stops
 // the selection before the count that would exceed it, so an exhausted
@@ -85,7 +73,7 @@ func TestGreedyCoverChargesEveryRowCount(t *testing.T) {
 	}
 }
 
-// TestGreedyCoverPlainRecountsEveryRow pins Plain on the default engine:
+// TestGreedyCoverPlainRecountsEveryRow pins Plain:
 // round 0 counts every row once and every later round recounts every row
 // still unselected, so with the selection stopped by MaxProtectors after k
 // rounds, Evaluations = R + (R−1) + … + (R−k+1) over R rows — and the
@@ -120,7 +108,7 @@ func TestGreedyCoverPlainRecountsEveryRow(t *testing.T) {
 }
 
 // TestGreedyCoverCancelMidSelection cancels the context from OnRound after
-// the first selection: the default engine checks it before the next
+// the first selection: GreedyContext checks it before the next
 // recount and returns the one-protector prefix with context.Canceled, in
 // lazy and plain mode alike. A context canceled up front stops the
 // sampling before any selection.

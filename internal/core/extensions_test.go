@@ -4,58 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"lcrb/internal/diffusion"
 	"lcrb/internal/graph"
 )
-
-func TestGreedyUnderICRealization(t *testing.T) {
-	p := fixtureProblem(t)
-	res, err := Greedy(p, GreedyOptions{
-		Alpha:       0.9,
-		Samples:     20,
-		Seed:        3,
-		Realization: diffusion.ICRealization(0.8),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProtectedEnds < res.BaselineEnds {
-		t.Fatalf("IC greedy worsened protection: %.2f < %.2f", res.ProtectedEnds, res.BaselineEnds)
-	}
-	for _, u := range res.Protectors {
-		if p.IsRumor(u) {
-			t.Fatalf("rumor %d selected", u)
-		}
-	}
-}
-
-func TestGreedyUnderICDeterministic(t *testing.T) {
-	p := fixtureProblem(t)
-	opts := GreedyOptions{Alpha: 0.9, Samples: 10, Seed: 4, Realization: diffusion.ICRealization(0.6)}
-	a, err := Greedy(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Greedy(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Protectors, b.Protectors) {
-		t.Fatal("IC greedy not deterministic")
-	}
-}
-
-func TestGreedyInvalidRealizationSurfacesError(t *testing.T) {
-	p := fixtureProblem(t)
-	_, err := Greedy(p, GreedyOptions{
-		Alpha:       0.9,
-		Samples:     5,
-		Realization: diffusion.ICRealization(7), // invalid probability
-	})
-	if err == nil {
-		t.Fatal("invalid realization accepted")
-	}
-}
 
 func TestSCBGWeightedPrefersCheapCover(t *testing.T) {
 	// Rumor 0 reaches ends 1 and 2; node 3 covers both ends but is

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"time"
 
-	"lcrb/internal/diffusion"
 	"lcrb/internal/rrset"
 )
 
@@ -35,24 +33,12 @@ type GreedyOptions struct {
 	// DefaultGreedyHops.
 	MaxHops int
 	// Plain disables lazy evaluation and re-evaluates every candidate each
-	// round, exactly as algorithm 1 is written: on the default engine it
-	// recounts every remaining row every round. Output is identical;
-	// only the evaluation count changes. Kept for the ablation benchmark.
+	// round, exactly as algorithm 1 is written: every remaining row is
+	// recounted every round. Output is identical; only the evaluation
+	// count changes. Kept for the ablation benchmark.
 	Plain bool
 	// MaxProtectors caps the seed-set size. 0 means |B|.
 	MaxProtectors int
-	// Realization selects the engine and the diffusion model σ̂ is
-	// estimated under. Nil means the paper's OPOAO model on the default
-	// engine: the RR sets of the Samples realizations are sampled once and
-	// the greedy runs as exact lazy max coverage over them (see
-	// internal/rrset), with no diffusion re-simulated per candidate. Any
-	// non-nil Realization selects the Monte-Carlo CELF engine, which runs
-	// every candidate's σ̂ as Samples fresh realizations: the same answer
-	// for diffusion.OPOAORealization(), at Evaluations × Samples
-	// simulations; diffusion.ICRealization(p) extends the greedy to the
-	// competitive Independent Cascade model (the paper's "other diffusion
-	// models" future-work direction).
-	Realization diffusion.Realization
 	// MaxEvaluations caps the number of σ̂ evaluations (see
 	// GreedyResult.Evaluations). 0 means unlimited. When the cap is hit
 	// mid-selection, the best-so-far seed set is returned with Partial set
@@ -81,18 +67,13 @@ type GreedyOptions struct {
 	// not block: the selection waits on it. It never affects the selection
 	// itself, which stays bit-identical with or without a callback.
 	OnRound func(GreedyRound)
-	// Workers parallelizes on up to this many goroutines. The default
-	// engine samples its realizations and builds its pair index
-	// concurrently; the selection itself is serial. The Monte-Carlo engine
-	// runs the candidate batches of every plain round and of the CELF
-	// initialization round concurrently across seed sets, and single
-	// estimates (the baseline, CELF re-evaluations) concurrently across
-	// their samples. 0 or 1 means serial; negative means GOMAXPROCS. The
-	// selection — Protectors, Gains, Evaluations, ProtectedEnds — is
-	// bit-identical for every worker count, because the
-	// common-random-numbers realizations are pure functions of
-	// (realization seed, seed set) and results and budget charges are
-	// committed in a fixed order.
+	// Workers parallelizes on up to this many goroutines: the
+	// realizations are sampled and the pair index is built concurrently;
+	// the selection itself is serial. 0 or 1 means serial; negative means
+	// GOMAXPROCS. The selection — Protectors, Gains, Evaluations,
+	// ProtectedEnds — is bit-identical for every worker count, because each
+	// realization's RR sets are a pure function of its seed and are
+	// assembled in realization order.
 	Workers int
 }
 
@@ -126,10 +107,8 @@ type GreedyResult struct {
 	// Achieved reports whether σ̂(S_P) reached the α·|B| target.
 	Achieved bool
 	// Evaluations counts σ̂ evaluations (the lazy-vs-plain ablation
-	// metric). On the default engine one evaluation is one row count: the
-	// first count of every candidate that lies in some RR set, then every
-	// recount. On the Monte-Carlo engine it is one estimate over all
-	// samples: the baseline, then every candidate set scored.
+	// metric). One evaluation is one row count: the first count of every
+	// candidate that lies in some RR set, then every recount.
 	Evaluations int
 	// Gains records the marginal gain of each selected protector.
 	Gains []float64
@@ -147,11 +126,9 @@ type GreedyResult struct {
 // optimal; submodularity also licenses the CELF lazy evaluation used here.
 //
 // σ̂ is estimated on Samples fixed realizations (common random numbers).
-// By default the greedy counts it exactly as RR-set coverage over those
-// realizations and runs as lazy max coverage; an explicit
-// GreedyOptions.Realization selects the Monte-Carlo CELF engine, which
-// re-simulates them per candidate set and, under OPOAO, selects the same
-// protectors.
+// The greedy counts it exactly as RR-set coverage over those realizations
+// and runs as lazy max coverage, with no diffusion re-simulated per
+// candidate.
 //
 // σ̂ counts a bridge end as protected when the rumor fails to infect it
 // within MaxHops — whether because the protector cascade claimed it first
@@ -163,21 +140,16 @@ func Greedy(p *Problem, opts GreedyOptions) (*GreedyResult, error) {
 	return GreedyContext(context.Background(), p, opts)
 }
 
-// GreedyContext is Greedy with cooperative cancellation and budgets. The
-// default engine checks the context and the wall-clock budget before every
-// sampled realization and every row count; the Monte-Carlo engine checks
-// them before every σ̂ evaluation and between the samples inside one. So
-// cancellation latency is one bounded realization.
+// GreedyContext is Greedy with cooperative cancellation and budgets. It
+// checks the context and the wall-clock budget before every sampled
+// realization and every row count, so cancellation latency is one bounded
+// realization.
 //
 // On interruption — ctx canceled, ctx deadline exceeded, or the
 // MaxEvaluations/MaxDuration budget exhausted — the best-so-far seed set is
 // returned as a non-nil *GreedyResult with Partial set, alongside an error
 // wrapping the cause (context.Canceled, context.DeadlineExceeded or
-// ErrBudgetExhausted). A failing σ̂ evaluation (for example from a broken
-// custom Realization) follows the same contract instead of panicking; a
-// *panicking* realization is recovered into an error wrapping
-// diffusion.ErrPanic, so a buggy engine cannot tear down the evaluation
-// worker pool.
+// ErrBudgetExhausted).
 func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*GreedyResult, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: greedy: nil problem")
@@ -232,67 +204,7 @@ func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*Greedy
 	// counted on the same randomness (common random numbers), which is
 	// exactly the fixed (G_R, G_P) pair of Lemma 4.
 	realSeeds := rrset.Seeds(opts.Seed, opts.Samples)
-	if opts.Realization == nil {
-		return coverGreedy(ctx, p, opts, realSeeds, maxProtectors, workers, deadline)
-	}
-	candidates := greedyCandidates(p)
-
-	ev := &sigmaEvaluator{
-		//lint:ignore ctxflow the evaluator lives for exactly one Greedy call; the field is call-scoped plumbing to worker goroutines, not a pinned lifetime
-		ctx:       ctx,
-		p:         p,
-		realSeeds: realSeeds,
-		maxHops:   opts.MaxHops,
-		run:       opts.Realization,
-		workers:   workers,
-		maxEvals:  opts.MaxEvaluations,
-		deadline:  deadline,
-		cache:     make(map[string]int),
-	}
-
-	res := &GreedyResult{}
-	baseline, err := ev.estimate(nil)
-	if err != nil {
-		res.Evaluations = ev.evals
-		if IsInterruption(err) {
-			// Interrupted before any selection: the empty seed set is the
-			// honest partial answer.
-			res.Partial = true
-			return res, fmt.Errorf("core: greedy: evaluate baseline: %w", err)
-		}
-		// Surfaces configuration problems (e.g. an invalid custom
-		// realization) before the selection loops, which assume the
-		// evaluator is sound.
-		return nil, fmt.Errorf("core: greedy: evaluate baseline: %w", err)
-	}
-	n := float64(opts.Samples)
-	res.BaselineEnds = float64(baseline) / n
-
-	// Scores and gains are counts over the realizations (σ̂ × samples), so
-	// the stopping rule and every gain comparison are exact.
-	target := p.RequiredEnds(opts.Alpha) * opts.Samples
-	score := baseline
-	selected := make([]int32, 0, maxProtectors)
-
-	var loopErr error
-	if opts.Plain {
-		loopErr = res.plainLoop(ev, candidates, &selected, &score, target, maxProtectors, n, opts.OnRound)
-	} else {
-		loopErr = res.celfLoop(ev, candidates, &selected, &score, target, maxProtectors, n, opts.OnRound)
-	}
-
-	res.Protectors = selected
-	res.ProtectedEnds = float64(score) / n
-	res.Achieved = score >= target
-	res.Evaluations = ev.evals
-	if loopErr != nil {
-		// Best-so-far seed set plus the cause: cancellation and budget
-		// expiry are expected operating conditions, not configuration
-		// errors, so the partial result travels with the error.
-		res.Partial = true
-		return res, fmt.Errorf("core: greedy: %w", loopErr)
-	}
-	return res, nil
+	return coverGreedy(ctx, p, opts, realSeeds, maxProtectors, workers, deadline)
 }
 
 // IsInterruption reports whether err is an expected interruption —
@@ -305,111 +217,6 @@ func IsInterruption(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, ErrBudgetExhausted)
-}
-
-// greedyCandidates lists the Monte-Carlo engine's candidates: every node
-// that is not a rumor seed, ascending, so algorithm 1's argmax runs over
-// the whole graph and every loop breaks gain ties to the smaller node id.
-func greedyCandidates(p *Problem) []int32 {
-	n := p.Graph.NumNodes()
-	out := make([]int32, 0, n)
-	for u := int32(0); u < n; u++ {
-		if !p.isRumor[u] {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// plainLoop is algorithm 1 verbatim: every remaining candidate is
-// re-evaluated in every round, as one concurrent batch (the scan is
-// embarrassingly parallel — no candidate's value depends on another's).
-// Each extension gets its own freshly copied seed set; extending with
-// append(*selected, u) would alias selected's spare backing capacity
-// across the whole batch. An evaluator failure stops the loop with the
-// selection made so far intact. Scores are counts over the n samples.
-func (r *GreedyResult) plainLoop(ev *sigmaEvaluator, candidates []int32, selected *[]int32, score *int, target, maxProtectors int, n float64, onRound func(GreedyRound)) error {
-	remaining := append([]int32(nil), candidates...)
-	for *score < target && len(*selected) < maxProtectors && len(remaining) > 0 {
-		sets := make([][]int32, len(remaining))
-		for i, u := range remaining {
-			sets[i] = extendSet(*selected, u)
-		}
-		vals, err := ev.estimateBatch(sets)
-		if err != nil {
-			return err
-		}
-		bestIdx, bestScore := -1, *score
-		for i, s := range vals {
-			if s > bestScore {
-				bestIdx, bestScore = i, s
-			}
-		}
-		if bestIdx < 0 {
-			break // no candidate has positive marginal gain
-		}
-		r.Gains = append(r.Gains, float64(bestScore-*score)/n)
-		*selected = append(*selected, remaining[bestIdx])
-		notifyRound(onRound, *selected, float64(bestScore-*score)/n, float64(bestScore)/n)
-		*score = bestScore
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-	}
-	return nil
-}
-
-// celfLoop exploits submodularity: a candidate's previous marginal gain is
-// an upper bound on its current one, so candidates are kept in a max-heap
-// of stale gains and only re-evaluated when they surface. An evaluator
-// failure stops the loop with the selection made so far intact.
-//
-// Round 0 is batched: the classic formulation seeds the heap with infinite
-// stale gains, which forces exactly one evaluation per candidate before
-// the first selection (no real gain can exceed |B|, so every sentinel pops
-// first). Evaluating that forced sweep as one concurrent batch yields the
-// identical heap state — same gains against the same baseline — while
-// exposing the algorithm's one embarrassingly parallel phase.
-func (r *GreedyResult) celfLoop(ev *sigmaEvaluator, candidates []int32, selected *[]int32, score *int, target, maxProtectors int, n float64, onRound func(GreedyRound)) error {
-	if *score >= target || len(*selected) >= maxProtectors || len(candidates) == 0 {
-		return nil
-	}
-	sets := make([][]int32, len(candidates))
-	for i, u := range candidates {
-		sets[i] = extendSet(*selected, u)
-	}
-	vals, err := ev.estimateBatch(sets)
-	if err != nil {
-		return err
-	}
-	pq := make(celfQueue, len(candidates))
-	for i, u := range candidates {
-		pq[i] = celfEntry{node: u, gain: vals[i] - *score, round: 0}
-	}
-	heap.Init(&pq)
-
-	round := 0
-	for *score < target && len(*selected) < maxProtectors && pq.Len() > 0 {
-		top := heap.Pop(&pq).(celfEntry)
-		if top.round == round {
-			// Fresh evaluation already on top: select it.
-			if top.gain <= 0 {
-				break
-			}
-			r.Gains = append(r.Gains, float64(top.gain)/n)
-			*selected = append(*selected, top.node)
-			*score += top.gain
-			notifyRound(onRound, *selected, float64(top.gain)/n, float64(*score)/n)
-			round++
-			continue
-		}
-		s, err := ev.estimate(extendSet(*selected, top.node))
-		if err != nil {
-			return err
-		}
-		top.gain = s - *score
-		top.round = round
-		heap.Push(&pq, top)
-	}
-	return nil
 }
 
 // notifyRound delivers one committed round to a non-nil OnRound callback
@@ -426,35 +233,4 @@ func notifyRound(onRound func(GreedyRound), selected []int32, gain, score float6
 		Score:      score,
 		Protectors: append([]int32(nil), selected...),
 	})
-}
-
-// celfEntry is a CELF priority-queue entry; gain is a count over the
-// samples.
-type celfEntry struct {
-	node  int32
-	gain  int
-	round int
-}
-
-// celfQueue is a max-heap on gain (ties to the smaller node id for
-// determinism).
-type celfQueue []celfEntry
-
-func (q celfQueue) Len() int { return len(q) }
-func (q celfQueue) Less(i, j int) bool {
-	if q[i].gain != q[j].gain {
-		return q[i].gain > q[j].gain
-	}
-	return q[i].node < q[j].node
-}
-func (q celfQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *celfQueue) Push(x interface{}) {
-	*q = append(*q, x.(celfEntry))
-}
-func (q *celfQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
 }

@@ -7,77 +7,7 @@ import (
 	"time"
 
 	"lcrb/internal/diffusion"
-	"lcrb/internal/graph"
 )
-
-func TestGreedySigmaFailureReturnsPartial(t *testing.T) {
-	p := fixtureProblem(t)
-	for _, plain := range []bool{false, true} {
-		// Samples = 5, so the baseline estimate consumes invocations 1-5 and
-		// invocation 8 fails inside the first selection round.
-		fault := &diffusion.Fault{FailOn: 8}
-		res, err := Greedy(p, GreedyOptions{
-			Alpha: 0.9, Samples: 5, Seed: 1, Plain: plain,
-			Realization: fault.Realization(diffusion.RunOPOAORealization),
-		})
-		if !errors.Is(err, diffusion.ErrInjected) {
-			t.Fatalf("plain=%v: err = %v, want ErrInjected", plain, err)
-		}
-		if res == nil {
-			t.Fatalf("plain=%v: nil result on mid-selection failure", plain)
-		}
-		if !res.Partial {
-			t.Fatalf("plain=%v: Partial not set", plain)
-		}
-		if res.Evaluations == 0 {
-			t.Fatalf("plain=%v: Evaluations not reported", plain)
-		}
-	}
-}
-
-func TestGreedyBaselineFailureIsConfigError(t *testing.T) {
-	p := fixtureProblem(t)
-	// Failure during the baseline estimate (invocation 2 of 5) is a broken
-	// evaluator, not an interruption: no partial result.
-	fault := &diffusion.Fault{FailOn: 2}
-	res, err := Greedy(p, GreedyOptions{
-		Alpha: 0.9, Samples: 5, Seed: 1,
-		Realization: fault.Realization(diffusion.RunOPOAORealization),
-	})
-	if !errors.Is(err, diffusion.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	if res != nil {
-		t.Fatalf("res = %+v, want nil for a baseline evaluator failure", res)
-	}
-}
-
-func TestGreedyCancelMidSelection(t *testing.T) {
-	p := fixtureProblem(t)
-	for _, plain := range []bool{false, true} {
-		ctx, cancel := context.WithCancel(context.Background())
-		fault := &diffusion.Fault{}
-		inner := diffusion.RunOPOAORealization
-		// Cancel on the 8th realization: past the 5-sample baseline, inside
-		// the first selection round (CELF heap pop or plain scan alike).
-		real := func(g *graph.Graph, rumors, protectors []int32, realSeed uint64, opts diffusion.Options) (*diffusion.Result, error) {
-			if fault.Calls() >= 7 {
-				cancel()
-			}
-			return fault.Realization(inner)(g, rumors, protectors, realSeed, opts)
-		}
-		res, err := GreedyContext(ctx, p, GreedyOptions{
-			Alpha: 0.9, Samples: 5, Seed: 1, Plain: plain, Realization: real,
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("plain=%v: err = %v, want context.Canceled", plain, err)
-		}
-		if res == nil || !res.Partial {
-			t.Fatalf("plain=%v: res = %+v, want non-nil partial result", plain, res)
-		}
-	}
-}
 
 func TestGreedyContextDeadlineReturnsPartial(t *testing.T) {
 	p := fixtureProblem(t)
@@ -94,39 +24,37 @@ func TestGreedyContextDeadlineReturnsPartial(t *testing.T) {
 
 func TestGreedyMaxEvaluationsPrefix(t *testing.T) {
 	p := fixtureProblem(t)
-	for _, engine := range greedyEngines {
-		opts := GreedyOptions{Alpha: 0.9, Samples: 10, Seed: 3, Realization: engine.realization}
-		full, err := Greedy(p, opts)
-		if err != nil {
-			t.Fatal(err)
+	opts := GreedyOptions{Alpha: 0.9, Samples: 10, Seed: 3}
+	full, err := Greedy(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Partial {
+		t.Fatal("unconstrained run reported Partial")
+	}
+	for budget := 1; budget < full.Evaluations; budget++ {
+		capped := opts
+		capped.MaxEvaluations = budget
+		res, err := Greedy(p, capped)
+		if !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("budget %d: err = %v, want ErrBudgetExhausted", budget, err)
 		}
-		if full.Partial {
-			t.Fatalf("%s: unconstrained run reported Partial", engine.name)
+		if res == nil || !res.Partial {
+			t.Fatalf("budget %d: res = %+v, want non-nil partial result", budget, res)
 		}
-		for budget := 1; budget < full.Evaluations; budget++ {
-			capped := opts
-			capped.MaxEvaluations = budget
-			res, err := Greedy(p, capped)
-			if !errors.Is(err, ErrBudgetExhausted) {
-				t.Fatalf("%s: budget %d: err = %v, want ErrBudgetExhausted", engine.name, budget, err)
-			}
-			if res == nil || !res.Partial {
-				t.Fatalf("%s: budget %d: res = %+v, want non-nil partial result", engine.name, budget, res)
-			}
-			if res.Evaluations > budget {
-				t.Fatalf("%s: budget %d: %d evaluations performed", engine.name, budget, res.Evaluations)
-			}
-			// Greedy selections are deterministic, so an interrupted run's
-			// seed set must be a prefix of the uninterrupted run's.
-			if len(res.Protectors) > len(full.Protectors) {
-				t.Fatalf("%s: budget %d: partial selection longer than full: %v vs %v",
-					engine.name, budget, res.Protectors, full.Protectors)
-			}
-			for i, u := range res.Protectors {
-				if u != full.Protectors[i] {
-					t.Fatalf("%s: budget %d: partial %v is not a prefix of %v",
-						engine.name, budget, res.Protectors, full.Protectors)
-				}
+		if res.Evaluations > budget {
+			t.Fatalf("budget %d: %d evaluations performed", budget, res.Evaluations)
+		}
+		// Greedy selections are deterministic, so an interrupted run's
+		// seed set must be a prefix of the uninterrupted run's.
+		if len(res.Protectors) > len(full.Protectors) {
+			t.Fatalf("budget %d: partial selection longer than full: %v vs %v",
+				budget, res.Protectors, full.Protectors)
+		}
+		for i, u := range res.Protectors {
+			if u != full.Protectors[i] {
+				t.Fatalf("budget %d: partial %v is not a prefix of %v",
+					budget, res.Protectors, full.Protectors)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,13 +14,13 @@ import (
 	"lcrb/internal/rng"
 )
 
-// cancelingModel cancels the given cancel func on its CancelOn-th run and
+// cancelingModel cancels the given cancel func on its on-th run and
 // otherwise delegates, so cancellation lands deterministically mid-sweep.
 type cancelingModel struct {
-	Fault // reuse the atomic invocation counter
 	inner Model
 	stop  context.CancelFunc
 	on    int64
+	calls atomic.Int64
 }
 
 func (m *cancelingModel) Name() string { return m.inner.Name() }
@@ -29,6 +30,28 @@ func (m *cancelingModel) RunContext(ctx context.Context, g *graph.Graph, rumors,
 		m.stop()
 	}
 	return m.inner.RunContext(ctx, g, rumors, protectors, src, opts)
+}
+
+var errInjected = errors.New("injected failure")
+
+// failingModel runs OPOAO except on its on-th run, which fails with
+// errInjected — or panics, when panics is set.
+type failingModel struct {
+	on     int64
+	panics bool
+	calls  atomic.Int64
+}
+
+func (m *failingModel) Name() string { return "failing" }
+
+func (m *failingModel) RunContext(ctx context.Context, g *graph.Graph, rumors, protectors []int32, src *rng.Source, opts Options) (*Result, error) {
+	if m.calls.Add(1) == m.on {
+		if m.panics {
+			panic("injected panic")
+		}
+		return nil, errInjected
+	}
+	return OPOAO{}.RunContext(ctx, g, rumors, protectors, src, opts)
 }
 
 // leakGuard snapshots the goroutine count; its check retries briefly so
@@ -85,8 +108,8 @@ func TestMonteCarloRunContextCancelMidRun(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
-	if model.Calls() >= 10_000 {
-		t.Fatalf("sweep ran to completion (%d calls) despite cancellation", model.Calls())
+	if model.calls.Load() >= 10_000 {
+		t.Fatalf("sweep ran to completion (%d calls) despite cancellation", model.calls.Load())
 	}
 	guard.check(t)
 }
@@ -104,14 +127,13 @@ func TestMonteCarloRunContextDeadline(t *testing.T) {
 func TestMonteCarloPanicContained(t *testing.T) {
 	g := pathGraph(t, 5)
 	for _, workers := range []int{1, 4} {
-		fault := &Fault{FailOn: 3, Panic: true}
 		guard := newLeakGuard()
-		_, err := MonteCarlo{Model: fault.Model(OPOAO{}), Samples: 16, Seed: 2, Workers: workers}.
+		_, err := MonteCarlo{Model: &failingModel{on: 3, panics: true}, Samples: 16, Seed: 2, Workers: workers}.
 			RunContext(context.Background(), g, []int32{0}, nil, Options{})
 		if !errors.Is(err, ErrPanic) {
 			t.Fatalf("workers=%d: err = %v, want ErrPanic", workers, err)
 		}
-		if !strings.Contains(err.Error(), "fault injection") {
+		if !strings.Contains(err.Error(), "injected panic") {
 			t.Fatalf("workers=%d: panic value lost: %v", workers, err)
 		}
 		guard.check(t)
@@ -121,11 +143,10 @@ func TestMonteCarloPanicContained(t *testing.T) {
 func TestMonteCarloInjectedErrorPropagates(t *testing.T) {
 	g := pathGraph(t, 5)
 	for _, workers := range []int{1, 4} {
-		fault := &Fault{FailOn: 2}
-		_, err := MonteCarlo{Model: fault.Model(OPOAO{}), Samples: 16, Seed: 2, Workers: workers}.
+		_, err := MonteCarlo{Model: &failingModel{on: 2}, Samples: 16, Seed: 2, Workers: workers}.
 			RunContext(context.Background(), g, []int32{0}, nil, Options{})
-		if !errors.Is(err, ErrInjected) {
-			t.Fatalf("workers=%d: err = %v, want ErrInjected", workers, err)
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("workers=%d: err = %v, want errInjected", workers, err)
 		}
 		// The injected failure, not the fallout cancellation, must surface.
 		if errors.Is(err, context.Canceled) {
@@ -139,18 +160,18 @@ func TestMonteCarloErrorCancelsSiblingWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault := &Fault{FailOn: 4}
+	model := &failingModel{on: 4}
 	start := time.Now()
-	_, err = MonteCarlo{Model: fault.Model(OPOAO{}), Samples: 50_000, Seed: 5, Workers: 4}.
+	_, err = MonteCarlo{Model: model, Samples: 50_000, Seed: 5, Workers: 4}.
 		RunContext(context.Background(), g, []int32{0}, nil, Options{MaxHops: 20})
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want errInjected", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("sibling workers kept running for %v after the failure", elapsed)
 	}
-	if fault.Calls() >= 50_000 {
-		t.Fatalf("sweep ran to completion (%d calls) despite the failure", fault.Calls())
+	if model.calls.Load() >= 50_000 {
+		t.Fatalf("sweep ran to completion (%d calls) despite the failure", model.calls.Load())
 	}
 }
 
@@ -192,49 +213,6 @@ func TestModelRunContextCanceledMidHops(t *testing.T) {
 		_, err := m.RunContext(ctx, g, []int32{0}, []int32{1}, rng.New(1), Options{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", m.Name(), err)
-		}
-	}
-}
-
-func TestFaultRealization(t *testing.T) {
-	g := pathGraph(t, 5)
-	fault := &Fault{FailOn: 2}
-	real := fault.Realization(RunOPOAORealization)
-	if _, err := real(g, []int32{0}, nil, 1, Options{}); err != nil {
-		t.Fatalf("first invocation failed early: %v", err)
-	}
-	_, err := real(g, []int32{0}, nil, 1, Options{})
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("second invocation: err = %v, want ErrInjected", err)
-	}
-	if _, err := real(g, []int32{0}, nil, 1, Options{}); err != nil {
-		t.Fatalf("fault fired more than once: %v", err)
-	}
-	fault.Reset()
-	if _, err := real(g, []int32{0}, nil, 1, Options{}); err != nil {
-		t.Fatalf("after Reset, first invocation failed: %v", err)
-	}
-	_, err = real(g, []int32{0}, nil, 1, Options{})
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("after Reset, second invocation: err = %v, want ErrInjected", err)
-	}
-}
-
-func TestFaultEvery(t *testing.T) {
-	fault := &Fault{FailOn: 2, Every: 3}
-	var fired []int64
-	for i := int64(1); i <= 9; i++ {
-		if err := fault.fire(); err != nil {
-			fired = append(fired, i)
-		}
-	}
-	want := []int64{2, 5, 8}
-	if len(fired) != len(want) {
-		t.Fatalf("fired on %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired on %v, want %v", fired, want)
 		}
 	}
 }

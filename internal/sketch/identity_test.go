@@ -98,7 +98,7 @@ func TestSigmaEqualsCRNRealizationCount(t *testing.T) {
 }
 
 // TestGreedyBitIdenticalToSketchSolve pins core.GreedyContext to the RIS
-// path: for equal (Seed, Samples, MaxHops) the greedy's default engine and
+// path: for equal (Seed, Samples, MaxHops) the greedy and
 // Build + SolveGreedyRIS cover the same RR sets, so they must select the
 // same Protectors in the same order, with equal ProtectedEnds and
 // Achieved. Both take algorithm 1's argmax over every node; the hep

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"lcrb/internal/core"
-	"lcrb/internal/diffusion"
 	"lcrb/internal/rrset"
 )
 
@@ -79,9 +78,6 @@ type Options struct {
 	// fewer realizations than requested would silently change every σ̂ it
 	// later serves.
 	MaxDuration time.Duration
-	// Fault, when non-nil, injects a failure per sampled realization on
-	// the fault's schedule, for testing build error paths.
-	Fault *diffusion.Fault
 	// Footprints records, per realization, the set of nodes whose adjacency
 	// the sampler read with effect: the forward-activated set, every RR-set
 	// member, and the relays that could reach them (see scratch.sample). A
@@ -210,9 +206,6 @@ func BuildContext(ctx context.Context, p *core.Problem, opts Options) (*Set, err
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return fmt.Errorf("%w: sketch build wall-clock budget spent before realization %d",
 				core.ErrBudgetExhausted, i)
-		}
-		if err := opts.Fault.Check(); err != nil {
-			return fmt.Errorf("sketch: build realization %d: %w", i, err)
 		}
 		return nil
 	}, core.IsInterruption)

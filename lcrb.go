@@ -213,10 +213,9 @@ func SolveSCBG(p *Problem, opts SCBGOptions) (*SCBGResult, error) {
 // SolveGreedy runs the submodular greedy algorithm for LCRB-P (protect an
 // α fraction of the bridge ends under the OPOAO model). (1-1/e)-approximate
 // with respect to σ̂ over its GreedyOptions.Samples fixed realizations,
-// which it counts exactly as RR-set coverage unless an explicit
-// GreedyOptions.Realization asks for Monte-Carlo estimates. When a
-// GreedyOptions budget expires mid-selection it returns the best-so-far
-// seed set with GreedyResult.Partial set, alongside an error wrapping
+// which it counts exactly as RR-set coverage. When a GreedyOptions budget
+// expires mid-selection it returns the best-so-far seed set with
+// GreedyResult.Partial set, alongside an error wrapping
 // ErrBudgetExhausted.
 func SolveGreedy(p *Problem, opts GreedyOptions) (*GreedyResult, error) {
 	return core.Greedy(p, opts)

@@ -18,6 +18,9 @@ import (
 // and the selection is rrset's lazy cover with integer gains over every
 // node in some RR set — algorithm 1's unrestricted argmax, since a node in
 // no RR set has zero gain. No diffusion is re-simulated per candidate.
+// rrset.NewIndex picks the gain kernel from the rows' density: at the
+// paper's scale the rows are sparse, so the cover decrements exact gains
+// and no bitset arena is built, and memory follows the RR entries.
 //
 // The budgets follow the partial-result contract of GreedyContext: the
 // context and the wall-clock deadline are checked before every sampled
@@ -35,7 +38,7 @@ func coverGreedy(ctx context.Context, p *Problem, opts GreedyOptions, realSeeds 
 			return fmt.Errorf("%w: wall-clock budget spent before realization %d", ErrBudgetExhausted, i)
 		}
 		return nil
-	}, IsInterruption)
+	})
 	if err != nil {
 		// Interrupted before any selection: the empty seed set is the
 		// honest partial answer.

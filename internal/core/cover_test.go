@@ -15,7 +15,7 @@ import (
 func rrRows(t *testing.T, p *Problem, opts GreedyOptions) int {
 	t.Helper()
 	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, DefaultGreedyHops, false)
-	reals, err := smp.Draw(rrset.Seeds(opts.Seed, opts.Samples), nil, 1, func(int) error { return nil }, IsInterruption)
+	reals, err := smp.Draw(rrset.Seeds(opts.Seed, opts.Samples), nil, 1, func(int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

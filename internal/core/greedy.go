@@ -207,18 +207,6 @@ func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*Greedy
 	return coverGreedy(ctx, p, opts, realSeeds, maxProtectors, workers, deadline)
 }
 
-// IsInterruption reports whether err is an expected interruption —
-// context cancellation, deadline expiry, or an exhausted evaluation
-// budget — rather than a configuration or evaluation failure. Serving
-// layers use it to decide between degrading to a cheaper solver (the
-// interruption cases, where a partial result is still honest) and failing
-// the request outright.
-func IsInterruption(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrBudgetExhausted)
-}
-
 // notifyRound delivers one committed round to a non-nil OnRound callback
 // with a copied prefix, so the callback may retain it while the selection
 // keeps appending.

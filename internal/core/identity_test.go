@@ -199,7 +199,7 @@ func TestGreedyMatchesMonteCarloTieHeavy(t *testing.T) {
 
 	// Count the candidates that share the first selection's gain.
 	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, DefaultGreedyHops, false)
-	reals, err := smp.Draw(rrset.Seeds(9, 1), nil, 1, func(int) error { return nil }, IsInterruption)
+	reals, err := smp.Draw(rrset.Seeds(9, 1), nil, 1, func(int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,12 @@ type Cover struct {
 // previous count bounds the current one and the lazy loop selects the
 // same sequence as the plain one.
 //
+// How a recount is served depends on the index (see gains): with the
+// arena it is an AND-NOT popcount sweep of the row, without it a read of
+// the row's exact gain, which every commit keeps current by decrement.
+// Both return the same count, so the selection, gains and evaluations do
+// not depend on the kernel.
+//
 // The context is checked before every recount and selection. On
 // cancellation or a Budget error the cover so far is returned with the
 // error.
@@ -59,9 +65,9 @@ func (ix *Index) Cover(ctx context.Context, opts CoverOptions) (Cover, error) {
 			return c, err
 		}
 	}
-	covered := NewBitset(ix.NumPairs)
+	k := newGains(ix)
 	if opts.Plain {
-		return ix.coverPlain(ctx, opts, c, covered)
+		return ix.coverPlain(ctx, opts, c, k)
 	}
 
 	q := newBucketQueue(ix)
@@ -76,14 +82,13 @@ func (ix *Index) Cover(ctx context.Context, opts CoverOptions) (Cover, error) {
 		}
 		if q.round[r] != round {
 			// Stale upper bound: recount the maximum against current
-			// coverage — one AND-NOT popcount sweep of its pair row. A
-			// lower gain moves it down to that bucket; an equal one leaves
-			// it at the head, fresh, to be selected next.
+			// coverage. A lower gain moves it down to that bucket; an
+			// equal one leaves it at the head, fresh, to be selected next.
 			q.round[r] = round
 			if err := c.charge(opts.Budget); err != nil {
 				return c, err
 			}
-			if fresh := ix.Gain(r, covered); fresh < g {
+			if fresh := k.count(r); fresh < g {
 				q.pop()
 				q.push(r, fresh)
 			}
@@ -93,7 +98,7 @@ func (ix *Index) Cover(ctx context.Context, opts CoverOptions) (Cover, error) {
 			break // nothing left to cover with any remaining candidate
 		}
 		q.pop()
-		c.commit(ix, r, g, covered, opts.OnSelect)
+		c.commit(k, r, g, opts.OnSelect)
 		round++
 	}
 	return c, nil
@@ -102,7 +107,7 @@ func (ix *Index) Cover(ctx context.Context, opts CoverOptions) (Cover, error) {
 // coverPlain is Cover's plain loop: every round recounts every remaining
 // row, round 0 reusing the first counts, and selects the first maximum in
 // row order.
-func (ix *Index) coverPlain(ctx context.Context, opts CoverOptions, c Cover, covered Bitset) (Cover, error) {
+func (ix *Index) coverPlain(ctx context.Context, opts CoverOptions, c Cover, k *gains) (Cover, error) {
 	rows := make([]int32, len(ix.Nodes))
 	for r := range rows {
 		rows[r] = int32(r)
@@ -118,7 +123,7 @@ func (ix *Index) coverPlain(ctx context.Context, opts CoverOptions, c Cover, cov
 				if err := c.charge(opts.Budget); err != nil {
 					return c, err
 				}
-				g = ix.Gain(r, covered)
+				g = k.count(r)
 			}
 			if g > bestGain {
 				best, bestGain = i, g
@@ -130,7 +135,7 @@ func (ix *Index) coverPlain(ctx context.Context, opts CoverOptions, c Cover, cov
 		if err := ctx.Err(); err != nil {
 			return c, err
 		}
-		c.commit(ix, rows[best], bestGain, covered, opts.OnSelect)
+		c.commit(k, rows[best], bestGain, opts.OnSelect)
 		rows = slices.Delete(rows, best, best+1)
 	}
 	return c, nil
@@ -148,13 +153,66 @@ func (c *Cover) charge(budget func(int) error) error {
 }
 
 // commit selects row r at gain g.
-func (c *Cover) commit(ix *Index, r int32, g int, covered Bitset, onSelect func(Cover)) {
-	ix.Commit(r, covered)
+func (c *Cover) commit(k *gains, r int32, g int, onSelect func(Cover)) {
+	k.commit(r)
 	c.Covered += g
-	c.Selected = append(c.Selected, ix.Nodes[r])
+	c.Selected = append(c.Selected, k.ix.Nodes[r])
 	c.Gains = append(c.Gains, g)
 	if onSelect != nil {
 		onSelect(*c)
+	}
+}
+
+// gains serves one Cover call's row counts against its own coverage, so
+// solves sharing an index stay independent. With the arena a count is an
+// AND-NOT popcount sweep of the row (Index.Gain). Without it, exact
+// holds every row's current gain: committing a row walks its pair list
+// and, for each pair it newly covers, decrements the gain of every row in
+// that pair's RR set, so a count is one read. A sparse index covers each
+// pair once and touches each of its RR entries once, where a sweep would
+// reread whole rows of mostly zero words on every recount.
+type gains struct {
+	ix      *Index
+	covered Bitset
+	// exact[r] is row r's marginal gain, or nil when the arena serves
+	// counts.
+	exact []int32
+}
+
+// newGains starts a cover with nothing covered.
+func newGains(ix *Index) *gains {
+	k := &gains{ix: ix, covered: NewBitset(ix.NumPairs)}
+	if ix.Arena == nil {
+		k.exact = make([]int32, len(ix.Nodes))
+		for r := range k.exact {
+			k.exact[r] = ix.Off[r+1] - ix.Off[r]
+		}
+	}
+	return k
+}
+
+// count returns row r's marginal gain.
+func (k *gains) count(r int32) int {
+	if k.exact == nil {
+		return k.ix.Gain(r, k.covered)
+	}
+	return int(k.exact[r])
+}
+
+// commit marks row r's pairs covered.
+func (k *gains) commit(r int32) {
+	if k.exact == nil {
+		k.ix.Commit(r, k.covered)
+		return
+	}
+	for _, pi := range k.ix.RowList(r) {
+		if k.covered.Test(pi) {
+			continue
+		}
+		k.covered.Set(pi)
+		for _, u := range k.ix.Source[pi].Nodes {
+			k.exact[k.ix.RowOf[u]]--
+		}
 	}
 }
 

@@ -74,19 +74,11 @@ func (b Bitset) AndNotCount(mask Bitset) int {
 	return c
 }
 
-// ArenaBudgetBytes caps the memory spent on the per-candidate bitset rows.
-// Above the budget the index serves gains by walking its CSR pair lists
-// against the covered bitset instead — still allocation-free and exactly
-// equal, just not word-parallel. 256 MiB covers every instance the repo's
-// benchmarks and experiments build by orders of magnitude. A variable
-// only so tests can force the fallback.
-var ArenaBudgetBytes = 1 << 28
-
 // Index is the node → pair inversion of a pair slice in CSR form: one flat
-// pair array with int32 offsets per candidate row, plus (budget allowing)
-// a bitset arena holding each candidate's pairs as a row of words so a
-// marginal-gain recount is a single AndNotCount sweep. The fields are
-// read-only once NewIndex returns.
+// pair array with int32 offsets per candidate row, plus, when the rows are
+// dense enough, a bitset arena holding each candidate's pairs as a row of
+// words so a marginal-gain count is a single AndNotCount sweep. The fields
+// are read-only once NewIndex returns.
 //
 // The index is a pure function of the pairs, whatever the worker count
 // that built it, so rebuilding it after loading a stored sketch
@@ -105,23 +97,37 @@ type Index struct {
 	Pairs []int32
 	// RowOf maps a node id to its row, -1 for nodes in no RR set.
 	RowOf []int32
+	// Source is the pair slice the index inverts, shared, not copied:
+	// pair p's RR set is Source[p].Nodes. Cover's decrement kernel walks
+	// it to find the rows a newly covered pair leaves.
+	Source []Pair
 	// Arena holds row r's pair bitset at [r*Words, (r+1)*Words), or is nil
-	// when the rows would not fit ArenaBudgetBytes.
+	// when the rows are too sparse to pay for it (see NewIndex).
 	Arena []uint64
 }
 
-// NewIndex builds the CSR inversion (and, within budget, the bitset arena)
-// of pairs as a chunked transpose on up to workers goroutines. Each worker
-// counts node occurrences in one contiguous chunk of pairs, the chunks
-// balanced by RR entries. A serial pass over node ids turns the counts
-// into rows in ascending node order, their offsets, and per-chunk write
-// cursors: within a row, chunk c's slots follow every earlier chunk's.
-// Each worker then scatters its chunk's pair indices into its own slots,
-// visiting pairs in index order, so every row's list comes out ascending
-// without a sort, and the arena is filled by row range. The index is
-// therefore identical for every workers value.
+// arenaBitsPerWord is the density below which NewIndex builds no arena:
+// the rows must average at least this many pair bits per arena word, so
+// the arena is at most half the bytes of the CSR list it mirrors.
+// Measured on lazy covers, the arena sweep is about 5× faster than exact
+// gain decrements on the hep serving sketches (11 bits per word), about
+// 3× slower on the paper-scale Enron ones (1.5), and the two tie near 3
+// to 4 (see DESIGN.md §13.1).
+const arenaBitsPerWord = 4
+
+// NewIndex builds the CSR inversion of pairs, and the bitset arena when
+// the rows hold at least arenaBitsPerWord pair bits per arena word, as a
+// chunked transpose on up to workers goroutines. Each worker counts node
+// occurrences in one contiguous chunk of pairs, the chunks balanced by RR
+// entries. A serial pass over node ids turns the counts into rows in
+// ascending node order, their offsets, and per-chunk write cursors:
+// within a row, chunk c's slots follow every earlier chunk's. Each worker
+// then scatters its chunk's pair indices into its own slots, visiting
+// pairs in index order, so every row's list comes out ascending without a
+// sort, and the arena is filled by row range. The index is therefore
+// identical for every workers value.
 func NewIndex(pairs []Pair, workers int) *Index {
-	ix := &Index{NumPairs: len(pairs), Words: (len(pairs) + 63) / 64}
+	ix := &Index{NumPairs: len(pairs), Words: (len(pairs) + 63) / 64, Source: pairs}
 	bounds := pairChunks(pairs, workers)
 	chunks := len(bounds) - 1
 	chunk := func(c int) []Pair { return pairs[bounds[c]:bounds[c+1]] }
@@ -175,7 +181,7 @@ func NewIndex(pairs []Pair, workers int) *Index {
 			}
 		}
 	})
-	if n := len(ix.Nodes) * ix.Words * 8; n > 0 && n <= ArenaBudgetBytes {
+	if len(ix.Nodes) > 0 && len(ix.Nodes)*ix.Words*arenaBitsPerWord <= len(ix.Pairs) {
 		ix.buildArena(chunks)
 	}
 	return ix

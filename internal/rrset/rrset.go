@@ -127,10 +127,9 @@ func NewSampler(g *graph.Graph, rumors, ends []int32, maxHops int, footprints bo
 // realization, so the output is identical for every worker count.
 //
 // check runs before every realization; its first error stops that
-// worker's stripe. The returned error is the failure at the smallest
-// listed position, preferring errors that interrupted does not classify as
-// interruptions: a canceled sibling is fallout, not the cause.
-func (s *Sampler) Draw(seeds []uint64, which []int, workers int, check func(r int) error, interrupted func(error) bool) ([]Realization, error) {
+// worker's stripe. Sampling itself cannot fail, so the returned error is
+// check's error at the smallest listed position.
+func (s *Sampler) Draw(seeds []uint64, which []int, workers int, check func(r int) error) ([]Realization, error) {
 	n := len(seeds)
 	if which != nil {
 		n = len(which)
@@ -150,21 +149,10 @@ func (s *Sampler) Draw(seeds []uint64, which []int, workers int, check func(r in
 			out[k].Pairs, out[k].Baseline, out[k].Footprint = sc.Sample(seeds[r], int32(r))
 		}
 	})
-	var cancelErr error
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			return nil, err
 		}
-		if interrupted(err) {
-			if cancelErr == nil {
-				cancelErr = err
-			}
-			continue
-		}
-		return nil, err
-	}
-	if cancelErr != nil {
-		return nil, cancelErr
 	}
 	return out, nil
 }

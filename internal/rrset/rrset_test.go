@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"lcrb/internal/community"
@@ -27,26 +28,90 @@ func syntheticPairs(src *rng.Source, numPairs, maxNode int) []rrset.Pair {
 	return pairs
 }
 
+// densePairs fabricates pairs whose RR sets each hold a third to two
+// thirds of maxNode nodes, so the rows average far more than 4 pair bits
+// per arena word and NewIndex builds the arena.
+func densePairs(src *rng.Source, numPairs, maxNode int) []rrset.Pair {
+	var pairs []rrset.Pair
+	for pi := 0; pi < numPairs; pi++ {
+		nodes := src.SampleInt32(int32(maxNode), int32(maxNode/3+1+src.Intn(maxNode/3+1)))
+		slices.Sort(nodes)
+		pairs = append(pairs, rrset.Pair{Realization: int32(pi), Nodes: nodes})
+	}
+	return pairs
+}
+
+// coverBothModes runs one cover with the arena on and again with it off,
+// fails unless the two Covers, errors and OnSelect snapshots agree, and
+// returns the cover with the snapshots it passed to OnSelect. It leaves
+// the index with the arena off.
+func coverBothModes(t *testing.T, ix *rrset.Index, opts rrset.CoverOptions) (rrset.Cover, []rrset.Cover, error) {
+	t.Helper()
+	var covers [2]rrset.Cover
+	var snaps [2][]rrset.Cover
+	var errs [2]error
+	for m, arena := range []bool{true, false} {
+		rrset.SetArena(ix, arena)
+		o := opts
+		o.OnSelect = func(c rrset.Cover) {
+			c.Selected, c.Gains = slices.Clone(c.Selected), slices.Clone(c.Gains)
+			snaps[m] = append(snaps[m], c)
+		}
+		covers[m], errs[m] = ix.Cover(context.Background(), o)
+	}
+	if !reflect.DeepEqual(covers[0], covers[1]) || !reflect.DeepEqual(snaps[0], snaps[1]) || errs[0] != errs[1] {
+		t.Fatalf("opts %+v: arena %+v (%v), decrements %+v (%v)", opts, covers[0], errs[0], covers[1], errs[1])
+	}
+	return covers[0], snaps[0], errs[0]
+}
+
+// TestCoverModesBitIdentical holds the density rule and the two gain
+// kernels to each other: NewIndex builds the arena on dense pairs and
+// none on sparse ones, and on both inputs the arena sweep and the exact
+// gain decrements give DeepEqual covers, lazy and plain, under random
+// targets and selection caps.
+func TestCoverModesBitIdentical(t *testing.T) {
+	src := rng.New(57)
+	for _, tc := range []struct {
+		name  string
+		pairs []rrset.Pair
+		arena bool
+	}{
+		{"dense", densePairs(src, 300, 20), true},
+		{"sparse", syntheticPairs(src, 300, 2000), false},
+	} {
+		ix := rrset.NewIndex(tc.pairs, 2)
+		if (ix.Arena != nil) != tc.arena {
+			t.Fatalf("%s: arena present = %v, want %v (%d rows, %d words, %d entries)",
+				tc.name, ix.Arena != nil, tc.arena, len(ix.Nodes), ix.Words, len(ix.Pairs))
+		}
+		for trial := 0; trial < 10; trial++ {
+			opts := rrset.CoverOptions{Target: 1 + src.Intn(ix.NumPairs), MaxSelect: 1 + src.Intn(40), Plain: trial%2 == 1}
+			if _, _, err := coverBothModes(t, ix, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestCoverPlainMatchesLazy holds the lazy bucket-queue loop to the plain
 // loop that recounts every row every round: the same selection, gains and
 // coverage, with no more evaluations, under random targets and selection
-// caps.
+// caps, each run with the arena on and off.
 func TestCoverPlainMatchesLazy(t *testing.T) {
 	src := rng.New(31)
 	for trial := 0; trial < 40; trial++ {
 		ix := rrset.NewIndex(syntheticPairs(src, 1+src.Intn(300), 2+src.Intn(60)), 1+src.Intn(3))
 		opts := rrset.CoverOptions{Target: 1 + src.Intn(ix.NumPairs), MaxSelect: 1 + src.Intn(20)}
-		selects := 0
-		opts.OnSelect = func(rrset.Cover) { selects++ }
-		lazy, err := ix.Cover(context.Background(), opts)
+		lazy, snaps, err := coverBothModes(t, ix, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if selects != len(lazy.Selected) {
-			t.Fatalf("trial %d: OnSelect fired %d times for %d selections", trial, selects, len(lazy.Selected))
+		if len(snaps) != len(lazy.Selected) {
+			t.Fatalf("trial %d: OnSelect fired %d times for %d selections", trial, len(snaps), len(lazy.Selected))
 		}
-		opts.Plain, opts.OnSelect = true, nil
-		plain, err := ix.Cover(context.Background(), opts)
+		opts.Plain = true
+		plain, _, err := coverBothModes(t, ix, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,31 +126,34 @@ func TestCoverPlainMatchesLazy(t *testing.T) {
 
 // TestCoverBudgetStopsBeforeCount pins the Budget hook: it runs before
 // every row count, its error stops the cover with the selection so far,
-// and Evaluations counts exactly the counts it allowed.
+// and Evaluations counts exactly the counts it allowed — with the arena
+// on and off, on a dense and a sparse index.
 func TestCoverBudgetStopsBeforeCount(t *testing.T) {
-	ix := rrset.NewIndex(syntheticPairs(rng.New(7), 200, 40), 1)
-	opts := rrset.CoverOptions{Target: ix.NumPairs, MaxSelect: 40}
-	for _, plain := range []bool{false, true} {
-		opts.Plain = plain
-		full, err := ix.Cover(context.Background(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stop := errors.New("stop")
-		for budget := 0; budget < full.Evaluations; budget++ {
-			capped := opts
-			capped.Budget = func(evals int) error {
-				if evals >= budget {
-					return stop
+	for _, pairs := range [][]rrset.Pair{syntheticPairs(rng.New(7), 200, 40), densePairs(rng.New(8), 200, 24)} {
+		ix := rrset.NewIndex(pairs, 1)
+		opts := rrset.CoverOptions{Target: ix.NumPairs, MaxSelect: 40}
+		for _, plain := range []bool{false, true} {
+			opts.Plain = plain
+			full, _, err := coverBothModes(t, ix, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := errors.New("stop")
+			for budget := 0; budget < full.Evaluations; budget++ {
+				capped := opts
+				capped.Budget = func(evals int) error {
+					if evals >= budget {
+						return stop
+					}
+					return nil
 				}
-				return nil
-			}
-			c, err := ix.Cover(context.Background(), capped)
-			if !errors.Is(err, stop) || c.Evaluations != budget {
-				t.Fatalf("plain=%v budget %d: (%d evaluations, %v)", plain, budget, c.Evaluations, err)
-			}
-			if len(c.Selected) > len(full.Selected) || !slices.Equal(c.Selected, full.Selected[:len(c.Selected)]) {
-				t.Fatalf("plain=%v budget %d: %v is not a prefix of %v", plain, budget, c.Selected, full.Selected)
+				c, _, err := coverBothModes(t, ix, capped)
+				if !errors.Is(err, stop) || c.Evaluations != budget {
+					t.Fatalf("plain=%v budget %d: (%d evaluations, %v)", plain, budget, c.Evaluations, err)
+				}
+				if len(c.Selected) > len(full.Selected) || !slices.Equal(c.Selected, full.Selected[:len(c.Selected)]) {
+					t.Fatalf("plain=%v budget %d: %v is not a prefix of %v", plain, budget, c.Selected, full.Selected)
+				}
 			}
 		}
 	}
@@ -99,11 +167,45 @@ func hepProblem(b *testing.B) *core.Problem {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return communityProblem(b, net, 80, 10)
+}
+
+// enron caches the paper-scale Enron problem across benchmarks: generating
+// the network and detecting its communities takes about a second.
+var enron struct {
+	sync.Once
+	p   *core.Problem
+	err error
+}
+
+// enronProblem is the Enron profile at scale 1 (36,692 nodes) with a
+// twentieth of the Louvain community closest to the paper's |C| = 2631 as
+// rumor seeds: the offline-enron benchmark's instance and rumor fraction.
+func enronProblem(b *testing.B) *core.Problem {
+	b.Helper()
+	enron.Do(func() {
+		net, err := gen.Enron(1, 0x0601)
+		if err != nil {
+			enron.err = err
+			return
+		}
+		enron.p = communityProblem(b, net, 2631, 20)
+	})
+	if enron.err != nil {
+		b.Fatal(enron.err)
+	}
+	return enron.p
+}
+
+// communityProblem takes the Louvain community of net closest to size
+// nodes and one in rumorDiv of its members as rumor seeds.
+func communityProblem(b *testing.B, net *gen.Network, size int32, rumorDiv int) *core.Problem {
+	b.Helper()
 	part := community.Louvain(net.Graph, community.LouvainOptions{Seed: 1})
-	comm := part.ClosestBySize(80)
+	comm := part.ClosestBySize(size)
 	members := part.Members(comm)
 	var rumors []int32
-	for _, i := range rng.New(101).SampleInt32(int32(len(members)), int32(len(members)/10)) {
+	for _, i := range rng.New(101).SampleInt32(int32(len(members)), int32(len(members)/rumorDiv)) {
 		rumors = append(rumors, members[i])
 	}
 	p, err := core.NewProblem(net.Graph, part.Assign(), comm, rumors)
@@ -113,11 +215,11 @@ func hepProblem(b *testing.B) *core.Problem {
 	return p
 }
 
-// hepPairs samples n realizations of the hep instance on two workers.
-func hepPairs(b *testing.B, p *core.Problem, n int) ([]rrset.Pair, int) {
+// samplePairs samples n realizations of p on two workers.
+func samplePairs(b *testing.B, p *core.Problem, n int) ([]rrset.Pair, int) {
 	b.Helper()
 	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, core.DefaultGreedyHops, false)
-	reals, err := smp.Draw(rrset.Seeds(7, n), nil, 2, func(int) error { return nil }, core.IsInterruption)
+	reals, err := smp.Draw(rrset.Seeds(7, n), nil, 2, func(int) error { return nil })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,37 +252,58 @@ func BenchmarkSampleRealization(b *testing.B) {
 	}
 }
 
-// BenchmarkNewIndex times the node → pair inversion, CSR and bitset arena,
-// of 128 hep realizations, serial and on two workers.
-func BenchmarkNewIndex(b *testing.B) {
-	pairs, _ := hepPairs(b, hepProblem(b), 128)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchIndex = rrset.NewIndex(pairs, workers)
-			}
-		})
-	}
+// benchCase is a benchmarked sketch: R realizations of a problem. The
+// hep case's rows are dense and keep the bitset arena; the Enron cases
+// at the paper's scale are sparse and count gains by decrement.
+type benchCase struct {
+	name    string
+	problem func(*testing.B) *core.Problem
+	samples int
 }
 
-// BenchmarkCover times the greedy cover to α = 0.9 over 128 hep
-// realizations, lazy against plain.
+var benchCases = []benchCase{
+	{"hep/R=128", hepProblem, 128},
+	{"enron/R=4", enronProblem, 4},
+	{"enron/R=16", enronProblem, 16},
+}
+
+// BenchmarkNewIndex times the node → pair inversion, CSR and (when dense)
+// bitset arena, of each benchmark case, serial and on two workers.
+func BenchmarkNewIndex(b *testing.B) {
+	for _, bc := range benchCases {
+		pairs, _ := samplePairs(b, bc.problem(b), bc.samples)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchIndex = rrset.NewIndex(pairs, workers)
+				}
+			})
+		}
+	}
+	benchIndex = nil // let the last Enron index go before later benchmarks
+}
+
+// BenchmarkCover times the greedy cover to α = 0.9 of each benchmark case,
+// lazy against plain.
 func BenchmarkCover(b *testing.B) {
-	p := hepProblem(b)
-	pairs, baseline := hepPairs(b, p, 128)
-	ix := rrset.NewIndex(pairs, 2)
-	target := p.RequiredEnds(0.9)*128 - baseline
-	for _, plain := range []bool{false, true} {
-		b.Run(fmt.Sprintf("plain=%v", plain), func(b *testing.B) {
-			opts := rrset.CoverOptions{Target: target, MaxSelect: p.NumEnds(), Plain: plain}
-			var c rrset.Cover
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c, _ = ix.Cover(context.Background(), opts)
-			}
-			b.ReportMetric(float64(c.Evaluations), "evals")
-		})
+	for _, bc := range benchCases {
+		p := bc.problem(b)
+		pairs, baseline := samplePairs(b, p, bc.samples)
+		ix := rrset.NewIndex(pairs, 2)
+		target := p.RequiredEnds(0.9)*bc.samples - baseline
+		for _, plain := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/plain=%v", bc.name, plain), func(b *testing.B) {
+				opts := rrset.CoverOptions{Target: target, MaxSelect: p.NumEnds(), Plain: plain}
+				var c rrset.Cover
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c, _ = ix.Cover(context.Background(), opts)
+				}
+				b.ReportMetric(float64(c.Evaluations), "evals")
+				b.ReportMetric(float64(len(ix.Pairs))/float64(len(ix.Nodes)*ix.Words), "bits/word")
+			})
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -73,10 +72,32 @@ func randomSyntheticSet(src *rng.Source, numPairs, maxNode int) *Set {
 	return set
 }
 
-// disableArena forces the CSR fallback path, as if the rows had blown
-// rrset.ArenaBudgetBytes, so both gain/commit implementations get the same
+// disableArena forces the sparse kernel, as if the rows were below the
+// density rule: Gain and Commit walk CSR lists and Cover serves its
+// recounts from exact gains it decrements, so both kernels get the same
 // differential coverage.
 func disableArena(set *Set) { set.index.Arena = nil }
+
+// enableArena forces the dense kernel, filling the bitset arena from the
+// CSR lists whatever the density rule chose.
+func enableArena(ix *rrset.Index) {
+	if len(ix.Nodes) == 0 {
+		return
+	}
+	ix.Arena = make([]uint64, len(ix.Nodes)*ix.Words)
+	for r := range ix.Nodes {
+		row := ix.RowBits(int32(r))
+		for _, pi := range ix.RowList(int32(r)) {
+			row.Set(pi)
+		}
+	}
+}
+
+// arenaByRule is the density rule NewIndex applies: an arena only when the
+// rows hold at least 4 pair bits per arena word.
+func arenaByRule(ix *rrset.Index) bool {
+	return len(ix.Nodes) > 0 && len(ix.Nodes)*ix.Words*4 <= len(ix.Pairs)
+}
 
 // checkIndexMatchesReference asserts every query the live index answers
 // agrees pair for pair with the retired map/bool-slice machinery.
@@ -160,6 +181,7 @@ func TestPairIndexMatchesReferenceOnSyntheticSketches(t *testing.T) {
 	src := rng.New(515)
 	for trial := 0; trial < 15; trial++ {
 		set := randomSyntheticSet(src, 1+src.Intn(200), 2+src.Intn(120))
+		enableArena(set.index)
 		checkIndexMatchesReference(t, src, set)
 		disableArena(set)
 		checkIndexMatchesReference(t, src, set)
@@ -167,16 +189,28 @@ func TestPairIndexMatchesReferenceOnSyntheticSketches(t *testing.T) {
 }
 
 // TestPairIndexRowInvariants pins the CSR shape: rows ascend by node, each
-// row's pair list ascends, rowOf inverts nodes, and the arena rows mirror
-// the CSR lists bit for bit.
+// row's pair list ascends, rowOf inverts nodes, the arena is there exactly
+// when the density rule asks for it, and its rows mirror the CSR lists bit
+// for bit.
 func TestPairIndexRowInvariants(t *testing.T) {
 	src := rng.New(616)
+	var sets []*Set
 	for trial := 0; trial < 10; trial++ {
-		set := randomSyntheticSet(src, 1+src.Intn(150), 2+src.Intn(90))
+		sets = append(sets, randomSyntheticSet(src, 1+src.Intn(150), 2+src.Intn(90)))
+	}
+	// A few nodes shared by many pairs make dense rows.
+	sets = append(sets, randomSyntheticSet(src, 150, 3))
+	modes := map[bool]int{}
+	for i, set := range sets {
 		ix := set.index
 		if ix.NumPairs != len(set.Pairs) || ix.Words != (len(set.Pairs)+63)/64 {
 			t.Fatalf("dims = (%d, %d) for %d pairs", ix.NumPairs, ix.Words, len(set.Pairs))
 		}
+		if (ix.Arena != nil) != arenaByRule(ix) {
+			t.Fatalf("set %d: arena present = %v, density rule says %v (%d rows, %d words, %d entries)",
+				i, ix.Arena != nil, arenaByRule(ix), len(ix.Nodes), ix.Words, len(ix.Pairs))
+		}
+		modes[ix.Arena != nil]++
 		for r, u := range ix.Nodes {
 			if r > 0 && ix.Nodes[r-1] >= u {
 				t.Fatalf("nodes not strictly ascending at row %d: %v", r, ix.Nodes)
@@ -195,7 +229,7 @@ func TestPairIndexRowInvariants(t *testing.T) {
 			}
 			row := ix.RowBits(int32(r))
 			if row == nil {
-				t.Fatal("arena unexpectedly off on a tiny index")
+				continue
 			}
 			if row.Count() != len(list) {
 				t.Fatalf("arena row %d holds %d bits, want %d", r, row.Count(), len(list))
@@ -210,14 +244,18 @@ func TestPairIndexRowInvariants(t *testing.T) {
 			t.Fatal("out-of-range nodes must map to row -1")
 		}
 	}
+	if modes[true] == 0 || modes[false] == 0 {
+		t.Fatalf("the density rule picked only one kernel: %v", modes)
+	}
 }
 
 // serialPairIndex is the single-threaded inversion the chunked transpose
 // replaced: one counting pass, rows in ascending node order, one scatter
-// in pair order, then the arena row by row. It is the oracle
+// in pair order, then, where the density rule asks for it, the arena row
+// by row. It is the oracle
 // TestPairIndexBitIdenticalAcrossWorkers holds rrset.NewIndex to.
 func serialPairIndex(pairs []Pair) *rrset.Index {
-	ix := &rrset.Index{NumPairs: len(pairs), Words: (len(pairs) + 63) / 64}
+	ix := &rrset.Index{NumPairs: len(pairs), Words: (len(pairs) + 63) / 64, Source: pairs}
 	maxNode := int32(-1)
 	for _, pair := range pairs {
 		for _, u := range pair.Nodes {
@@ -249,13 +287,8 @@ func serialPairIndex(pairs []Pair) *rrset.Index {
 			cursor[r]++
 		}
 	}
-	if n := len(ix.Nodes) * ix.Words * 8; n > 0 && n <= rrset.ArenaBudgetBytes {
-		ix.Arena = make([]uint64, len(ix.Nodes)*ix.Words)
-		for r := range ix.Nodes {
-			for _, pi := range ix.RowList(int32(r)) {
-				ix.RowBits(int32(r)).Set(pi)
-			}
-		}
+	if arenaByRule(ix) {
+		enableArena(ix)
 	}
 	return ix
 }
@@ -263,7 +296,8 @@ func serialPairIndex(pairs []Pair) *rrset.Index {
 // TestPairIndexBitIdenticalAcrossWorkers holds the chunked parallel
 // transpose to the serial inversion field for field, for every worker
 // count: on built sketches, on synthetic ones with fewer pairs than
-// workers (down to none), and with the arena forced off.
+// workers (down to none), and on a dense and a sparse synthetic input, so
+// that indexes with and without the arena are both held to it.
 func TestPairIndexBitIdenticalAcrossWorkers(t *testing.T) {
 	p := testProblem(t, 300, 40, 41)
 	var sets []*Set
@@ -278,20 +312,27 @@ func TestPairIndexBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, numPairs := range []int{0, 1, 2, 3, 6, 7, 8, 150} {
 		sets = append(sets, randomSyntheticSet(src, numPairs, 2+src.Intn(90)))
 	}
-	for _, budget := range []int{rrset.ArenaBudgetBytes, 0} {
-		t.Run(fmt.Sprintf("arenaBudget=%d", budget), func(t *testing.T) {
-			defer func(saved int) { rrset.ArenaBudgetBytes = saved }(rrset.ArenaBudgetBytes)
-			rrset.ArenaBudgetBytes = budget
+	sets = append(sets, randomSyntheticSet(src, 300, 3), randomSyntheticSet(src, 300, 2000))
+	for _, side := range []struct {
+		name  string
+		arena bool
+	}{{"dense", true}, {"sparse", false}} {
+		t.Run(side.name, func(t *testing.T) {
+			held := 0
 			for i, set := range sets {
 				want := serialPairIndex(set.Pairs)
-				if (want.Arena != nil) != (budget > 0 && len(want.Nodes) > 0) {
-					t.Fatalf("set %d: arena present = %v under budget %d", i, want.Arena != nil, budget)
+				if (want.Arena != nil) != side.arena {
+					continue
 				}
+				held++
 				for _, workers := range []int{1, 2, 3, 7} {
 					if got := rrset.NewIndex(set.Pairs, workers); !reflect.DeepEqual(got, want) {
 						t.Fatalf("set %d (%d pairs), workers=%d: index differs from the serial inversion", i, len(set.Pairs), workers)
 					}
 				}
+			}
+			if held == 0 {
+				t.Fatal("no input lands on this side of the density rule")
 			}
 		})
 	}

@@ -136,7 +136,7 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 	// the repaired sketch is worker-count invariant.
 	smp := rrset.NewSampler(newP.Graph, newP.Rumors, newP.Ends, set.MaxHops, true)
 	results, err := smp.Draw(rrset.Seeds(set.Seed, set.Samples), redraw, workers,
-		func(int) error { return ctx.Err() }, core.IsInterruption)
+		func(int) error { return ctx.Err() })
 	if err != nil {
 		return nil, nil, err
 	}

@@ -208,7 +208,7 @@ func BuildContext(ctx context.Context, p *core.Problem, opts Options) (*Set, err
 				core.ErrBudgetExhausted, i)
 		}
 		return nil
-	}, core.IsInterruption)
+	})
 	if err != nil {
 		return nil, err
 	}

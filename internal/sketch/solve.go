@@ -27,9 +27,12 @@ func SolveGreedyRIS(p *core.Problem, set *Set, opts SolveOptions) (*core.GreedyR
 // core.GreedyContext: it greedily covers (realization, end) pairs until
 // σ̂_RIS(S) reaches the α·|B| target, returning the same GreedyResult
 // shape with sketch-based σ̂ — and running zero diffusion simulations.
-// Coverage counting runs on rrset's bitset kernels: every marginal-gain
-// recount is one word-parallel AND-NOT popcount sweep over the
-// candidate's CSR pair row, with zero allocations per query.
+// Coverage counting runs on the sketch's rrset.Index: on a dense index
+// every marginal-gain recount is one word-parallel AND-NOT popcount sweep
+// over the candidate's arena row, and on a sparse one (the paper-scale
+// Enron sketches) a read of the candidate's exact gain, which the cover
+// decrements as pairs get covered. Both give the same counts, so the
+// selection and its evaluation count do not depend on the kernel.
 //
 // Coverage guarantee: pair coverage is an exactly submodular set function
 // of S, so the lazy evaluation (a candidate's previous marginal coverage

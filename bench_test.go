@@ -348,15 +348,44 @@ func BenchmarkNullModel(b *testing.B) {
 }
 
 // BenchmarkLouvain measures the community-detection front end on the
-// benchmark network.
+// benchmark network and on the paper's Enron scale (offline-enron's
+// instance: 36,692 nodes).
 func BenchmarkLouvain(b *testing.B) {
-	net, err := lcrb.GenerateHep(0.1, 7)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		net  func() (*gen.Network, error)
+		seed uint64
+	}{
+		{"hep-0.1", func() (*gen.Network, error) { return lcrb.GenerateHep(0.1, 7) }, 1},
+		{"enron-1", func() (*gen.Network, error) { return gen.Enron(1, 0x0601) }, 0x0602},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			net, err := bc.net()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var count int32
+			for i := 0; i < b.N; i++ {
+				count = community.Louvain(net.Graph, community.LouvainOptions{Seed: bc.seed}).Count()
+			}
+			b.ReportMetric(float64(count), "communities")
+		})
 	}
-	var count int32
+}
+
+// BenchmarkGenEnron measures generating the paper-scale Enron network,
+// Builder.Build's edge sort included.
+func BenchmarkGenEnron(b *testing.B) {
+	b.ReportAllocs()
+	var edges int64
 	for i := 0; i < b.N; i++ {
-		count = community.Louvain(net.Graph, community.LouvainOptions{Seed: 1}).Count()
+		net, err := gen.Enron(1, 0x0601)
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges = net.Graph.NumEdges()
 	}
-	b.ReportMetric(float64(count), "communities")
+	b.ReportMetric(float64(edges), "edges")
 }

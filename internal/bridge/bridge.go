@@ -12,7 +12,6 @@ package bridge
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"lcrb/internal/graph"
 )
@@ -44,13 +43,12 @@ func FindEnds(g *graph.Graph, assign []int32, rumorComm int32, rumors []int32) (
 	dist := graph.RestrictedDistances(g, rumors, graph.Forward, func(u graph.NodeID) bool {
 		return assign[u] == rumorComm
 	})
-	var ends []int32
+	var ends []int32 // ascending: dist is indexed by node
 	for v, d := range dist {
 		if d != graph.Unreachable && assign[v] != rumorComm {
 			ends = append(ends, int32(v))
 		}
 	}
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
 	return ends, nil
 }
 

@@ -1,7 +1,7 @@
 package community
 
 import (
-	"sort"
+	"slices"
 
 	"lcrb/internal/graph"
 	"lcrb/internal/rng"
@@ -33,7 +33,7 @@ func LabelProp(g *graph.Graph, opts LabelPropOptions) *Partition {
 		labels[i] = int32(i)
 	}
 
-	weights := make(map[int32]float64)
+	weights := newAccum(n)
 	var ties []int32
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		changed := 0
@@ -42,34 +42,31 @@ func LabelProp(g *graph.Graph, opts LabelPropOptions) *Partition {
 			if len(u.adj[a]) == 0 {
 				continue
 			}
-			clear(weights)
 			var bestW float64
 			for _, e := range u.adj[a] {
-				w := weights[labels[e.to]] + e.w
-				weights[labels[e.to]] = w
-				if w > bestW {
-					bestW = w
-				}
-			}
-			ties = ties[:0]
-			for l, w := range weights {
-				if w == bestW {
-					ties = append(ties, l)
-				}
+				weights.add(labels[e.to], e.w)
+				bestW = max(bestW, weights.w[labels[e.to]])
 			}
 			var next int32
-			if cur := labels[a]; weights[cur] == bestW {
+			if cur := labels[a]; weights.w[cur] == bestW {
 				// Prefer keeping the current label on ties: helps
 				// convergence and keeps runs deterministic.
 				next = cur
-			} else if len(ties) == 1 {
-				next = ties[0]
 			} else {
-				// Map iteration order is randomized by the runtime; sort
-				// before drawing so the same seed reproduces the same run.
-				sort.Slice(ties, func(i, j int) bool { return ties[i] < ties[j] })
-				next = ties[src.Intn(len(ties))]
+				ties = ties[:0]
+				for _, l := range weights.keys {
+					if weights.w[l] == bestW {
+						ties = append(ties, l)
+					}
+				}
+				next = ties[0]
+				if len(ties) > 1 {
+					// Draw from the ascending list, not the encounter order.
+					slices.Sort(ties)
+					next = ties[src.Intn(len(ties))]
+				}
 			}
+			weights.reset()
 			if next != labels[a] {
 				labels[a] = next
 				changed++

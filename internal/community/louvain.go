@@ -95,12 +95,10 @@ func oneLevel(u *undirected, src *rng.Source, opts LouvainOptions) (assign []int
 	m2 := 2 * u.totalW
 
 	order := src.Perm(int(n))
-	// neighbour-community weights of the node under consideration. neighs
-	// records first-encounter order: candidate communities must be visited
-	// deterministically, not in randomized map order, because near-ties
-	// (within MinGain) resolve in favour of the earlier candidate.
-	neighW := make(map[int32]float64)
-	var neighs []int32
+	// neighbour-community weights of the node under consideration. The
+	// accumulator's first-encounter key order fixes the candidate order:
+	// near-ties (within MinGain) resolve in favour of the earlier candidate.
+	neighW := newAccum(n)
 
 	for pass := 0; ; pass++ {
 		moved := 0
@@ -108,31 +106,25 @@ func oneLevel(u *undirected, src *rng.Source, opts LouvainOptions) (assign []int
 			a := int32(oi)
 			ca := assign[a]
 			// Gather weights to neighbouring communities.
-			clear(neighW)
-			neighs = neighs[:0]
 			for _, e := range u.adj[a] {
-				c := assign[e.to]
-				if _, seen := neighW[c]; !seen {
-					neighs = append(neighs, c)
-				}
-				neighW[c] += e.w
+				neighW.add(assign[e.to], e.w)
 			}
 			// Remove a from its community.
 			commTot[ca] -= u.degrees[a]
 			// Gain of joining community c (relative, scaled by m2/2):
 			//   k_{a,c} - resolution * tot(c) * k_a / m2
 			// Staying put is the baseline.
-			best, bestGain := ca, neighW[ca]-opts.Resolution*commTot[ca]*u.degrees[a]/m2
-			for _, c := range neighs {
-				w := neighW[c]
+			best, bestGain := ca, neighW.w[ca]-opts.Resolution*commTot[ca]*u.degrees[a]/m2
+			for _, c := range neighW.keys {
 				if c == ca {
 					continue
 				}
-				gain := w - opts.Resolution*commTot[c]*u.degrees[a]/m2
+				gain := neighW.w[c] - opts.Resolution*commTot[c]*u.degrees[a]/m2
 				if gain > bestGain+opts.MinGain || (gain > bestGain && c < best) {
 					best, bestGain = c, gain
 				}
 			}
+			neighW.reset()
 			commTot[best] += u.degrees[a]
 			if best != ca {
 				assign[a] = best
@@ -147,16 +139,17 @@ func oneLevel(u *undirected, src *rng.Source, opts LouvainOptions) (assign []int
 		}
 	}
 
-	// Renumber communities densely.
-	dense := make(map[int32]int32)
-	for i := int32(0); i < n; i++ {
-		c := assign[i]
-		id, ok := dense[c]
-		if !ok {
-			id = int32(len(dense))
-			dense[c] = id
-		}
-		assign[i] = id
+	// Renumber communities densely, in order of first appearance.
+	dense := make([]int32, n)
+	for i := range dense {
+		dense[i] = -1
 	}
-	return assign, int32(len(dense)), improved
+	for i, c := range assign {
+		if dense[c] < 0 {
+			dense[c] = count
+			count++
+		}
+		assign[i] = dense[c]
+	}
+	return assign, count, improved
 }

@@ -1,7 +1,7 @@
 package community
 
 import (
-	"sort"
+	"slices"
 
 	"lcrb/internal/graph"
 )
@@ -25,6 +25,31 @@ type undirected struct {
 	totalW  float64   // sum of all edge weights, self-loops once (i.e. "m")
 }
 
+// accum sums weights per key in [0, n) into a dense slice and records the
+// keys in first-encounter order, so a reset costs only the keys it touched
+// and never the whole table: a hub's row does not tax every later one.
+// Every edge weight is positive, so a zero sum marks an untouched key.
+type accum struct {
+	w    []float64
+	keys []int32
+}
+
+func newAccum(n int32) *accum { return &accum{w: make([]float64, n)} }
+
+func (a *accum) add(k int32, w float64) {
+	if a.w[k] == 0 {
+		a.keys = append(a.keys, k)
+	}
+	a.w[k] += w
+}
+
+func (a *accum) reset() {
+	for _, k := range a.keys {
+		a.w[k] = 0
+	}
+	a.keys = a.keys[:0]
+}
+
 // project builds the undirected weighted projection of g.
 func project(g *graph.Graph) *undirected {
 	n := g.NumNodes()
@@ -34,43 +59,40 @@ func project(g *graph.Graph) *undirected {
 		selfW:   make([]float64, n),
 		degrees: make([]float64, n),
 	}
-	// Accumulate weights per unordered pair. Out-adjacency is sorted, so
-	// merging u->v and v->u only needs a weight map per node batch; to stay
-	// allocation-light we accumulate into a map keyed by the neighbour.
-	// Adjacency is emitted in sorted neighbour order, never map order: the
-	// runtime randomizes map iteration per process, and downstream float
-	// summation plus Louvain's near-tie resolution are order-sensitive, so
-	// map order here would make whole runs irreproducible.
-	acc := make(map[int32]float64)
-	var keys []int32
+	// Merge each node's sorted Out and In rows: a neighbour in both weighs
+	// 2, in one weighs 1. Rows come out in ascending neighbour order, which
+	// downstream float summation and Louvain's near-tie resolution depend
+	// on. All rows share one backing array.
+	arena := make([]wedge, 0, 2*g.NumEdges())
 	for a := int32(0); a < n; a++ {
-		clear(acc)
-		keys = keys[:0]
-		for _, b := range g.Out(a) {
+		start := len(arena)
+		out, in := g.Out(a), g.In(a)
+		for len(out) > 0 || len(in) > 0 {
+			var b int32
+			var w float64
+			switch {
+			case len(in) == 0 || len(out) > 0 && out[0] < in[0]:
+				b, w, out = out[0], 1, out[1:]
+			case len(out) == 0 || in[0] < out[0]:
+				b, w, in = in[0], 1, in[1:]
+			default:
+				b, w, out, in = out[0], 2, out[1:], in[1:]
+			}
 			if b == a {
-				u.selfW[a]++
+				u.selfW[a]++ // a self-loop is in both rows; count it once
 				continue
 			}
-			if _, seen := acc[b]; !seen {
-				keys = append(keys, b)
-			}
-			acc[b]++
+			arena = append(arena, wedge{to: b, w: w})
 		}
-		for _, b := range g.In(a) {
-			if b == a {
-				continue // self-loop already counted from Out
-			}
-			if _, seen := acc[b]; !seen {
-				keys = append(keys, b)
-			}
-			acc[b]++
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, b := range keys {
-			u.adj[a] = append(u.adj[a], wedge{to: b, w: acc[b]})
-		}
+		u.adj[a] = arena[start:len(arena):len(arena)]
 	}
-	for a := int32(0); a < n; a++ {
+	u.sumDegrees()
+	return u
+}
+
+// sumDegrees fills degrees and totalW from adj and selfW.
+func (u *undirected) sumDegrees() {
+	for a := int32(0); a < u.n; a++ {
 		d := 2 * u.selfW[a]
 		for _, e := range u.adj[a] {
 			d += e.w
@@ -81,12 +103,12 @@ func project(g *graph.Graph) *undirected {
 			u.totalW += e.w / 2 // each undirected edge visited from both sides
 		}
 	}
-	return u
 }
 
 // aggregate collapses the undirected graph according to the partition:
 // communities become super-nodes, intra-community weight becomes self-loop
-// weight, and inter-community weights are summed.
+// weight, and inter-community weights are summed. Each sum runs over the
+// community's members in ascending order, then in adjacency order.
 func (u *undirected) aggregate(assign []int32, count int32) *undirected {
 	out := &undirected{
 		n:       count,
@@ -94,45 +116,48 @@ func (u *undirected) aggregate(assign []int32, count int32) *undirected {
 		selfW:   make([]float64, count),
 		degrees: make([]float64, count),
 	}
-	acc := make([]map[int32]float64, count)
-	for i := range acc {
-		acc[i] = make(map[int32]float64)
+	// Counting sort of the nodes by community; each group stays ascending.
+	first := make([]int32, count+1)
+	for _, c := range assign {
+		first[c+1]++
 	}
-	for a := int32(0); a < u.n; a++ {
-		ca := assign[a]
-		out.selfW[ca] += u.selfW[a]
-		for _, e := range u.adj[a] {
-			cb := assign[e.to]
-			if ca == cb {
-				out.selfW[ca] += e.w / 2 // both sides visited; halve
-			} else {
-				acc[ca][cb] += e.w
+	for c := int32(0); c < count; c++ {
+		first[c+1] += first[c]
+	}
+	members := make([]int32, u.n)
+	next := slices.Clone(first[:count])
+	for a, c := range assign {
+		members[next[c]] = int32(a)
+		next[c]++
+	}
+
+	acc := newAccum(count)
+	var arena []wedge
+	ends := make([]int, count)
+	for c := int32(0); c < count; c++ {
+		for _, a := range members[first[c]:first[c+1]] {
+			out.selfW[c] += u.selfW[a]
+			for _, e := range u.adj[a] {
+				if cb := assign[e.to]; cb == c {
+					out.selfW[c] += e.w / 2 // both sides visited; halve
+				} else {
+					acc.add(cb, e.w)
+				}
 			}
 		}
+		slices.Sort(acc.keys)
+		for _, cb := range acc.keys {
+			arena = append(arena, wedge{to: cb, w: acc.w[cb]})
+		}
+		acc.reset()
+		ends[c] = len(arena)
 	}
-	// Emit in sorted neighbour order for run-to-run reproducibility (see
-	// project).
-	for c := int32(0); c < count; c++ {
-		keys := make([]int32, 0, len(acc[c]))
-		for b := range acc[c] {
-			keys = append(keys, b)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, b := range keys {
-			out.adj[c] = append(out.adj[c], wedge{to: b, w: acc[c][b]})
-		}
+	start := 0
+	for c, end := range ends {
+		out.adj[c] = arena[start:end:end]
+		start = end
 	}
-	for c := int32(0); c < count; c++ {
-		d := 2 * out.selfW[c]
-		for _, e := range out.adj[c] {
-			d += e.w
-		}
-		out.degrees[c] = d
-		out.totalW += out.selfW[c]
-		for _, e := range out.adj[c] {
-			out.totalW += e.w / 2
-		}
-	}
+	out.sumDegrees()
 	return out
 }
 

@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -212,10 +213,10 @@ func (g *Graph) Induce(nodes []int32) (*Subgraph, error) {
 }
 
 // Builder accumulates edges and produces an immutable Graph. Duplicate
-// edges are collapsed with last-write-wins semantics: the most recently
-// recorded instance of an edge is the one kept, matching the delta-stream
-// convention of internal/dyngraph where a re-added edge carries the latest
-// state. Self-loops are rejected by default because no diffusion model in
+// edges collapse into one, and Dropped counts the extra instances. An edge
+// carries no state, so the delta-stream convention of internal/dyngraph,
+// where a re-added edge carries the latest state, holds whichever instance
+// is kept. Self-loops are rejected by default because no diffusion model in
 // this module can use them; call AllowSelfLoops to keep them.
 type Builder struct {
 	numNodes       int32
@@ -279,8 +280,8 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 // Dropped returns the number of recorded edges that did not survive into
 // the built graph as distinct edges: edges AddEdge ignored because an
 // endpoint was negative, plus, in the latest Build, the self-loops it
-// refused (without AllowSelfLoops) and duplicate instances overwritten by
-// a later AddEdge of the same (u, v) (last-write-wins). The
+// refused (without AllowSelfLoops) and the extra instances of duplicate
+// edges, collapsed into one per (u, v). The
 // negative-endpoint count accumulates across Build calls, matching the
 // Builder's reuse contract; the self-loop and overwrite counts reflect the
 // latest Build.
@@ -292,65 +293,50 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.numNodes == 0 && len(b.edges) > 0 {
 		return nil, errors.New("graph: edges recorded but node space is empty")
 	}
-	edges := make([]Edge, 0, len(b.edges))
+	// Sort the edges as packed U<<32|V keys, which order as (U, V). No
+	// stability is needed: equal keys are the same edge, so which instance
+	// of a duplicate survives is unobservable; Dropped counts the others.
+	keys := make([]uint64, 0, len(b.edges))
 	b.loops = 0
 	for _, e := range b.edges {
 		if e.U == e.V && !b.allowSelfLoops {
 			b.loops++
 			continue
 		}
-		edges = append(edges, e)
+		keys = append(keys, uint64(e.U)<<32|uint64(e.V))
 	}
-	// Stable sort so instances of the same (u, v) keep recording order,
-	// making "the last recorded instance" well defined for the dedup below.
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	// Deduplicate in place, last write wins: within a run of equal edges the
-	// final instance is the one kept (for unweighted edges the instances are
-	// indistinguishable, but the policy is the delta-stream semantic and the
-	// overwrite count is observable via Dropped).
-	b.overwritten = 0
-	dedup := edges[:0]
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			b.overwritten++
-			dedup[len(dedup)-1] = e
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	edges = dedup
+	slices.Sort(keys)
+	recorded := len(keys)
+	keys = slices.Compact(keys)
+	b.overwritten = int64(recorded - len(keys))
 
 	g := &Graph{
 		numNodes:       b.numNodes,
-		numEdges:       int64(len(edges)),
+		numEdges:       int64(len(keys)),
 		outOff:         make([]int64, b.numNodes+1),
-		outAdj:         make([]int32, len(edges)),
+		outAdj:         make([]int32, len(keys)),
 		inOff:          make([]int64, b.numNodes+1),
-		inAdj:          make([]int32, len(edges)),
+		inAdj:          make([]int32, len(keys)),
 		allowSelfLoops: b.allowSelfLoops,
 	}
 
 	// Counting pass for both directions.
-	for _, e := range edges {
-		g.outOff[e.U+1]++
-		g.inOff[e.V+1]++
+	for _, k := range keys {
+		g.outOff[k>>32+1]++
+		g.inOff[uint32(k)+1]++
 	}
 	for i := int32(0); i < b.numNodes; i++ {
 		g.outOff[i+1] += g.outOff[i]
 		g.inOff[i+1] += g.inOff[i]
 	}
 	// Fill pass. Out-adjacency is already sorted by (U, V); in-adjacency
-	// receives sources in ascending order because edges are sorted by U.
+	// receives sources in ascending order because keys are sorted by U.
 	cursor := make([]int64, b.numNodes)
-	for i, e := range edges {
-		g.outAdj[i] = e.V
-		g.inAdj[g.inOff[e.V]+cursor[e.V]] = e.U
-		cursor[e.V]++
+	for i, k := range keys {
+		u, v := int32(k>>32), int32(uint32(k))
+		g.outAdj[i] = v
+		g.inAdj[g.inOff[v]+cursor[v]] = u
+		cursor[v]++
 	}
 	return g, nil
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fix lint-bench perfbench-check ci bench bench-sketch bench-all serve serve-smoke load-smoke clean
+.PHONY: all build vet test race lint lint-fix lint-bench perfbench-check shape-gate ci bench bench-sketch bench-all serve serve-smoke load-smoke clean
 
 all: ci
 
@@ -53,16 +53,21 @@ lint-bench:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# shape-gate reruns the paper's evaluation at paper scale and fails unless
+# every job's shape report reads OK. See scripts/shape_gate.sh.
+shape-gate:
+	sh scripts/shape_gate.sh
+
 # ci is the gate the workflow runs: lint (fmt + vet + analyzers +
 # suppression audit), the lint timing budget, build, the perfbench compile
 # gate, the full suite under the race detector, the sketch benchmark
-# smoke, then the serving and load smoke tests. The sketch and delta
-# gates are ordinary Go tests inside the race run: the selection fixture
-# (cmd/lcrbbench TestBenchSmokeFixture), sketch worker-count identity,
-# the RR-set ≡ CRN identity and store round trip (internal/sketch), and
-# repair ≡ rebuild (internal/sketch
+# smoke, the paper-scale shape gate, then the serving and load smoke
+# tests. The sketch and delta gates are ordinary Go tests inside the race
+# run: the selection fixture (cmd/lcrbbench TestBenchSmokeFixture), sketch
+# worker-count identity, the RR-set ≡ CRN identity and store round trip
+# (internal/sketch), and repair ≡ rebuild (internal/sketch
 # TestRepairMatchesRebuildOracleGeneratedStream).
-ci: lint lint-bench build perfbench-check race bench-sketch serve-smoke load-smoke
+ci: lint lint-bench build perfbench-check race bench-sketch shape-gate serve-smoke load-smoke
 
 # serve boots the lcrbd solve daemon on the default address with fast
 # defaults; Ctrl-C drains, a second Ctrl-C force-quits.

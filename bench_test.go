@@ -221,31 +221,6 @@ func BenchmarkAblationMCSamples(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDetector ablates the community-detection front end:
-// Louvain (the paper's choice) versus label propagation.
-func BenchmarkAblationDetector(b *testing.B) {
-	net, err := lcrb.GenerateHep(0.05, 77)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("louvain", func(b *testing.B) {
-		var count int32
-		for i := 0; i < b.N; i++ {
-			p := community.Louvain(net.Graph, community.LouvainOptions{Seed: 1})
-			count = p.Count()
-		}
-		b.ReportMetric(float64(count), "communities")
-	})
-	b.Run("labelprop", func(b *testing.B) {
-		var count int32
-		for i := 0; i < b.N; i++ {
-			p := community.LabelProp(net.Graph, community.LabelPropOptions{Seed: 1})
-			count = p.Count()
-		}
-		b.ReportMetric(float64(count), "communities")
-	})
-}
-
 // BenchmarkAblationCRN ablates common random numbers: σ̂ evaluated with the
 // fixed-realization engine versus fresh randomness per evaluation, showing
 // why CRN is required for stable greedy selection.
@@ -281,7 +256,7 @@ func BenchmarkSimulators(b *testing.B) {
 	}
 	rumors := []int32{0, 1, 2}
 	protectors := []int32{3, 4}
-	models := []lcrb.Model{lcrb.DOAM{}, lcrb.OPOAO{}, lcrb.CompetitiveIC{P: 0.1}, lcrb.CompetitiveLT{}}
+	models := []lcrb.Model{lcrb.DOAM{}, lcrb.OPOAO{}}
 	for _, m := range models {
 		b.Run(m.Name(), func(b *testing.B) {
 			src := rng.New(1)
@@ -323,27 +298,6 @@ func BenchmarkMonteCarloWorkers(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkNullModel runs the degree-preserving null-model ablation: the
-// reported metrics contrast the bridge-end boundary on the structured
-// graph against its rewired twin.
-func BenchmarkNullModel(b *testing.B) {
-	cfg := fastFigure(experiment.Fig7(benchScale))
-	var abl *experiment.NullModelAblation
-	for i := 0; i < b.N; i++ {
-		var err error
-		abl, err = experiment.RunNullModelAblationContext(context.Background(), cfg, gen.RewireAll)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if abl != nil && len(abl.Rows) == 2 {
-		b.ReportMetric(float64(abl.Rows[0].NumEnds), "ends_original")
-		b.ReportMetric(float64(abl.Rows[1].NumEnds), "ends_rewired")
-		b.ReportMetric(abl.Rows[0].Modularity, "modularity_original")
-		b.ReportMetric(abl.Rows[1].Modularity, "modularity_rewired")
 	}
 }
 

@@ -26,11 +26,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"lcrb/internal/checkpoint"
 	"lcrb/internal/experiment"
-	"lcrb/internal/gen"
 	"lcrb/internal/resilience"
 )
 
@@ -57,7 +57,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("lcrbbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "all", "experiment: fig4..fig9, table1, opoao, doam, alpha, detector, noise, nullmodel, extended, transfer or all")
+		exp      = fs.String("exp", "all", "experiment: fig4..fig9, table1, opoao, doam, alpha, transfer or all")
 		scale    = fs.Float64("scale", 0.1, "network scale (1.0 = paper size)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		quiet    = fs.Bool("quiet", false, "suppress progress output on stderr")
@@ -154,6 +154,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if testJobDone != nil {
 			testJobDone(job.cfg.Name)
 		}
+		// Collect the finished job's heap before the next one starts.
+		// Otherwise the pacer lets the next job allocate on top of this
+		// one's garbage up to a goal sized by this job's live heap: at
+		// scale 1, Fig. 6's goal carried table1-hep308 to 465 MiB.
+		runtime.GC()
 	}
 	// A finished sweep leaves no checkpoint behind; the file only exists to
 	// bridge interruptions.
@@ -180,7 +185,7 @@ func interrupted(stderr io.Writer, cause error, completed, total int, ckptPath s
 // job couples a config with its runner kind.
 type job struct {
 	cfg  experiment.Config
-	kind string // "opoao", "doam" or "table"
+	kind string // "opoao", "doam", "table", "alpha" or "transfer"
 }
 
 // selectJobs expands the experiment selector into concrete jobs.
@@ -215,26 +220,6 @@ func selectJobs(exp string, scale float64) ([]job, error) {
 		cfg.Name = "alpha-sweep"
 		cfg.Title = "LCRB-P protection-level sweep (extension)"
 		add("alpha", cfg)
-	case "detector":
-		cfg := experiment.Fig7(scale)
-		cfg.Name = "detector-ablation"
-		cfg.Title = "Louvain vs label propagation (ablation)"
-		add("detector", cfg)
-	case "noise":
-		cfg := experiment.Fig7(scale)
-		cfg.Name = "noise-ablation"
-		cfg.Title = "Community-noise robustness (ablation)"
-		add("noise", cfg)
-	case "nullmodel":
-		cfg := experiment.Fig7(scale)
-		cfg.Name = "nullmodel-ablation"
-		cfg.Title = "Degree-preserving null model (ablation)"
-		add("nullmodel", cfg)
-	case "extended":
-		cfg := experiment.Fig7(scale)
-		cfg.Name = "extended-comparison"
-		cfg.Title = "SCBG vs extended baseline roster (extension)"
-		add("extended", cfg)
 	case "transfer":
 		cfg := experiment.Fig7(scale)
 		cfg.Name = "model-transfer"
@@ -245,28 +230,13 @@ func selectJobs(exp string, scale float64) ([]job, error) {
 		add("table", experiment.Table1(scale)...)
 		add("doam", experiment.Fig7(scale), experiment.Fig8(scale), experiment.Fig9(scale))
 	default:
-		return nil, fmt.Errorf("unknown experiment %q (want fig4..fig9, table1, opoao, doam, alpha, detector, noise, nullmodel, extended, transfer or all)", exp)
+		return nil, fmt.Errorf("unknown experiment %q (want fig4..fig9, table1, opoao, doam, alpha, transfer or all)", exp)
 	}
 	return jobs, nil
 }
 
 // run executes the job and writes its report.
 func (j job) run(ctx context.Context, w io.Writer, csv bool) error {
-	switch j.kind {
-	case "detector":
-		// The detector ablation performs its own twin setups.
-		abl, err := experiment.RunDetectorAblationContext(ctx, j.cfg)
-		if err != nil {
-			return err
-		}
-		return experiment.WriteDetectorAblation(w, abl)
-	case "nullmodel":
-		abl, err := experiment.RunNullModelAblationContext(ctx, j.cfg, gen.RewireAll)
-		if err != nil {
-			return err
-		}
-		return experiment.WriteNullModelAblation(w, abl)
-	}
 	inst, err := experiment.Setup(j.cfg)
 	if err != nil {
 		return err
@@ -296,18 +266,6 @@ func (j job) run(ctx context.Context, w io.Writer, csv bool) error {
 			return err
 		}
 		return experiment.WriteAlphaSweep(w, sweep)
-	case "noise":
-		abl, err := experiment.RunNoiseAblationContext(ctx, inst, []float64{0, 0.1, 0.25, 0.5, 0.75})
-		if err != nil {
-			return err
-		}
-		return experiment.WriteNoiseAblation(w, abl)
-	case "extended":
-		cmp, err := experiment.RunExtendedComparisonContext(ctx, inst)
-		if err != nil {
-			return err
-		}
-		return experiment.WriteExtendedComparison(w, cmp)
 	case "transfer":
 		tr, err := experiment.RunModelTransferContext(ctx, inst)
 		if err != nil {

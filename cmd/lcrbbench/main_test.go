@@ -20,7 +20,7 @@ func TestSelectJobs(t *testing.T) {
 		{"opoao", 3, nil},
 		{"doam", 3, nil},
 		{"alpha", 1, []string{"alpha"}},
-		{"detector", 1, []string{"detector"}},
+		{"transfer", 1, []string{"transfer"}},
 		{"all", 9, nil},
 	}
 	for _, tt := range tests {
@@ -68,17 +68,6 @@ func TestRunFigureCSV(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "fig7,") {
 		t.Fatalf("missing fig7 rows:\n%s", out.String())
-	}
-}
-
-func TestRunDetectorAblation(t *testing.T) {
-	var out bytes.Buffer
-	err := run(context.Background(), []string{"-exp", "detector", "-scale", "0.04", "-quiet"}, &out, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "louvain") || !strings.Contains(out.String(), "labelprop") {
-		t.Fatalf("output:\n%s", out.String())
 	}
 }
 

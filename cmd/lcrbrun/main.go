@@ -56,9 +56,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		seed      = fs.Uint64("seed", 1, "seed for every random draw")
 		commSize  = fs.Int("community-size", 100, "target rumor community size")
 		rumorFrac = fs.Float64("rumor-frac", 0.05, "rumor seeds as a fraction of the community")
-		algorithm = fs.String("algorithm", "scbg", "protector selection: scbg, greedy, maxdegree, degreediscount, pagerank, proximity, random, none")
-		model     = fs.String("model", "doam", "diffusion model: doam, opoao, ic, lt")
-		icProb    = fs.Float64("ic-prob", 0.1, "edge probability for -model ic")
+		algorithm = fs.String("algorithm", "scbg", "protector selection: scbg, greedy, maxdegree, proximity, random, none")
+		model     = fs.String("model", "doam", "diffusion model: doam or opoao")
 		alpha     = fs.Float64("alpha", 0.9, "protection level for -algorithm greedy")
 		budget    = fs.Int("budget", 0, "protector budget for heuristics (default |R|)")
 		hops      = fs.Int("hops", 31, "simulation horizon")
@@ -156,7 +155,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "algorithm %s selected %d protectors\n", *algorithm, len(protectors))
 
-	if err := simulate(ctx, stdout, *model, g, rumors, protectors, prob.Ends, *icProb, *hops, *samples, *workers, *seed); err != nil {
+	if err := simulate(ctx, stdout, *model, g, rumors, protectors, prob.Ends, *hops, *samples, *workers, *seed); err != nil {
 		return err
 	}
 	// A completed run cleans up after itself; the checkpoint only matters
@@ -266,15 +265,11 @@ func selectProtectors(ctx context.Context, stderr io.Writer, algorithm string, p
 				res.ProtectedEnds, alpha*float64(prob.NumEnds()))
 		}
 		return res.Protectors, nil
-	case "maxdegree", "degreediscount", "pagerank", "proximity", "random", "none":
+	case "maxdegree", "proximity", "random", "none":
 		var sel heuristic.Selector
 		switch algorithm {
 		case "maxdegree":
 			sel = heuristic.MaxDegree{}
-		case "degreediscount":
-			sel = heuristic.DegreeDiscount{}
-		case "pagerank":
-			sel = heuristic.PageRank{}
 		case "proximity":
 			sel = heuristic.Proximity{}
 		case "random":
@@ -290,17 +285,13 @@ func selectProtectors(ctx context.Context, stderr io.Writer, algorithm string, p
 }
 
 // simulate runs the chosen model and prints the outcome.
-func simulate(ctx context.Context, stdout io.Writer, model string, g *graph.Graph, rumors, protectors, ends []int32, icProb float64, hops, samples, workers int, seed uint64) error {
+func simulate(ctx context.Context, stdout io.Writer, model string, g *graph.Graph, rumors, protectors, ends []int32, hops, samples, workers int, seed uint64) error {
 	var m diffusion.Model
 	switch model {
 	case "doam":
 		m = diffusion.DOAM{}
 	case "opoao":
 		m = diffusion.OPOAO{}
-	case "ic":
-		m = diffusion.CompetitiveIC{P: icProb}
-	case "lt":
-		m = diffusion.CompetitiveLT{}
 	default:
 		return fmt.Errorf("unknown model %q", model)
 	}

@@ -41,27 +41,13 @@ func TestRunGreedyOpoao(t *testing.T) {
 }
 
 func TestRunHeuristics(t *testing.T) {
-	for _, algo := range []string{"maxdegree", "degreediscount", "pagerank", "proximity", "random", "none"} {
+	for _, algo := range []string{"maxdegree", "proximity", "random", "none"} {
 		t.Run(algo, func(t *testing.T) {
 			var out bytes.Buffer
 			if err := run(context.Background(), baseArgs("-algorithm", algo, "-model", "doam"), &out, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(out.String(), "algorithm "+algo) {
-				t.Fatalf("output:\n%s", out.String())
-			}
-		})
-	}
-}
-
-func TestRunExtensionModels(t *testing.T) {
-	for _, model := range []string{"ic", "lt"} {
-		t.Run(model, func(t *testing.T) {
-			var out bytes.Buffer
-			if err := run(context.Background(), baseArgs("-algorithm", "scbg", "-model", model), &out, io.Discard); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(out.String(), "infected nodes:") {
 				t.Fatalf("output:\n%s", out.String())
 			}
 		})

@@ -5,8 +5,7 @@
 // Defines OPOAT — an Opportunistic One-Activate-Two model where every
 // active node targets *two* random out-neighbours per step — as an
 // implementation of the Model interface, then compares how the same SCBG
-// protector set performs under DOAM, OPOAO, OPOAT and the bundled
-// competitive IC and LT extensions.
+// protector set performs under DOAM, OPOAO and OPOAT.
 //
 //	go run ./examples/custommodel
 package main
@@ -139,13 +138,7 @@ func run() error {
 	fmt.Printf("network: %v\n%d bridge ends, %d SCBG protectors\n\n",
 		net.Graph, prob.NumEnds(), len(sol.Protectors))
 
-	models := []lcrb.Model{
-		lcrb.DOAM{},
-		lcrb.OPOAO{},
-		OPOAT{},
-		lcrb.CompetitiveIC{P: 0.15},
-		lcrb.CompetitiveLT{},
-	}
+	models := []lcrb.Model{lcrb.DOAM{}, lcrb.OPOAO{}, OPOAT{}}
 	tw := tabwriter.NewWriter(os.Stdout, 4, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "model\tinfected (no blocking)\tinfected (SCBG)\tends lost (SCBG)\t")
 	for _, m := range models {

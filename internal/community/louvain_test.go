@@ -154,48 +154,6 @@ func TestLouvainResolution(t *testing.T) {
 	}
 }
 
-func TestLabelPropTwoCliques(t *testing.T) {
-	g := twoCliques(t, 6)
-	p := LabelProp(g, LabelPropOptions{Seed: 1})
-	if err := p.Validate(g.NumNodes()); err != nil {
-		t.Fatal(err)
-	}
-	// Label propagation must at minimum keep each clique together.
-	for u := int32(1); u < 6; u++ {
-		if !p.InSame(0, u) {
-			t.Fatalf("clique 1 split: nodes 0 and %d", u)
-		}
-	}
-}
-
-func TestLabelPropDeterministic(t *testing.T) {
-	net, err := gen.Community(gen.CommunityConfig{Nodes: 300, AvgDegree: 6, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := LabelProp(net.Graph, LabelPropOptions{Seed: 11})
-	b := LabelProp(net.Graph, LabelPropOptions{Seed: 11})
-	aa, ba := a.Assign(), b.Assign()
-	for i := range aa {
-		if aa[i] != ba[i] {
-			t.Fatal("same seed produced different label-propagation partitions")
-		}
-	}
-}
-
-func TestLabelPropFindsStructure(t *testing.T) {
-	net, err := gen.Community(gen.CommunityConfig{
-		Nodes: 600, AvgDegree: 10, IntraFraction: 0.95, Seed: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := LabelProp(net.Graph, LabelPropOptions{Seed: 12})
-	if p.Count() < 2 || p.Count() >= net.Graph.NumNodes()/2 {
-		t.Fatalf("label propagation found %d communities on a 600-node modular graph", p.Count())
-	}
-}
-
 func TestModularityPerfectSplit(t *testing.T) {
 	// Two disconnected cliques: the 2-community partition has high
 	// modularity, approaching 0.5 for two equal groups.
@@ -236,30 +194,6 @@ func TestModularityEmpty(t *testing.T) {
 	}
 	if q := Modularity(g, Singletons(3)); q != 0 {
 		t.Fatalf("modularity of edgeless graph = %v", q)
-	}
-}
-
-func TestIntraEdgeFraction(t *testing.T) {
-	g, err := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 0, V: 2}, {U: 1, V: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := FromAssignment([]int32{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := IntraEdgeFraction(g, p); got != 0.5 {
-		t.Fatalf("IntraEdgeFraction = %v, want 0.5", got)
-	}
-}
-
-func TestIntraEdgeFractionEmpty(t *testing.T) {
-	g, err := graph.FromEdges(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := IntraEdgeFraction(g, Singletons(2)); got != 0 {
-		t.Fatalf("IntraEdgeFraction on edgeless graph = %v", got)
 	}
 }
 

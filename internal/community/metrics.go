@@ -3,28 +3,7 @@ package community
 import (
 	"math"
 	"sort"
-
-	"lcrb/internal/graph"
 )
-
-// IntraEdgeFraction returns the fraction of directed edges whose endpoints
-// share a community — the paper's "dense connections within each group"
-// property in measurable form.
-func IntraEdgeFraction(g *graph.Graph, p *Partition) float64 {
-	if g.NumEdges() == 0 {
-		return 0
-	}
-	var intra int64
-	for u := int32(0); u < g.NumNodes(); u++ {
-		cu := p.Of(u)
-		for _, v := range g.Out(u) {
-			if p.Of(v) == cu {
-				intra++
-			}
-		}
-	}
-	return float64(intra) / float64(g.NumEdges())
-}
 
 // NMI returns the normalized mutual information between two partitions of
 // the same node set, in [0, 1]: 1 for identical partitions (up to label

@@ -4,32 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"lcrb/internal/rng"
 )
-
-// randomPartitionPair draws two random partitions of the same n nodes.
-func randomPartitionPair(seed uint64) (*Partition, *Partition) {
-	src := rng.New(seed)
-	n := src.Intn(40) + 2
-	k1 := int32(src.Intn(n)) + 1
-	k2 := int32(src.Intn(n)) + 1
-	a := make([]int32, n)
-	b := make([]int32, n)
-	for i := range a {
-		a[i] = src.Int32n(k1)
-		b[i] = src.Int32n(k2)
-	}
-	pa, err := FromAssignment(a)
-	if err != nil {
-		panic(err)
-	}
-	pb, err := FromAssignment(b)
-	if err != nil {
-		panic(err)
-	}
-	return pa, pb
-}
 
 // TestNMISymmetric checks NMI(a, b) == NMI(b, a) on random partitions.
 func TestNMISymmetric(t *testing.T) {
@@ -52,50 +27,6 @@ func TestNMIRange(t *testing.T) {
 			return false
 		}
 		return NMI(a, a) > 0.999999
-	}, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFromAssignmentRoundTrip checks that re-normalizing an assignment is
-// a fixed point: FromAssignment(p.Assign()) == p.
-func TestFromAssignmentRoundTrip(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 100}
-	if err := quick.Check(func(seed uint64) bool {
-		a, _ := randomPartitionPair(seed)
-		again, err := FromAssignment(a.Assign())
-		if err != nil {
-			return false
-		}
-		if again.Count() != a.Count() {
-			return false
-		}
-		aa, ba := a.Assign(), again.Assign()
-		for i := range aa {
-			if aa[i] != ba[i] {
-				return false
-			}
-		}
-		return true
-	}, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPartitionSizesConsistent checks the size table always sums to n and
-// matches Members lengths.
-func TestPartitionSizesConsistent(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60}
-	if err := quick.Check(func(seed uint64) bool {
-		a, _ := randomPartitionPair(seed)
-		var total int32
-		for c := int32(0); c < a.Count(); c++ {
-			if int32(len(a.Members(c))) != a.Size(c) {
-				return false
-			}
-			total += a.Size(c)
-		}
-		return total == a.NumNodes()
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,10 @@
 // Package community implements the community-detection substrate the paper
 // relies on: the Louvain method of Blondel et al. (2008) — the algorithm the
-// paper uses to partition its networks — plus label propagation as a cheaper
-// alternative, modularity scoring, and partition utilities.
+// paper uses to partition its networks — plus modularity scoring and
+// partition utilities.
 package community
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partition assigns every node of a graph to exactly one community.
 // Community identifiers are dense in [0, Count).
@@ -110,22 +107,6 @@ func (p *Partition) ClosestBySize(want int32) int32 {
 		}
 	}
 	return best
-}
-
-// BySizeDescending returns community identifiers ordered by decreasing
-// size, ties broken by ascending identifier.
-func (p *Partition) BySizeDescending() []int32 {
-	ids := make([]int32, p.count)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if p.sizes[ids[i]] != p.sizes[ids[j]] {
-			return p.sizes[ids[i]] > p.sizes[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
 }
 
 // Validate checks internal consistency against an n-node graph.

@@ -1,8 +1,6 @@
 // Package diffusion implements the two-cascade influence-diffusion models of
 // the paper: the Opportunistic One-Activate-One (OPOAO) model and the
-// Deterministic One-Activate-Many (DOAM) model, plus competitive
-// Independent-Cascade and Linear-Threshold extensions for the paper's
-// "other diffusion models" future-work direction.
+// Deterministic One-Activate-Many (DOAM) model.
 //
 // All models share the paper's three ground rules:
 //

@@ -1,7 +1,6 @@
 package diffusion
 
 import (
-	"strings"
 	"testing"
 
 	"lcrb/internal/graph"
@@ -85,11 +84,5 @@ func TestModelNames(t *testing.T) {
 	}
 	if got := (DOAM{}).Name(); got != "DOAM" {
 		t.Fatalf("DOAM name = %q", got)
-	}
-	if got := (CompetitiveIC{P: 0.1}).Name(); !strings.Contains(got, "0.1") {
-		t.Fatalf("IC name = %q should mention p", got)
-	}
-	if got := (CompetitiveLT{}).Name(); got != "CLT" {
-		t.Fatalf("CLT name = %q", got)
 	}
 }

@@ -88,7 +88,7 @@ func TestMonteCarloBitIdentical(t *testing.T) {
 	}{
 		{"opoao-hops", MonteCarlo{Model: OPOAO{}, Samples: 20, Seed: 5}, Options{MaxHops: 15, RecordHops: true}},
 		{"doam", MonteCarlo{Model: DOAM{}, Samples: 20, Seed: 6}, Options{MaxHops: 15}},
-		{"ic", MonteCarlo{Model: CompetitiveIC{P: 0.2}, Samples: 20, Seed: 7}, Options{MaxHops: 15, RecordHops: true}},
+		{"doam-hops", MonteCarlo{Model: DOAM{}, Samples: 20, Seed: 7}, Options{MaxHops: 15, RecordHops: true}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			serial, err := tt.mc.RunContext(context.Background(), g, []int32{0, 1}, []int32{2, 3}, tt.opts)
@@ -122,5 +122,104 @@ func TestMonteCarloBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestMonteCarloValidation(t *testing.T) {
+	g := pathGraph(t, 3)
+	if _, err := (MonteCarlo{Model: nil, Samples: 5}).RunContext(context.Background(), g, []int32{0}, nil, Options{}); err == nil {
+		t.Fatal("nil model accepted")
+	}
+	if _, err := (MonteCarlo{Model: OPOAO{}, Samples: 0}).RunContext(context.Background(), g, []int32{0}, nil, Options{}); err == nil {
+		t.Fatal("zero samples accepted")
+	}
+}
+
+func TestMonteCarloReproducible(t *testing.T) {
+	g, err := gen.ErdosRenyi(100, 500, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := MonteCarlo{Model: OPOAO{}, Samples: 10, Seed: 77}
+	a, err := mc.RunContext(context.Background(), g, []int32{0, 1}, []int32{2}, Options{MaxHops: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mc.RunContext(context.Background(), g, []int32{0, 1}, []int32{2}, Options{MaxHops: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.MeanInfected != b.MeanInfected || a.MeanProtected != b.MeanProtected {
+		t.Fatal("same seed produced different Monte-Carlo aggregates")
+	}
+}
+
+func TestMonteCarloAggregates(t *testing.T) {
+	g, err := gen.ErdosRenyi(80, 320, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := MonteCarlo{Model: OPOAO{}, Samples: 25, Seed: 5}.
+		RunContext(context.Background(), g, []int32{0}, nil, Options{MaxHops: 15, RecordHops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Samples != 25 {
+		t.Fatalf("Samples = %d", agg.Samples)
+	}
+	if agg.MeanInfected < 1 {
+		t.Fatalf("MeanInfected = %v, the seed alone is 1", agg.MeanInfected)
+	}
+	if len(agg.MeanInfectedAtHop) != 16 {
+		t.Fatalf("hop series length = %d, want 16", len(agg.MeanInfectedAtHop))
+	}
+	// Per-node probabilities must average to the mean count.
+	var sum float64
+	for _, p := range agg.InfectedProb {
+		if p < 0 || p > 1 {
+			t.Fatalf("InfectedProb out of range: %v", p)
+		}
+		sum += p
+	}
+	if diff := sum - agg.MeanInfected; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("sum of InfectedProb %.4f != MeanInfected %.4f", sum, agg.MeanInfected)
+	}
+	// Padded series end at the mean final count.
+	last := agg.MeanInfectedAtHop[len(agg.MeanInfectedAtHop)-1]
+	if diff := last - agg.MeanInfected; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("series tail %.4f != MeanInfected %.4f", last, agg.MeanInfected)
+	}
+}
+
+func TestMonteCarloDeterministicModel(t *testing.T) {
+	g := pathGraph(t, 4)
+	agg, err := MonteCarlo{Model: DOAM{}, Samples: 3, Seed: 1}.RunContext(context.Background(), g, []int32{0}, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.MeanInfected != 4 {
+		t.Fatalf("MeanInfected = %v, want exactly 4", agg.MeanInfected)
+	}
+	for v, p := range agg.InfectedProb {
+		if p != 1 {
+			t.Fatalf("InfectedProb[%d] = %v, want 1", v, p)
+		}
+	}
+}
+
+func TestAccumulatePadded(t *testing.T) {
+	acc := make([]float64, 4)
+	accumulatePadded(acc, []int32{1, 3})
+	want := []float64{1, 3, 3, 3}
+	for i := range acc {
+		if acc[i] != want[i] {
+			t.Fatalf("acc = %v, want %v", acc, want)
+		}
+	}
+	accumulatePadded(acc, nil) // no-op
+	for i := range acc {
+		if acc[i] != want[i] {
+			t.Fatalf("nil series changed acc to %v", acc)
+		}
 	}
 }

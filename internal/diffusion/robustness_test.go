@@ -186,7 +186,7 @@ func TestRunContextMatchesRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rumors, protectors := []int32{0, 1}, []int32{2}
-	for _, m := range []Model{OPOAO{}, DOAM{}, CompetitiveIC{P: 0.3}, CompetitiveLT{}} {
+	for _, m := range []Model{OPOAO{}, DOAM{}} {
 		background, err := m.RunContext(context.Background(), g, rumors, protectors, rng.New(7), Options{MaxHops: 15})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
@@ -209,7 +209,7 @@ func TestModelRunContextCanceledMidHops(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, m := range []Model{OPOAO{}, DOAM{}, CompetitiveIC{P: 0.5}, CompetitiveLT{}} {
+	for _, m := range []Model{OPOAO{}, DOAM{}} {
 		_, err := m.RunContext(ctx, g, []int32{0}, []int32{1}, rng.New(1), Options{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", m.Name(), err)

@@ -126,22 +126,6 @@ func TestTraceWriteTimeline(t *testing.T) {
 	}
 }
 
-func TestTraceCompetitiveModels(t *testing.T) {
-	g := pathGraph(t, 4)
-	for _, m := range []Model{CompetitiveIC{P: 1}, CompetitiveLT{}} {
-		tr := NewTrace()
-		if _, err := m.RunContext(context.Background(), g, []int32{0}, nil, rng.New(1), Options{Observer: tr.Observer()}); err != nil {
-			t.Fatal(err)
-		}
-		if len(tr.Events()) != 4 {
-			t.Fatalf("%s: events = %d, want 4", m.Name(), len(tr.Events()))
-		}
-		if got := tr.PathTo(3); !reflect.DeepEqual(got, []int32{0, 1, 2, 3}) {
-			t.Fatalf("%s: PathTo(3) = %v", m.Name(), got)
-		}
-	}
-}
-
 func TestObserverNilIsFree(t *testing.T) {
 	// Smoke check: simulations run identically with and without observer.
 	g := pathGraph(t, 5)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"lcrb/internal/community"
 	"lcrb/internal/core"
 	"lcrb/internal/diffusion"
 	"lcrb/internal/rng"
@@ -104,97 +103,6 @@ func WriteAlphaSweep(w io.Writer, s *AlphaSweep) error {
 		fmt.Fprintf(tw, "%.2f\t%d\t%.1f\t%d\t%v\t%d\t%.1f\t\n",
 			row.Alpha, row.Protectors, row.ProtectedEnds, row.Target,
 			row.Achieved, row.Evaluations, row.MeanInfected)
-	}
-	return tw.Flush()
-}
-
-// DetectorAblation compares the Louvain and label-propagation front ends
-// on the same generated network: how different the partitions are and what
-// that does to the bridge-end stage and the SCBG solution.
-type DetectorAblation struct {
-	Config Config
-	// NMI is the normalized mutual information between the two partitions.
-	NMI float64
-	// Rows holds one entry per detector.
-	Rows []DetectorRow
-}
-
-// DetectorRow summarizes one detector's downstream effect.
-type DetectorRow struct {
-	Detector    string
-	Communities int32
-	Modularity  float64
-	CommSize    int
-	NumEnds     int
-	SCBGSeeds   int
-}
-
-// RunDetectorAblationContext runs the bridge-end + SCBG pipeline behind both
-// community detectors on the same network. Cancellation is checked between
-// the two detector pipelines.
-func RunDetectorAblationContext(ctx context.Context, cfg Config) (*DetectorAblation, error) {
-	cfg = cfg.withDefaults()
-	louvainCfg := cfg
-	louvainCfg.UseLabelProp = false
-	lpCfg := cfg
-	lpCfg.UseLabelProp = true
-
-	louvain, err := Setup(louvainCfg)
-	if err != nil {
-		return nil, err
-	}
-	lp, err := Setup(lpCfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &DetectorAblation{
-		Config: cfg,
-		NMI:    community.NMI(louvain.Part, lp.Part),
-	}
-	for _, inst := range []*Instance{louvain, lp} {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("experiment: detector ablation: %w", err)
-		}
-		name := "louvain"
-		if inst.Config.UseLabelProp {
-			name = "labelprop"
-		}
-		src := rng.New(cfg.Seed + 12)
-		prob, err := inst.NewProblem(cfg.RumorFractions[0], src)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: detector ablation (%s): %w", name, err)
-		}
-		row := DetectorRow{
-			Detector:    name,
-			Communities: inst.Part.Count(),
-			Modularity:  community.Modularity(inst.Net.Graph, inst.Part),
-			CommSize:    len(inst.Members),
-			NumEnds:     prob.NumEnds(),
-		}
-		if prob.NumEnds() > 0 {
-			if sres, err := core.SCBGContext(ctx, prob, core.SCBGOptions{}); sres != nil {
-				row.SCBGSeeds = len(sres.Protectors)
-			} else if err != nil {
-				return nil, fmt.Errorf("experiment: detector ablation (%s): %w", name, err)
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// WriteDetectorAblation renders the comparison.
-func WriteDetectorAblation(w io.Writer, a *DetectorAblation) error {
-	if _, err := fmt.Fprintf(w, "# %s — community-detector ablation (partition NMI %.3f)\n",
-		a.Config.Name, a.NMI); err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "detector\tcommunities\tmodularity\t|C|\t|B|\tSCBG seeds\t")
-	for _, row := range a.Rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.4f\t%d\t%d\t%d\t\n",
-			row.Detector, row.Communities, row.Modularity,
-			row.CommSize, row.NumEnds, row.SCBGSeeds)
 	}
 	return tw.Flush()
 }

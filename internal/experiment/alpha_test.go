@@ -58,39 +58,3 @@ func TestRunAlphaSweepGreedyMonotoneDamage(t *testing.T) {
 			hi.Protectors, hi.MeanInfected, lo.Protectors, lo.MeanInfected)
 	}
 }
-
-func TestRunDetectorAblation(t *testing.T) {
-	abl, err := RunDetectorAblationContext(context.Background(), smallDOAMConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(abl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(abl.Rows))
-	}
-	if abl.NMI < 0 || abl.NMI > 1 {
-		t.Fatalf("NMI = %v", abl.NMI)
-	}
-	names := map[string]bool{}
-	for _, row := range abl.Rows {
-		names[row.Detector] = true
-		if row.Communities < 1 {
-			t.Fatalf("%s found %d communities", row.Detector, row.Communities)
-		}
-		if row.CommSize < 1 {
-			t.Fatalf("%s picked an empty community", row.Detector)
-		}
-	}
-	if !names["louvain"] || !names["labelprop"] {
-		t.Fatalf("detectors = %v", names)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteDetectorAblation(&buf, abl); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"detector ablation", "louvain", "labelprop", "modularity"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("ablation output missing %q:\n%s", want, buf.String())
-		}
-	}
-}

@@ -21,8 +21,6 @@ func TestRunnersHonorPreCanceledContext(t *testing.T) {
 		"figureDOAM":  func() error { _, err := RunFigureDOAMContext(ctx, inst); return err },
 		"table":       func() error { _, err := RunTableContext(ctx, inst); return err },
 		"alphaSweep":  func() error { _, err := RunAlphaSweepContext(ctx, inst, []float64{0.5}); return err },
-		"noise":       func() error { _, err := RunNoiseAblationContext(ctx, inst, []float64{0}); return err },
-		"extended":    func() error { _, err := RunExtendedComparisonContext(ctx, inst); return err },
 		"transfer":    func() error { _, err := RunModelTransferContext(ctx, inst); return err },
 	}
 	for name, run := range runs {

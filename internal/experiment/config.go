@@ -50,19 +50,17 @@ type Config struct {
 	Hops int
 	// MCSamples is the Monte-Carlo sample count for OPOAO hop series.
 	MCSamples int
-	// GreedySamples is the Monte-Carlo sample count inside the LCRB-P
-	// greedy's σ̂ estimator.
+	// GreedySamples is the number of OPOAO realizations the LCRB-P greedy
+	// samples its RR sets from.
 	GreedySamples int
-	// Workers parallelizes σ̂ evaluation inside the LCRB-P greedy (see
-	// core.GreedyOptions.Workers): 0 or 1 means serial, negative means
-	// GOMAXPROCS. Results are bit-identical for every worker count, so
-	// Workers never appears in checkpoint fingerprints.
+	// Workers parallelizes the greedy's RR-set sampling and the
+	// Monte-Carlo evaluations (see core.GreedyOptions.Workers): 0 or 1
+	// means serial, negative means GOMAXPROCS. Results are bit-identical
+	// for every worker count, so Workers never appears in checkpoint
+	// fingerprints.
 	Workers int
 	// Trials averages Table I rows over this many rumor-seed draws.
 	Trials int
-	// UseLabelProp switches the community-detection front end from
-	// Louvain to label propagation (ablation).
-	UseLabelProp bool
 }
 
 // withDefaults fills unset tuning fields.

@@ -17,7 +17,7 @@ type Instance struct {
 	Config Config
 	// Net is the generated network with its planted communities.
 	Net *gen.Network
-	// Part is the detected partition (Louvain unless UseLabelProp).
+	// Part is the Louvain partition.
 	Part *community.Partition
 	// Community is the selected rumor community identifier in Part.
 	Community int32
@@ -40,12 +40,7 @@ func Setup(cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generate %s network: %w", cfg.Dataset, err)
 	}
-	var part *community.Partition
-	if cfg.UseLabelProp {
-		part = community.LabelProp(net.Graph, community.LabelPropOptions{Seed: cfg.Seed + 1})
-	} else {
-		part = community.Louvain(net.Graph, community.LouvainOptions{Seed: cfg.Seed + 1})
-	}
+	part := community.Louvain(net.Graph, community.LouvainOptions{Seed: cfg.Seed + 1})
 	comm := part.ClosestBySize(cfg.scaledCommunityTarget())
 	inst := &Instance{
 		Config:    cfg,

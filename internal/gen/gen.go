@@ -5,8 +5,8 @@
 // offline. This package provides their substitutes: a community-structured
 // social-network generator with heavy-tailed degrees, calibrated "enron" and
 // "hep" profiles matching the papers' node counts, edge counts and density,
-// plus the classic Erdős–Rényi, Barabási–Albert and Watts–Strogatz models
-// used for unit tests and ablations.
+// plus the classic Erdős–Rényi and Watts–Strogatz models used for unit
+// tests.
 package gen
 
 import (
@@ -30,42 +30,6 @@ func ErdosRenyi(n int32, m int, seed uint64) (*graph.Graph, error) {
 	b := graph.NewBuilder(n)
 	for i := 0; i < m; i++ {
 		b.AddEdge(src.Int32n(n), src.Int32n(n))
-	}
-	return b.Build()
-}
-
-// BarabasiAlbert returns a directed preferential-attachment graph: nodes
-// arrive one at a time and each connects out-edges to `attach` existing
-// nodes chosen proportionally to their current total degree. The result has
-// a heavy-tailed in-degree distribution.
-func BarabasiAlbert(n, attach int32, seed uint64) (*graph.Graph, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("gen: BarabasiAlbert: n = %d must be positive", n)
-	}
-	if attach <= 0 {
-		return nil, fmt.Errorf("gen: BarabasiAlbert: attach = %d must be positive", attach)
-	}
-	src := rng.New(seed)
-	b := graph.NewBuilder(n)
-	// palist holds one entry per degree unit plus one baseline entry per
-	// seen node, so sampling from it is preferential attachment with
-	// add-one smoothing.
-	palist := make([]int32, 0, int(n)*(int(attach)*2+1))
-	palist = append(palist, 0)
-	for u := int32(1); u < n; u++ {
-		k := attach
-		if u < attach {
-			k = u
-		}
-		for e := int32(0); e < k; e++ {
-			v := palist[src.Intn(len(palist))]
-			if v == u {
-				continue
-			}
-			b.AddEdge(u, v)
-			palist = append(palist, v)
-		}
-		palist = append(palist, u)
 	}
 	return b.Build()
 }

@@ -50,41 +50,6 @@ func TestErdosRenyiErrors(t *testing.T) {
 	}
 }
 
-func TestBarabasiAlbertBasic(t *testing.T) {
-	g, err := BarabasiAlbert(500, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 500 {
-		t.Fatalf("NumNodes = %d", g.NumNodes())
-	}
-	// Each node after the first adds up to 3 out-edges.
-	if g.NumEdges() < 1200 || g.NumEdges() > 1500 {
-		t.Fatalf("NumEdges = %d, want ~1497", g.NumEdges())
-	}
-}
-
-func TestBarabasiAlbertHeavyTail(t *testing.T) {
-	g, err := BarabasiAlbert(2000, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := g.InDegreeStats()
-	// Preferential attachment: the max in-degree should far exceed the mean.
-	if float64(stats.Max) < 8*stats.Mean {
-		t.Fatalf("in-degree max %d vs mean %.2f: no heavy tail", stats.Max, stats.Mean)
-	}
-}
-
-func TestBarabasiAlbertErrors(t *testing.T) {
-	if _, err := BarabasiAlbert(0, 2, 1); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := BarabasiAlbert(10, 0, 1); err == nil {
-		t.Fatal("attach=0 accepted")
-	}
-}
-
 func TestWattsStrogatzLattice(t *testing.T) {
 	// beta = 0 keeps the pure ring lattice: every node has degree 2k in
 	// each direction.

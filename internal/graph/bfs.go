@@ -118,38 +118,3 @@ func RestrictedDistances(g *Graph, sources []int32, dir Direction, expand func(N
 	}
 	return dist
 }
-
-// WeaklyConnectedComponents assigns every node a component identifier,
-// ignoring edge direction, and returns the assignment together with the
-// number of components. Component identifiers are dense in [0, count).
-func WeaklyConnectedComponents(g *Graph) (comp []int32, count int32) {
-	comp = make([]int32, g.NumNodes())
-	for i := range comp {
-		comp[i] = -1
-	}
-	var queue []int32
-	for start := int32(0); start < g.NumNodes(); start++ {
-		if comp[start] >= 0 {
-			continue
-		}
-		comp[start] = count
-		queue = append(queue[:0], start)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.Out(u) {
-				if comp[v] < 0 {
-					comp[v] = count
-					queue = append(queue, v)
-				}
-			}
-			for _, v := range g.In(u) {
-				if comp[v] < 0 {
-					comp[v] = count
-					queue = append(queue, v)
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
-}

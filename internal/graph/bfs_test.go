@@ -175,46 +175,3 @@ func TestDistanceStepProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestWeaklyConnectedComponents(t *testing.T) {
-	g := buildMust(t, 7, []Edge{{0, 1}, {2, 1}, {3, 4}})
-	comp, count := WeaklyConnectedComponents(g)
-	if count != 4 {
-		t.Fatalf("component count = %d, want 4", count)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Fatalf("nodes 0,1,2 should share a component: %v", comp)
-	}
-	if comp[3] != comp[4] {
-		t.Fatalf("nodes 3,4 should share a component: %v", comp)
-	}
-	if comp[5] == comp[0] || comp[5] == comp[3] || comp[5] == comp[6] {
-		t.Fatalf("isolated nodes must be singleton components: %v", comp)
-	}
-}
-
-func TestComponentsPartitionNodes(t *testing.T) {
-	src := rng.New(2004)
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(src, 60)
-		comp, count := WeaklyConnectedComponents(g)
-		seen := make([]bool, count)
-		for u, c := range comp {
-			if c < 0 || c >= count {
-				t.Fatalf("node %d has invalid component %d", u, c)
-			}
-			seen[c] = true
-		}
-		for c, ok := range seen {
-			if !ok {
-				t.Fatalf("component id %d unused", c)
-			}
-		}
-		// Every edge joins nodes of the same weak component.
-		for _, e := range g.Edges() {
-			if comp[e.U] != comp[e.V] {
-				t.Fatalf("edge (%d,%d) crosses weak components", e.U, e.V)
-			}
-		}
-	}
-}

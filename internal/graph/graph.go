@@ -1,7 +1,7 @@
 // Package graph provides the directed-graph substrate used by the rumor
 // blocking library: a compact CSR (compressed sparse row) representation
 // with both out- and in-adjacency, an incremental Builder, BFS primitives,
-// edge-list I/O, and structural statistics.
+// edge-list I/O and the out-degree ranking behind MaxDegree.
 //
 // Nodes are dense int32 identifiers in [0, N). Graphs are immutable once
 // built, which makes them safe for concurrent readers (every simulator and
@@ -33,9 +33,8 @@ type Graph struct {
 	inAdj  []int32
 
 	// allowSelfLoops records the Builder policy the graph was built under,
-	// so derived graphs (Reverse, Symmetrize, Induce) keep self-loops a
-	// permissive graph legitimately contains instead of silently dropping
-	// them through a default Builder.
+	// so a derived graph (Reverse) keeps self-loops a permissive graph
+	// legitimately contains.
 	allowSelfLoops bool
 
 	// digestOnce guards digest, the memoized Digest. The CSR arrays never
@@ -143,75 +142,6 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
-// Symmetrize returns a graph that contains both (u,v) and (v,u) for every
-// edge of g, with duplicates removed. The paper applies this to undirected
-// collaboration networks ("we represent each undirected edge (i,j) by two
-// directed edges (i,j) and (j,i)").
-func (g *Graph) Symmetrize() *Graph {
-	b := NewBuilder(g.numNodes)
-	if g.allowSelfLoops {
-		b.AllowSelfLoops()
-	}
-	for u := int32(0); u < g.numNodes; u++ {
-		for _, v := range g.Out(u) {
-			b.AddEdge(u, v)
-			b.AddEdge(v, u)
-		}
-	}
-	sym, err := b.Build()
-	if err != nil {
-		// Unreachable: all endpoints come from a valid graph.
-		panic(fmt.Sprintf("graph: symmetrize: %v", err))
-	}
-	return sym
-}
-
-// Subgraph is an induced subgraph together with the node-identifier mapping
-// back to the parent graph.
-type Subgraph struct {
-	// Graph is the induced subgraph over dense local identifiers.
-	Graph *Graph
-	// ToParent maps local node identifiers to parent identifiers.
-	ToParent []int32
-	// ToLocal maps parent identifiers to local identifiers; nodes outside
-	// the subgraph map to -1.
-	ToLocal []int32
-}
-
-// Induce returns the subgraph induced by nodes (duplicates ignored).
-func (g *Graph) Induce(nodes []int32) (*Subgraph, error) {
-	toLocal := make([]int32, g.numNodes)
-	for i := range toLocal {
-		toLocal[i] = -1
-	}
-	var toParent []int32
-	for _, u := range nodes {
-		if u < 0 || u >= g.numNodes {
-			return nil, fmt.Errorf("graph: induce: node %d out of range [0,%d)", u, g.numNodes)
-		}
-		if toLocal[u] < 0 {
-			toLocal[u] = int32(len(toParent))
-			toParent = append(toParent, u)
-		}
-	}
-	b := NewBuilder(int32(len(toParent)))
-	if g.allowSelfLoops {
-		b.AllowSelfLoops()
-	}
-	for local, parent := range toParent {
-		for _, v := range g.Out(parent) {
-			if lv := toLocal[v]; lv >= 0 {
-				b.AddEdge(int32(local), lv)
-			}
-		}
-	}
-	sg, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return &Subgraph{Graph: sg, ToParent: toParent, ToLocal: toLocal}, nil
-}
-
 // Builder accumulates edges and produces an immutable Graph. Duplicate
 // edges collapse into one, and Dropped counts the extra instances. An edge
 // carries no state, so the delta-stream convention of internal/dyngraph,
@@ -272,10 +202,6 @@ func (b *Builder) AddEdge(u, v NodeID) {
 	}
 	b.edges = append(b.edges, Edge{U: u, V: v})
 }
-
-// NumPendingEdges returns the number of edges recorded so far, before
-// deduplication.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Dropped returns the number of recorded edges that did not survive into
 // the built graph as distinct edges: edges AddEdge ignored because an

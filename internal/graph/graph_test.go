@@ -402,15 +402,6 @@ func TestAdjacencySorted(t *testing.T) {
 	}
 }
 
-func TestSymmetrize(t *testing.T) {
-	g := buildMust(t, 3, []Edge{{0, 1}, {1, 2}, {2, 1}})
-	s := g.Symmetrize()
-	want := []Edge{{0, 1}, {1, 0}, {1, 2}, {2, 1}}
-	if !reflect.DeepEqual(s.Edges(), want) {
-		t.Fatalf("Symmetrize edges = %v, want %v", s.Edges(), want)
-	}
-}
-
 // selfLoopGraph builds a permissive graph with a self-loop for the
 // propagation tests.
 func selfLoopGraph(t *testing.T) *Graph {
@@ -426,35 +417,6 @@ func selfLoopGraph(t *testing.T) *Graph {
 	return g
 }
 
-func TestSymmetrizePreservesSelfLoops(t *testing.T) {
-	g := selfLoopGraph(t)
-	s := g.Symmetrize()
-	if !s.HasEdge(0, 0) {
-		t.Fatal("Symmetrize dropped the self-loop of an AllowSelfLoops graph")
-	}
-	if !s.AllowsSelfLoops() {
-		t.Fatal("Symmetrize lost the AllowSelfLoops policy")
-	}
-	want := []Edge{{0, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 1}}
-	if !reflect.DeepEqual(s.Edges(), want) {
-		t.Fatalf("Symmetrize edges = %v, want %v", s.Edges(), want)
-	}
-}
-
-func TestInducePreservesSelfLoops(t *testing.T) {
-	g := selfLoopGraph(t)
-	sub, err := g.Induce([]int32{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sub.Graph.HasEdge(0, 0) {
-		t.Fatal("Induce dropped the self-loop of an AllowSelfLoops graph")
-	}
-	if !sub.Graph.AllowsSelfLoops() {
-		t.Fatal("Induce lost the AllowSelfLoops policy")
-	}
-}
-
 func TestReversePreservesSelfLoopPolicy(t *testing.T) {
 	g := selfLoopGraph(t)
 	r := g.Reverse()
@@ -463,92 +425,6 @@ func TestReversePreservesSelfLoopPolicy(t *testing.T) {
 	}
 	if !r.HasEdge(0, 0) {
 		t.Fatal("Reverse lost the self-loop")
-	}
-	// The round trip through Symmetrize must also hold on the reversed
-	// graph — the original bug site was the fresh Builder inside the
-	// derivation helpers.
-	if !r.Symmetrize().HasEdge(0, 0) {
-		t.Fatal("Reverse+Symmetrize dropped the self-loop")
-	}
-}
-
-func TestSymmetrizeIdempotent(t *testing.T) {
-	src := rng.New(1005)
-	for trial := 0; trial < 30; trial++ {
-		s := randomGraph(src, 40).Symmetrize()
-		ss := s.Symmetrize()
-		if !reflect.DeepEqual(s.Edges(), ss.Edges()) {
-			t.Fatal("Symmetrize is not idempotent")
-		}
-	}
-}
-
-func TestInduce(t *testing.T) {
-	g := buildMust(t, 5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}})
-	sub, err := g.Induce([]int32{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Graph.NumNodes() != 3 {
-		t.Fatalf("subgraph nodes = %d, want 3", sub.Graph.NumNodes())
-	}
-	// Edges inside {1,2,3}: (1,2) and (2,3).
-	if sub.Graph.NumEdges() != 2 {
-		t.Fatalf("subgraph edges = %d, want 2", sub.Graph.NumEdges())
-	}
-	for local, parent := range sub.ToParent {
-		if sub.ToLocal[parent] != int32(local) {
-			t.Fatalf("mapping mismatch for local %d / parent %d", local, parent)
-		}
-	}
-	if sub.ToLocal[0] != -1 || sub.ToLocal[4] != -1 {
-		t.Fatal("excluded nodes should map to -1")
-	}
-}
-
-func TestInduceDuplicatesIgnored(t *testing.T) {
-	g := buildMust(t, 3, []Edge{{0, 1}})
-	sub, err := g.Induce([]int32{1, 1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Graph.NumNodes() != 2 || sub.Graph.NumEdges() != 1 {
-		t.Fatalf("got %d nodes %d edges, want 2/1", sub.Graph.NumNodes(), sub.Graph.NumEdges())
-	}
-}
-
-func TestInduceOutOfRange(t *testing.T) {
-	g := buildMust(t, 3, nil)
-	if _, err := g.Induce([]int32{0, 7}); err == nil {
-		t.Fatal("Induce accepted out-of-range node")
-	}
-}
-
-func TestInducePreservesInternalEdges(t *testing.T) {
-	src := rng.New(1006)
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(src, 40)
-		n := g.NumNodes()
-		k := src.Int32n(n) + 1
-		nodes := src.SampleInt32(n, k)
-		sub, err := g.Induce(nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Count parent edges with both endpoints selected.
-		selected := make(map[int32]bool, len(nodes))
-		for _, u := range nodes {
-			selected[u] = true
-		}
-		var want int64
-		for _, e := range g.Edges() {
-			if selected[e.U] && selected[e.V] {
-				want++
-			}
-		}
-		if sub.Graph.NumEdges() != want {
-			t.Fatalf("induced edges = %d, want %d", sub.Graph.NumEdges(), want)
-		}
 	}
 }
 

@@ -132,35 +132,6 @@ func WriteEdgeListFile(path string, g *Graph) error {
 	return f.Close()
 }
 
-// WriteDOT writes g in Graphviz DOT format. Intended for small graphs and
-// debugging; the output for large graphs is huge.
-func WriteDOT(w io.Writer, g *Graph, name string) error {
-	bw := bufio.NewWriter(w)
-	if name == "" {
-		name = "G"
-	}
-	if _, err := fmt.Fprintf(bw, "digraph %q {\n", name); err != nil {
-		return err
-	}
-	for u := int32(0); u < g.NumNodes(); u++ {
-		if g.OutDegree(u) == 0 && g.InDegree(u) == 0 {
-			if _, err := fmt.Fprintf(bw, "  %d;\n", u); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, v := range g.Out(u) {
-			if _, err := fmt.Fprintf(bw, "  %d -> %d;\n", u, v); err != nil {
-				return err
-			}
-		}
-	}
-	if _, err := io.WriteString(bw, "}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // ReadCommunities parses a community assignment file: each line holds a node
 // identifier and a community identifier. Lines are "node community"; '#'
 // starts a comment. The labels slice translates external node identifiers

@@ -162,20 +162,6 @@ func TestReadEdgeListFileMissing(t *testing.T) {
 	}
 }
 
-func TestWriteDOT(t *testing.T) {
-	g := buildMust(t, 3, []Edge{{0, 1}})
-	var buf bytes.Buffer
-	if err := WriteDOT(&buf, g, "test"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`digraph "test"`, "0 -> 1;", "2;"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestCommunitiesRoundTrip(t *testing.T) {
 	assign := []int32{0, 1, 1, 0, 2}
 	var buf bytes.Buffer

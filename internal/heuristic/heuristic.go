@@ -23,7 +23,7 @@ type Context struct {
 	Graph *graph.Graph
 	// Rumors is the rumor seed set S_R; rumor seeds are never selected.
 	Rumors []int32
-	// BridgeEnds is the bridge-end set B (some selectors ignore it).
+	// BridgeEnds is the bridge-end set B. The paper's baselines ignore it.
 	BridgeEnds []int32
 }
 

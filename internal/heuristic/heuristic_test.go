@@ -1,6 +1,8 @@
 package heuristic
 
 import (
+	stdctx "context"
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -185,5 +187,19 @@ func TestSelectorNames(t *testing.T) {
 		if got := tt.sel.Name(); got != tt.want {
 			t.Errorf("Name = %q, want %q", got, tt.want)
 		}
+	}
+}
+
+func TestSelectContextCanceled(t *testing.T) {
+	g := mustGraph(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}})
+	ctx, cancel := stdctx.WithCancel(stdctx.Background())
+	cancel()
+	_, err := SelectContext(ctx, MaxDegree{}, Context{Graph: g, Rumors: []int32{0}}, 2, nil)
+	if !errors.Is(err, stdctx.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	seeds, err := Select(MaxDegree{}, Context{Graph: g, Rumors: []int32{0}}, 2, nil)
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("plain Select broken: %v, %v", seeds, err)
 	}
 }

@@ -19,8 +19,8 @@
 //     over the RR sets of its own realizations
 //   - the RR-set sketch path for LCRB-P: BuildSketches, then
 //     SolveGreedyRIS with zero diffusion simulations per solve
-//   - simulation under the OPOAO and DOAM models, plus competitive IC/LT
-//     extensions and a Monte-Carlo driver (Simulate, MonteCarlo)
+//   - simulation under the OPOAO and DOAM models and a Monte-Carlo driver
+//     (Simulate, MonteCarlo)
 //   - the MaxDegree and Proximity baselines (SelectHeuristic)
 //
 // The paper's evaluation lives in cmd/lcrbbench and the serving daemon in
@@ -86,10 +86,6 @@ type (
 	OPOAO = diffusion.OPOAO
 	// DOAM is the Deterministic One-Activate-Many model.
 	DOAM = diffusion.DOAM
-	// CompetitiveIC is the two-cascade Independent Cascade extension.
-	CompetitiveIC = diffusion.CompetitiveIC
-	// CompetitiveLT is the two-cascade Linear Threshold extension.
-	CompetitiveLT = diffusion.CompetitiveLT
 	// SimOptions tunes a simulation run.
 	SimOptions = diffusion.Options
 	// SimResult is the outcome of one run.

@@ -92,10 +92,11 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkGreedySigma -benchtime 1x ./internal/core/
 
 # bench-sketch runs every internal/rrset and internal/sketch micro-benchmark
-# once (sampler, pair index, cover, RIS solve), so they keep compiling and
-# running.
+# once (sampler, pair index, cover, RIS solve), and SCBG on both engines at
+# the paper's Enron scale, so they keep compiling and running.
 bench-sketch:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/rrset/ ./internal/sketch/
+	$(GO) test -run '^$$' -bench BenchmarkSCBG -benchtime 1x ./internal/core/
 
 # bench-all runs every benchmark in the repo once.
 bench-all:

@@ -12,6 +12,8 @@ package bridge
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"lcrb/internal/graph"
 )
@@ -70,8 +72,10 @@ type BBSTs struct {
 // end whose depth is fixed by the first rumor seed it meets (algorithm 3,
 // step 4). Nodes on the rumor side of a seed are excluded because the
 // protector cascade cannot pass through an already-infected node. Every
-// end is validated before any tree is built, and the searches share one
-// set of dense per-node arrays.
+// end is validated before any tree is built. The ends are striped over
+// min(GOMAXPROCS, |B|) goroutines, each with its own dense per-node
+// search arrays, and every tree lands in its end's slot, so the trees are
+// identical for every worker count.
 func Build(g *graph.Graph, rumors, ends []int32) (*BBSTs, error) {
 	n := g.NumNodes()
 	isRumor := make([]bool, n)
@@ -94,18 +98,28 @@ func Build(g *graph.Graph, rumors, ends []int32) (*BBSTs, error) {
 		Trees:  make([][]int32, len(ends)),
 		Depths: make([]int32, len(ends)),
 	}
-	s := search{
-		seen:    make([]uint32, n),
-		dist:    make([]int32, n),
-		members: make([]uint64, (n+63)/64),
+	workers := min(runtime.GOMAXPROCS(0), len(ends))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := search{
+				seen:    make([]uint32, n),
+				dist:    make([]int32, n),
+				members: make([]uint64, (n+63)/64),
+			}
+			for i := w; i < len(ends); i += workers {
+				out.Trees[i], out.Depths[i] = s.backwardTree(g, isRumor, ends[i])
+			}
+		}()
 	}
-	for i, v := range ends {
-		out.Trees[i], out.Depths[i] = s.backwardTree(g, isRumor, v)
-	}
+	wg.Wait()
 	return out, nil
 }
 
-// search is the scratch state of one backward BFS, reused across ends.
+// search is the scratch state of one worker's backward BFSs, reused across
+// its ends.
 // seen[u] == epoch marks u as reached by the current search, so starting a
 // new search costs one increment instead of clearing per-node arrays;
 // dist[u] is meaningful only for such u. members is a node bitmap of the

@@ -2,6 +2,7 @@ package bridge
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -397,6 +398,57 @@ func TestBuildAndInvertMatchReference(t *testing.T) {
 			candidates, covers := referenceInvert(bb.Trees)
 			if !reflect.DeepEqual(cov.Candidates, candidates) || !reflect.DeepEqual(cov.Covers, covers) {
 				t.Fatalf("seed %d draw %d: inversion differs from the map reference", cfg.Seed, draw)
+			}
+		}
+	}
+}
+
+// TestBuildBitIdenticalAcrossProcs builds the BBSTs of generated
+// instances on one worker and on four: every tree lands in its end's slot
+// whatever the worker count, so trees and depths are identical. The end
+// lists include duplicates and ends no rumor seed reaches.
+func TestBuildBitIdenticalAcrossProcs(t *testing.T) {
+	for _, cfg := range []gen.CommunityConfig{
+		{Nodes: 700, AvgDegree: 6, Seed: 3},
+		{Nodes: 500, AvgDegree: 3, Seed: 4},
+	} {
+		net, err := gen.Community(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := net.Graph
+		part := community.Louvain(g, community.LouvainOptions{Seed: 1})
+		src := rng.New(cfg.Seed)
+		for draw := 0; draw < 4; draw++ {
+			comm := part.Assign()[src.Intn(int(g.NumNodes()))]
+			members := part.Members(comm)
+			rumors := make([]int32, 1+src.Intn(4))
+			isRumor := make(map[int32]bool)
+			for i := range rumors {
+				rumors[i] = members[src.Intn(len(members))]
+				isRumor[rumors[i]] = true
+			}
+			ends, err := FindEnds(g, part.Assign(), comm, rumors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for len(ends) < 60 {
+				if v := src.Int32n(g.NumNodes()); !isRumor[v] {
+					ends = append(ends, v)
+				}
+			}
+			ends = append(ends, ends[0])
+			var built [2]*BBSTs
+			for i, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				built[i], err = Build(g, rumors, ends)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(built[0].Trees, built[1].Trees) || !reflect.DeepEqual(built[0].Depths, built[1].Depths) {
+				t.Fatalf("seed %d draw %d: trees differ between GOMAXPROCS 1 and 4", cfg.Seed, draw)
 			}
 		}
 	}

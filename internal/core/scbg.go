@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"lcrb/internal/bridge"
-	"lcrb/internal/setcover"
+	"lcrb/internal/rrset"
 )
 
 // SCBGOptions tunes the Set-Cover-Based Greedy algorithm.
@@ -15,12 +16,6 @@ type SCBGOptions struct {
 	// problem of the paper is Alpha = 1 (protect every bridge end), which
 	// is the default when Alpha is 0.
 	Alpha float64
-	// Cost optionally assigns a positive recruitment cost to each
-	// candidate protector; the greedy then minimizes total cost instead
-	// of seed count (weighted set cover, a natural least-"cost" extension
-	// of the paper's unit-cost problem). Nil means unit costs. A
-	// non-positive cost for any candidate is an error.
-	Cost func(node int32) float64
 }
 
 // SCBGResult is the output of SCBG.
@@ -29,9 +24,6 @@ type SCBGResult struct {
 	Protectors []int32
 	// CoveredEnds is the number of bridge ends covered by the selection.
 	CoveredEnds int
-	// Cost is the total cost of the selection: the seed count under unit
-	// costs, or the summed SCBGOptions.Cost values.
-	Cost float64
 	// Candidates is the number of distinct candidate protectors
 	// (|∪ Q_v \ S_R|) the set-cover stage chose from.
 	Candidates int
@@ -56,10 +48,19 @@ func SCBG(p *Problem, opts SCBGOptions) (*SCBGResult, error) {
 }
 
 // SCBGContext is SCBG with cooperative cancellation: the context is checked
-// before the BBST construction and once per set-cover selection round. On
-// cancellation the wrapped context error is returned; unlike GreedyContext
-// there is no partial-result contract here because SCBG is fast enough that
-// a partial cover is rarely worth reporting — rerun with a live context.
+// before the BBST construction and before every recount and selection of
+// the cover. On cancellation the wrapped context error is returned; unlike
+// GreedyContext there is no partial-result contract here because SCBG is
+// fast enough that a partial cover is rarely worth reporting — rerun with a
+// live context.
+//
+// The set cover runs on LCRB-P's engine. The BBST of end i is that end's
+// RR set under DOAM's one deterministic realization, so the trees become
+// the pairs {End: i, Nodes: Q_i} of an rrset.Index, whose inversion is the
+// coverage sets SW_u, and rrset's lazy cover selects. Its tie rule, gain
+// descending then the smaller node id, is unit-cost greedy set cover's
+// over candidates in ascending id order, and both lazy loops select
+// exactly what the plain greedy selects.
 func SCBGContext(ctx context.Context, p *Problem, opts SCBGOptions) (*SCBGResult, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: SCBG: nil problem")
@@ -81,46 +82,27 @@ func SCBGContext(ctx context.Context, p *Problem, opts SCBGOptions) (*SCBGResult
 	if err != nil {
 		return nil, fmt.Errorf("core: SCBG: build BBSTs: %w", err)
 	}
-	cov := trees.Invert()
-
-	in := setcover.Instance{
-		Universe: len(p.Ends),
-		Sets:     cov.Covers,
-	}
-	if opts.Cost != nil {
-		in.Costs = make([]float64, len(cov.Candidates))
-		for i, u := range cov.Candidates {
-			in.Costs[i] = opts.Cost(u)
+	pairs := make([]rrset.Pair, len(trees.Trees))
+	uncoverable := 0
+	for i, tree := range trees.Trees {
+		pairs[i] = rrset.Pair{End: int32(i), Nodes: tree}
+		if len(tree) == 0 {
+			uncoverable++
 		}
 	}
+	ix := rrset.NewIndex(pairs, runtime.GOMAXPROCS(0))
 	need := p.RequiredEnds(opts.Alpha)
-	sol, err := setcover.GreedyPartialContext(ctx, in, need)
-	if err != nil && !errors.Is(err, setcover.ErrUncoverable) {
+	c, err := ix.Cover(ctx, rrset.CoverOptions{Target: need, MaxSelect: len(p.Ends)})
+	if err != nil {
 		return nil, fmt.Errorf("core: SCBG: set cover: %w", err)
 	}
-	res := &SCBGResult{Candidates: len(cov.Candidates)}
-	if sol != nil {
-		res.CoveredEnds = sol.Covered
-		res.Cost = sol.Cost
-		res.Protectors = make([]int32, len(sol.Chosen))
-		for i, si := range sol.Chosen {
-			res.Protectors[i] = cov.Candidates[si]
-		}
-	}
-	if errors.Is(err, setcover.ErrUncoverable) {
-		// Report how many ends are beyond reach; callers decide whether a
+	res := &SCBGResult{Protectors: c.Selected, CoveredEnds: c.Covered, Candidates: len(ix.Nodes)}
+	if c.Covered < need {
+		// Every coverable end is covered by now; callers decide whether a
 		// partial cover is acceptable.
-		coverable := make([]bool, len(p.Ends))
-		res.UncoverableEnds = len(p.Ends)
-		for _, idxs := range cov.Covers {
-			for _, i := range idxs {
-				if !coverable[i] {
-					coverable[i] = true
-					res.UncoverableEnds--
-				}
-			}
-		}
-		return res, fmt.Errorf("core: SCBG: %d bridge ends uncoverable: %w", res.UncoverableEnds, err)
+		res.UncoverableEnds = uncoverable
+		return res, fmt.Errorf("core: SCBG: %d bridge ends uncoverable: %d of %d required, %d covered",
+			uncoverable, need, len(p.Ends), c.Covered)
 	}
 	return res, nil
 }

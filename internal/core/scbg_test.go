@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"lcrb/internal/bridge"
@@ -11,6 +13,7 @@ import (
 	"lcrb/internal/gen"
 	"lcrb/internal/graph"
 	"lcrb/internal/rng"
+	"lcrb/internal/setcover"
 )
 
 func TestSCBGFixtureProtectsAllEnds(t *testing.T) {
@@ -182,4 +185,126 @@ func infectedEnds(t *testing.T, p *Problem, protectors, ends []int32) int {
 		}
 	}
 	return n
+}
+
+// setCoverSCBG is the test oracle for SCBGContext: the paper's SCBG on
+// setcover's engine, as the library ran it before the cover moved to
+// rrset. The BBSTs are inverted into coverage sets SW_u over candidates in
+// ascending id order, and setcover's lazy unit-cost greedy picks the set
+// with the most uncovered ends, ties to the smaller set index.
+func setCoverSCBG(t testing.TB, p *Problem, alpha float64) *SCBGResult {
+	t.Helper()
+	trees, err := bridge.Build(p.Graph, p.Rumors, p.Ends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov := trees.Invert()
+	sol, err := setcover.GreedyPartial(setcover.Instance{Universe: len(p.Ends), Sets: cov.Covers}, p.RequiredEnds(alpha))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &SCBGResult{CoveredEnds: sol.Covered, Candidates: len(cov.Candidates)}
+	for _, si := range sol.Chosen {
+		res.Protectors = append(res.Protectors, cov.Candidates[si])
+	}
+	return res
+}
+
+// checkSCBGMatchesSetCover runs SCBG and its set-cover oracle at alpha and
+// requires the same protectors in the same order, covered ends and
+// candidate count.
+func checkSCBGMatchesSetCover(t *testing.T, p *Problem, alpha float64) *SCBGResult {
+	t.Helper()
+	got, err := SCBG(p, SCBGOptions{Alpha: alpha})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := setCoverSCBG(t, p, alpha)
+	if !slices.Equal(got.Protectors, want.Protectors) {
+		t.Fatalf("alpha %v: protectors\n got %v\nwant %v", alpha, got.Protectors, want.Protectors)
+	}
+	if got.CoveredEnds != want.CoveredEnds || got.Candidates != want.Candidates {
+		t.Fatalf("alpha %v: covered %d of %d candidates, oracle %d of %d",
+			alpha, got.CoveredEnds, got.Candidates, want.CoveredEnds, want.Candidates)
+	}
+	return got
+}
+
+// rumorFractionProblem builds a planted-community instance with one in
+// div members of the community closest to commSize as rumor seeds. Many
+// seeds keep the BBSTs shallow, so the coverage sets are sparse and the
+// cover takes many rounds, as at the paper's scale.
+func rumorFractionProblem(t *testing.T, nodes, commSize int32, div int, seed uint64) *Problem {
+	t.Helper()
+	net, err := gen.Community(gen.CommunityConfig{Nodes: nodes, AvgDegree: 6, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted, err := community.FromAssignment(net.Communities)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm := planted.ClosestBySize(commSize)
+	members := planted.Members(comm)
+	var rumors []int32
+	for _, i := range rng.New(seed).SampleInt32(int32(len(members)), int32(len(members)/div)) {
+		rumors = append(rumors, members[i])
+	}
+	p, err := NewProblem(net.Graph, planted.Assign(), comm, rumors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSCBGMatchesSetCoverOracle holds SCBG's rrset cover to the set-cover
+// greedy it replaced at three protection levels: both are the exact
+// unit-cost greedy under lazy evaluation, with the same tie rule. The
+// two-seed instances have deep trees whose index keeps a bitset arena; the
+// rumor-fraction ones are sparse and count gains by decrement.
+func TestSCBGMatchesSetCoverOracle(t *testing.T) {
+	problems := []struct {
+		name string
+		p    *Problem
+	}{
+		{"two-seed/n300-seed41", identityProblem(t, 300, 40, 41)},
+		{"two-seed/n600-seed17", identityProblem(t, 600, 60, 17)},
+		{"fraction/n600-seed41", rumorFractionProblem(t, 600, 80, 5, 41)},
+		{"fraction/n800-seed17", rumorFractionProblem(t, 800, 100, 4, 17)},
+		{"fraction/n1000-seed5", rumorFractionProblem(t, 1000, 150, 5, 5)},
+	}
+	for _, inst := range problems {
+		for _, alpha := range []float64{0.5, 0.9, 1} {
+			t.Run(fmt.Sprintf("%s/alpha=%v", inst.name, alpha), func(t *testing.T) {
+				checkSCBGMatchesSetCover(t, inst.p, alpha)
+			})
+		}
+	}
+}
+
+// TestSCBGMatchesSetCoverTieHeavy runs the identity on an instance whose
+// largest coverage set is shared by several candidates, so the first
+// selection is a tie that both engines must break to the smaller node id.
+func TestSCBGMatchesSetCoverTieHeavy(t *testing.T) {
+	p := rumorFractionProblem(t, 1500, 200, 3, 7)
+	res := checkSCBGMatchesSetCover(t, p, 1)
+	if len(res.Protectors) < 2 {
+		t.Fatalf("only %d selections", len(res.Protectors))
+	}
+	trees, err := bridge.Build(p.Graph, p.Rumors, p.Ends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, tied := 0, 0
+	for _, set := range trees.Invert().Covers {
+		switch {
+		case len(set) > best:
+			best, tied = len(set), 1
+		case len(set) == best:
+			tied++
+		}
+	}
+	if tied < 2 {
+		t.Fatalf("the first selection's gain %d is held by %d candidate: no tie to break", best, tied)
+	}
 }

@@ -85,17 +85,6 @@ type Result struct {
 	ProtectedAtHop []int32
 }
 
-// CountStatus returns the number of nodes with the given status.
-func (r *Result) CountStatus(s Status) int32 {
-	var n int32
-	for _, st := range r.Status {
-		if st == s {
-			n++
-		}
-	}
-	return n
-}
-
 // Model is a two-cascade diffusion model. Implementations must be safe for
 // concurrent use: all mutable state lives in the per-call *rng.Source and
 // the returned Result.

@@ -68,14 +68,16 @@ func TestSeedStateOverlapGivesPPriority(t *testing.T) {
 	}
 }
 
-func TestResultCountStatus(t *testing.T) {
-	r := &Result{Status: []Status{Infected, Inactive, Protected, Infected}}
-	if got := r.CountStatus(Infected); got != 2 {
-		t.Fatalf("CountStatus(Infected) = %d", got)
+// countStatus returns the number of nodes of res with status st, the
+// cross-check of the running Infected and Protected counters.
+func countStatus(res *Result, st Status) int32 {
+	var n int32
+	for _, s := range res.Status {
+		if s == st {
+			n++
+		}
 	}
-	if got := r.CountStatus(Inactive); got != 1 {
-		t.Fatalf("CountStatus(Inactive) = %d", got)
-	}
+	return n
 }
 
 func TestModelNames(t *testing.T) {

@@ -189,8 +189,8 @@ func TestDOAMProgressive(t *testing.T) {
 				return false
 			}
 		}
-		return res.CountStatus(Infected) == res.Infected &&
-			res.CountStatus(Protected) == res.Protected
+		return countStatus(res, Infected) == res.Infected &&
+			countStatus(res, Protected) == res.Protected
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func TestOPOAOInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.CountStatus(Infected) != res.Infected || res.CountStatus(Protected) != res.Protected {
+		if countStatus(res, Infected) != res.Infected || countStatus(res, Protected) != res.Protected {
 			return false
 		}
 		for h := 1; h < len(res.InfectedAtHop); h++ {

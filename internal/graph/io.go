@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -201,20 +200,4 @@ func WriteCommunities(w io.Writer, assign []int32) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// SortedCopy returns a sorted copy of nodes with duplicates removed.
-// It is a convenience for presenting node sets deterministically.
-func SortedCopy(nodes []int32) []int32 {
-	out := make([]int32, len(nodes))
-	copy(out, nodes)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, v := range out {
-		if i > 0 && v == out[i-1] {
-			continue
-		}
-		dedup = append(dedup, v)
-	}
-	return dedup
 }

@@ -208,22 +208,3 @@ func TestReadCommunitiesErrors(t *testing.T) {
 		})
 	}
 }
-
-func TestSortedCopy(t *testing.T) {
-	in := []int32{5, 1, 3, 1, 5, 2}
-	got := SortedCopy(in)
-	want := []int32{1, 2, 3, 5}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortedCopy = %v, want %v", got, want)
-	}
-	// Input must be untouched.
-	if !reflect.DeepEqual(in, []int32{5, 1, 3, 1, 5, 2}) {
-		t.Fatal("SortedCopy mutated its input")
-	}
-}
-
-func TestSortedCopyEmpty(t *testing.T) {
-	if got := SortedCopy(nil); len(got) != 0 {
-		t.Fatalf("SortedCopy(nil) = %v", got)
-	}
-}

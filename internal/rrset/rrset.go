@@ -1,9 +1,11 @@
 // Package rrset samples reverse-reachable (RR) sets of the fixed OPOAO
 // realizations and selects protectors by lazy-greedy max coverage over
 // them. It is the shared engine below internal/core, whose default greedy
-// runs on it, and internal/sketch, which stores its output: following the
-// randomized rumor-blocking algorithms of Tong et al. (arXiv:1701.02368),
-// σ̂(S) over N realizations is
+// and SCBG run on it, and internal/sketch, which stores its output. SCBG
+// brings its own pairs: the BBST of a bridge end is that end's RR set under
+// DOAM's one deterministic realization, so the trees index and cover like
+// any sampled RR sets. Following the randomized rumor-blocking algorithms
+// of Tong et al. (arXiv:1701.02368), σ̂(S) over N realizations is
 //
 //	σ̂(S) = (baseline-safe pairs + pairs whose RR set intersects S) / N,
 //
@@ -196,10 +198,10 @@ type Scratch struct {
 	// of the batch in flight. Index n is the sentinel's and stays zero.
 	cur, next []uint64
 	// order lists the coverable ends by t_R; rr[ei] is end ei's RR set;
-	// hit lists the nodes of the batch in flight with N_0 nonempty.
+	// bufs[i] collects the RR set of bit i of the batch in flight.
 	order []int32
 	rr    [][]int32
-	hit   []int32
+	bufs  [64][]int32
 	// fp marks the footprint of the realization in flight, and scanned
 	// the nodes whose in-rows it already holds.
 	fp, scanned []uint64
@@ -371,41 +373,34 @@ func (sc *Scratch) sweep(batch []int32) {
 	}
 	sc.cur, sc.next = cur, next
 
-	// cur is N_0. One pass sizes each end's set and collects the nodes in
-	// any; the second fills the sets ascending and clears cur.
-	var cnt [64]int
-	hit := sc.hit[:0]
+	// cur is N_0. One pass appends every node to the buffers of the ends
+	// whose sets hold it, ascending, and clears cur; the sets are then
+	// copied into one exact-size backing.
+	bufs := &sc.bufs
 	for u, m := range cur[:n] {
-		if m != 0 {
-			hit = append(hit, int32(u))
-			for ; m != 0; m &= m - 1 {
-				cnt[bits.TrailingZeros64(m)]++
-			}
+		if m == 0 {
+			continue
 		}
-	}
-	sc.hit = hit
-	total := 0
-	for _, c := range cnt {
-		total += c
-	}
-	backing := make([]int32, total)
-	var sets [64][]int32
-	for i, off := 0, 0; i < len(batch); i++ {
-		sets[i] = backing[off : off : off+cnt[i]]
-		off += cnt[i]
-	}
-	for _, u := range hit {
-		for m := cur[u]; m != 0; m &= m - 1 {
+		for ; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			sets[i] = append(sets[i], u)
+			bufs[i] = append(bufs[i], int32(u))
 		}
 		cur[u] = 0
 		if sc.footprints {
 			sc.fp[u>>6] |= 1 << uint(u&63)
 		}
 	}
+	total := 0
+	for _, buf := range bufs[:len(batch)] {
+		total += len(buf)
+	}
+	backing := make([]int32, total)
+	off := 0
 	for i, ei := range batch {
-		sc.rr[ei] = sets[i]
+		end := off + copy(backing[off:], bufs[i])
+		sc.rr[ei] = backing[off:end:end]
+		off = end
+		bufs[i] = bufs[i][:0]
 	}
 }
 

@@ -232,16 +232,24 @@ func samplePairs(b *testing.B, p *core.Problem, n int) ([]rrset.Pair, int) {
 	return pairs, baseline
 }
 
-// BenchmarkSampleRealization times the sampler: one realization on the
-// hep instance (the forward pass that fills the step-target table, then
-// the level sweeps of every batch of bridge ends), with the scratch built
-// once, as Draw does per worker. The footprints case is how incremental
-// repair samples.
+// BenchmarkSampleRealization times the sampler: one realization (the
+// forward pass that fills the step-target table, then the level sweeps of
+// every batch of bridge ends), with the scratch built once, as Draw does
+// per worker, on the hep instance and at the paper's Enron scale. The
+// footprints case is how incremental repair samples.
 func BenchmarkSampleRealization(b *testing.B) {
-	p := hepProblem(b)
-	for _, footprints := range []bool{false, true} {
-		b.Run(fmt.Sprintf("footprints=%v", footprints), func(b *testing.B) {
-			sc := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, core.DefaultGreedyHops, footprints).NewScratch()
+	for _, bc := range []struct {
+		name       string
+		problem    func(*testing.B) *core.Problem
+		footprints bool
+	}{
+		{"hep", hepProblem, false},
+		{"hep", hepProblem, true},
+		{"enron", enronProblem, false},
+	} {
+		b.Run(fmt.Sprintf("%s/footprints=%v", bc.name, bc.footprints), func(b *testing.B) {
+			p := bc.problem(b)
+			sc := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, core.DefaultGreedyHops, bc.footprints).NewScratch()
 			seeds := rng.New(7)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -49,14 +49,10 @@ func (s *server) solve(ctx context.Context, req *resolvedRequest) (*solveRespons
 		return s.solveCover(ctx, req, prob, resp)
 	case "scbg":
 		sres, serr := s.runSCBG(ctx, req, prob)
-		if serr != nil && (sres == nil || sres.UncoverableEnds == 0) {
+		if serr != nil {
 			return s.degradeToHeuristic(req, prob, resp, fmt.Sprintf("scbg failed (%v)", serr))
 		}
 		fillSCBG(resp, prob, req.Alpha, sres)
-		if sres.UncoverableEnds > 0 {
-			resp.Degraded = true
-			resp.DegradedReason = fmt.Sprintf("%d bridge ends uncoverable by any candidate", sres.UncoverableEnds)
-		}
 		return resp, nil
 	case "proximity", "maxdegree":
 		// An explicitly requested heuristic is the exact answer to the
@@ -98,7 +94,7 @@ func (s *server) solveCover(ctx context.Context, req *resolvedRequest, prob *cor
 		return &out, nil
 	}
 	sres, serr := s.runSCBG(ctx, req, prob)
-	if serr != nil && (sres == nil || sres.UncoverableEnds == 0) {
+	if serr != nil {
 		return s.degradeToHeuristic(req, prob, resp, fmt.Sprintf("%v; scbg failed (%v)", err, serr))
 	}
 	fillSCBG(&out, prob, req.Alpha, sres)
@@ -135,30 +131,39 @@ func (s *server) selectCover(ctx context.Context, req *resolvedRequest, prob *co
 }
 
 // runGreedy selects by core.GreedyContext on the request's own Samples
-// realizations (seed Seed + 200), with the request deadline folded into its
-// budget (DeadlineMargin), so it stops early with a valid prefix instead of
-// being killed mid-selection. OnRound streams each committed round.
+// realizations (seed Seed + 200) under the rung context (rungContext), so
+// it stops deadlineMargin before the request deadline, with time left for
+// the SCBG rung, instead of being killed mid-selection. OnRound streams
+// each committed round.
 func (s *server) runGreedy(ctx context.Context, req *resolvedRequest, prob *core.Problem) (*core.GreedyResult, error) {
+	ctx, cancel := s.rungContext(ctx)
+	defer cancel()
 	return core.GreedyContext(ctx, prob, core.GreedyOptions{
-		Alpha:          req.Alpha,
-		Samples:        req.Samples,
-		Seed:           req.Seed + 200,
-		MaxHops:        req.MaxHops,
-		Workers:        s.cfg.workers,
-		DeadlineMargin: s.cfg.deadlineMargin,
-		OnRound:        req.onRound,
+		Alpha:   req.Alpha,
+		Samples: req.Samples,
+		Seed:    req.Seed + 200,
+		MaxHops: req.MaxHops,
+		Workers: s.cfg.workers,
+		OnRound: req.onRound,
 	})
 }
 
-// runSCBG is the SCBG cover rung. Like greedy it gives up deadlineMargin
-// before the request deadline, so the heuristic bottom rung answers in time.
+// runSCBG is the SCBG cover rung. Like greedy it runs under the rung
+// context, so the heuristic bottom rung answers in time.
 func (s *server) runSCBG(ctx context.Context, req *resolvedRequest, prob *core.Problem) (*core.SCBGResult, error) {
-	if d, ok := ctx.Deadline(); ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, d.Add(-s.cfg.deadlineMargin))
-		defer cancel()
-	}
+	ctx, cancel := s.rungContext(ctx)
+	defer cancel()
 	return core.SCBGContext(ctx, prob, core.SCBGOptions{Alpha: req.Alpha})
+}
+
+// rungContext derives the context an exact rung (greedy or SCBG) runs
+// under: the request deadline less deadlineMargin, so the rung gives up
+// while the next rung still has time to answer.
+func (s *server) rungContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if d, ok := ctx.Deadline(); ok {
+		return context.WithDeadline(ctx, d.Add(-s.cfg.deadlineMargin))
+	}
+	return ctx, func() {}
 }
 
 // runHeuristic ranks protectors with a cheap structural selector. It runs

@@ -3,11 +3,11 @@
 // ladder as ris), answers from a warm RR-set sketch when the store matches,
 // and otherwise serves an SCBG cover or, when SCBG cannot answer, a
 // Proximity/MaxDegree ranking, honestly tagged "degraded" with the reason.
-// An explicit greedy request runs the paper's CELF greedy and degrades the
-// same way when its budget runs out. The daemon never answers a bare 503:
-// overload sheds with a typed 429, a broken instance builder opens a
-// circuit with a typed 503, and SIGTERM drains in-flight solves before
-// exiting 0.
+// An explicit greedy request runs the paper's greedy on its own RR sets and
+// degrades the same way when its deadline runs out. The daemon never
+// answers a bare 503: overload sheds with a typed 429, a broken instance
+// builder opens a circuit with a typed 503, and SIGTERM drains in-flight
+// solves before exiting 0.
 //
 // Under concurrent load the daemon stays fair and cheap: identical
 // concurrent solves coalesce into one execution (single flight), admission
@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		commSize    = fs.Int("community-size", 80, "default target rumor community size")
 		workers     = fs.Int("workers", 0, "σ̂ evaluation goroutines per solve (0/1 = serial, -1 = all cores)")
 		deadline    = fs.Duration("deadline", 10*time.Second, "default per-request solve deadline")
-		margin      = fs.Duration("deadline-margin", 200*time.Millisecond, "headroom greedy reserves before the deadline for fallbacks")
+		margin      = fs.Duration("deadline-margin", 200*time.Millisecond, "headroom the greedy and SCBG rungs reserve before the deadline for fallbacks")
 		maxInflight = fs.Int64("max-inflight", 4, "concurrent solves admitted")
 		maxWaiting  = fs.Int("max-waiting", 8, "solves queued behind the in-flight ones before shedding")
 		drain       = fs.Duration("drain", 15*time.Second, "drain window for in-flight solves on shutdown")

@@ -494,7 +494,7 @@ func (s *server) countError(r *http.Request, code string, err error) {
 var errBadRequest = errors.New("bad request")
 
 // maxSamples bounds a request's samples: the greedy sizes its realization
-// seeds and RR sets by it before any budget check, so an unbounded count
+// seeds and RR sets by it before any deadline check, so an unbounded count
 // is an unbounded allocation. 5000 is the largest count the repository's
 // own clients and tests send.
 const maxSamples = 5000

@@ -20,7 +20,7 @@ import (
 // sketchStore is the daemon's warm RR-set sketch cache: the fast rung of
 // the serving ladder. A request whose fingerprint hits a warm sketch is
 // answered by pure max coverage — zero diffusion simulations — while a
-// miss falls through to the Monte-Carlo ladder and (for auto/ris requests)
+// miss falls through to the SCBG cover and (for auto/ris requests)
 // triggers an asynchronous build so the next identical request is warm.
 //
 // Sketches live in memory keyed by fingerprint; when dir is set they also

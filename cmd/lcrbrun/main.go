@@ -235,15 +235,11 @@ func selectProtectors(ctx context.Context, stderr io.Writer, algorithm string, p
 	switch algorithm {
 	case "scbg":
 		res, err := core.SCBGContext(ctx, prob, core.SCBGOptions{})
-		if err != nil && !errors.Is(err, core.ErrNoBridgeEnds) {
-			if res != nil && res.UncoverableEnds > 0 {
-				fmt.Fprintf(stderr, "lcrbrun: warning: %d bridge ends uncoverable\n", res.UncoverableEnds)
-				return res.Protectors, nil
-			}
-			return nil, err
-		}
-		if res == nil {
+		if errors.Is(err, core.ErrNoBridgeEnds) {
 			return nil, nil
+		}
+		if err != nil {
+			return nil, err
 		}
 		return res.Protectors, nil
 	case "greedy":

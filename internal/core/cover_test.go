@@ -6,24 +6,17 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"lcrb/internal/rrset"
 )
 
 // rrRows counts the rows GreedyContext counts for opts on p: the
 // nodes that lie in some RR set of its realizations.
 func rrRows(t *testing.T, p *Problem, opts GreedyOptions) int {
 	t.Helper()
-	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, DefaultGreedyHops, false)
-	reals, err := smp.Draw(rrset.Seeds(opts.Seed, opts.Samples), nil, 1, func(int) error { return nil })
+	c, err := DrawCollection(context.Background(), p, opts.Samples, opts.Seed, opts.MaxHops, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pairs []rrset.Pair
-	for _, r := range reals {
-		pairs = append(pairs, r.Pairs...)
-	}
-	return len(rrset.NewIndex(pairs, 1).Nodes)
+	return len(c.Index.Nodes)
 }
 
 // checkPrefix fails unless got is a prefix of want.
@@ -36,10 +29,10 @@ func checkPrefix(t *testing.T, what string, got, want []int32) {
 
 // TestGreedyCoverChargesEveryRowCount pins GreedyContext's
 // evaluation accounting: every row count is one evaluation — the first
-// count of each row, then every lazy recount — and MaxEvaluations stops
-// the selection before the count that would exceed it, so an exhausted
-// run reports exactly its budget with a prefix of the full selection.
-// Below the row count no selection is made.
+// count of each row, then every lazy recount. The first counts are charged
+// even when the baseline alone meets the target: at one hop the rumor
+// reaches few ends, so the run selects nothing in exactly one evaluation
+// per row.
 func TestGreedyCoverChargesEveryRowCount(t *testing.T) {
 	p := batchProblem(t)
 	opts := GreedyOptions{Alpha: 0.9, Samples: 12, Seed: 3}
@@ -51,25 +44,18 @@ func TestGreedyCoverChargesEveryRowCount(t *testing.T) {
 	if len(full.Protectors) < 2 || full.Evaluations <= rows {
 		t.Fatalf("instance too easy: %d protectors, %d evaluations over %d rows", len(full.Protectors), full.Evaluations, rows)
 	}
-	for budget := 1; budget < full.Evaluations; budget++ {
-		capped := opts
-		capped.MaxEvaluations = budget
-		res, err := Greedy(p, capped)
-		if !errors.Is(err, ErrBudgetExhausted) || res == nil || !res.Partial {
-			t.Fatalf("budget %d: (%+v, %v), want a partial result and ErrBudgetExhausted", budget, res, err)
-		}
-		if res.Evaluations != budget {
-			t.Fatalf("budget %d: %d evaluations charged", budget, res.Evaluations)
-		}
-		if budget < rows && len(res.Protectors) != 0 {
-			t.Fatalf("budget %d below the %d rows selected %v", budget, rows, res.Protectors)
-		}
-		checkPrefix(t, "budget", res.Protectors, full.Protectors)
+
+	opts.MaxHops = 1
+	met, err := Greedy(p, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	capped := opts
-	capped.MaxEvaluations = full.Evaluations
-	if res, err := Greedy(p, capped); err != nil || !reflect.DeepEqual(res.Protectors, full.Protectors) {
-		t.Fatalf("budget of exactly %d evaluations: (%v, %v), want the full selection", full.Evaluations, res, err)
+	if met.BaselineEnds < 0.9*float64(p.NumEnds()) {
+		t.Fatalf("baseline %v of %d ends does not meet α at one hop", met.BaselineEnds, p.NumEnds())
+	}
+	if rows := rrRows(t, p, opts); rows == 0 || met.Evaluations != rows || len(met.Protectors) != 0 || !met.Achieved {
+		t.Fatalf("baseline-met run: %d protectors, %d evaluations over %d rows, achieved %v",
+			len(met.Protectors), met.Evaluations, rows, met.Achieved)
 	}
 }
 
@@ -141,10 +127,10 @@ func TestGreedyCoverCancelMidSelection(t *testing.T) {
 	}
 }
 
-// TestGreedyCoverDeadlineMidSelection lets MaxDuration run out while
-// OnRound holds the first round: the deadline is checked before the next
-// row count, so the run stops with at most the first protector and an
-// error wrapping ErrBudgetExhausted.
+// TestGreedyCoverDeadlineMidSelection lets the context deadline pass
+// while OnRound holds the first round: the context is checked before the
+// next recount, so the run stops with at most the first protector and an
+// error wrapping context.DeadlineExceeded.
 func TestGreedyCoverDeadlineMidSelection(t *testing.T) {
 	p := batchProblem(t)
 	opts := GreedyOptions{Alpha: 0.9, Samples: 12, Seed: 3}
@@ -154,14 +140,15 @@ func TestGreedyCoverDeadlineMidSelection(t *testing.T) {
 	}
 	const budget = 300 * time.Millisecond
 	rounds := 0
-	opts.MaxDuration = budget
 	opts.OnRound = func(GreedyRound) {
 		rounds++
 		time.Sleep(budget)
 	}
-	res, err := Greedy(p, opts)
-	if !errors.Is(err, ErrBudgetExhausted) || res == nil || !res.Partial {
-		t.Fatalf("(%+v, %v), want a partial result and ErrBudgetExhausted", res, err)
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	res, err := GreedyContext(ctx, p, opts)
+	if !errors.Is(err, context.DeadlineExceeded) || res == nil || !res.Partial {
+		t.Fatalf("(%+v, %v), want a partial result and context.DeadlineExceeded", res, err)
 	}
 	if rounds > 1 || len(res.Protectors) != rounds {
 		t.Fatalf("%d rounds reported, %d protectors returned; want the run stopped after at most one", rounds, len(res.Protectors))

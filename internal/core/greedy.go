@@ -4,20 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"time"
-
-	"lcrb/internal/rrset"
 )
 
 // DefaultGreedyHops matches the paper's 31-hop OPOAO simulations.
 const DefaultGreedyHops = 31
-
-// ErrBudgetExhausted is returned (wrapped) by GreedyContext when the
-// MaxEvaluations or MaxDuration budget runs out before the protection
-// target is met. The accompanying GreedyResult is non-nil with Partial set:
-// the best-so-far seed set is still usable. Test with errors.Is.
-var ErrBudgetExhausted = errors.New("core: evaluation budget exhausted")
 
 // GreedyOptions tunes the LCRB-P greedy algorithm.
 type GreedyOptions struct {
@@ -39,25 +29,6 @@ type GreedyOptions struct {
 	Plain bool
 	// MaxProtectors caps the seed-set size. 0 means |B|.
 	MaxProtectors int
-	// MaxEvaluations caps the number of σ̂ evaluations (see
-	// GreedyResult.Evaluations). 0 means unlimited. When the cap is hit
-	// mid-selection, the best-so-far seed set is returned with Partial set
-	// and an error wrapping ErrBudgetExhausted.
-	MaxEvaluations int
-	// MaxDuration caps the wall-clock time of the selection. 0 means
-	// unlimited. Expiry follows the same partial-result contract as
-	// MaxEvaluations. Prefer a context deadline when the caller already
-	// has one; MaxDuration exists for budgeting a single solve inside a
-	// longer-lived context.
-	MaxDuration time.Duration
-	// DeadlineMargin reserves headroom before a context deadline: when
-	// positive and ctx carries a deadline, σ̂ evaluation stops
-	// DeadlineMargin before it under the partial-result contract (an error
-	// wrapping ErrBudgetExhausted), so the caller still has time to act on
-	// the partial answer — fall back to a cheaper solver, write a
-	// checkpoint — before the deadline kills the request. 0 disables the
-	// reservation; negative is an error.
-	DeadlineMargin time.Duration
 	// OnRound, when non-nil, is called synchronously after every committed
 	// selection round, on the goroutine running the selection, with a
 	// snapshot of the round and the prefix selected so far. Because greedy
@@ -108,14 +79,15 @@ type GreedyResult struct {
 	Achieved bool
 	// Evaluations counts σ̂ evaluations (the lazy-vs-plain ablation
 	// metric). One evaluation is one row count: the first count of every
-	// candidate that lies in some RR set, then every recount.
+	// candidate that lies in some RR set, then every recount. The first
+	// counts are charged even when the baseline alone meets the target.
 	Evaluations int
 	// Gains records the marginal gain of each selected protector.
 	Gains []float64
 	// Partial reports that the selection stopped before reaching its
-	// target: the context was canceled, a budget expired, or a σ̂
-	// evaluation failed. The seed set selected so far is still valid —
-	// greedy selections are prefixes of the uninterrupted run.
+	// target because the context was canceled or its deadline passed. The
+	// seed set selected so far is still valid — greedy selections are
+	// prefixes of the uninterrupted run.
 	Partial bool
 }
 
@@ -140,71 +112,41 @@ func Greedy(p *Problem, opts GreedyOptions) (*GreedyResult, error) {
 	return GreedyContext(context.Background(), p, opts)
 }
 
-// GreedyContext is Greedy with cooperative cancellation and budgets. It
-// checks the context and the wall-clock budget before every sampled
-// realization and every row count, so cancellation latency is one bounded
-// realization.
+// GreedyContext is Greedy with cooperative cancellation: it draws the
+// collection of its Samples realizations (DrawCollection), then solves it
+// (SolveCollection). The context is its only budget. It is checked before
+// every sampled realization and every recount and selection, so
+// cancellation latency is one bounded realization.
 //
-// On interruption — ctx canceled, ctx deadline exceeded, or the
-// MaxEvaluations/MaxDuration budget exhausted — the best-so-far seed set is
-// returned as a non-nil *GreedyResult with Partial set, alongside an error
-// wrapping the cause (context.Canceled, context.DeadlineExceeded or
-// ErrBudgetExhausted).
+// On interruption — ctx canceled or its deadline exceeded — the
+// best-so-far seed set is returned as a non-nil *GreedyResult with Partial
+// set, alongside an error wrapping the context's; interrupted while
+// sampling, that set is empty. A caller that needs time to act on a
+// partial answer derives a context with an earlier deadline.
 func GreedyContext(ctx context.Context, p *Problem, opts GreedyOptions) (*GreedyResult, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: greedy: nil problem")
 	}
-	if opts.Alpha == 0 {
-		opts.Alpha = 0.9
-	}
-	if err := ValidateAlphaOpen(opts.Alpha); err != nil {
+	// Reject a bad α before sampling anything.
+	if _, err := opts.lcrbp(p); err != nil {
 		return nil, fmt.Errorf("core: greedy: %w", err)
 	}
 	if opts.Samples == 0 {
 		opts.Samples = 30
 	}
-	if opts.Samples < 0 {
-		return nil, fmt.Errorf("core: greedy: samples = %d must not be negative", opts.Samples)
-	}
-	if opts.MaxHops == 0 {
-		opts.MaxHops = DefaultGreedyHops
-	}
-	if len(p.Ends) == 0 {
-		return nil, ErrNoBridgeEnds
-	}
-	maxProtectors := opts.MaxProtectors
-	if maxProtectors <= 0 {
-		maxProtectors = len(p.Ends)
-	}
-
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if opts.DeadlineMargin < 0 {
-		return nil, fmt.Errorf("core: greedy: deadline margin = %v must not be negative", opts.DeadlineMargin)
-	}
-	var deadline time.Time
-	if opts.MaxDuration > 0 {
-		deadline = time.Now().Add(opts.MaxDuration)
-	}
-	if d, ok := ctx.Deadline(); ok && opts.DeadlineMargin > 0 {
-		// Fold the context deadline, minus the reserved margin, into the
-		// wall-clock budget: expiry then surfaces as ErrBudgetExhausted
-		// with the best-so-far seed set while the context is still alive.
-		d = d.Add(-opts.DeadlineMargin)
-		if deadline.IsZero() || d.Before(deadline) {
-			deadline = d
-		}
-	}
 	// One fixed realization seed per sample: σ̂ of every protector set is
 	// counted on the same randomness (common random numbers), which is
 	// exactly the fixed (G_R, G_P) pair of Lemma 4.
-	realSeeds := rrset.Seeds(opts.Seed, opts.Samples)
-	return coverGreedy(ctx, p, opts, realSeeds, maxProtectors, workers, deadline)
+	c, err := DrawCollection(ctx, p, opts.Samples, opts.Seed, opts.MaxHops, opts.Workers, false)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// Interrupted before any selection: the empty seed set is the
+		// honest partial answer.
+		return &GreedyResult{Protectors: []int32{}, Partial: true}, err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return SolveCollection(ctx, p, c, opts)
 }
 
 // notifyRound delivers one committed round to a non-nil OnRound callback

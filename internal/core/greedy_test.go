@@ -46,6 +46,9 @@ func TestGreedyValidation(t *testing.T) {
 	if _, err := Greedy(p, GreedyOptions{Samples: -5}); err == nil {
 		t.Fatal("negative samples accepted")
 	}
+	if res, err := Greedy(p, GreedyOptions{MaxHops: -1}); err == nil || res != nil {
+		t.Fatalf("negative max hops answered (%+v, %v), want an error and no result", res, err)
+	}
 }
 
 func TestGreedyNoBridgeEnds(t *testing.T) {

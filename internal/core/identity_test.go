@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -198,12 +199,11 @@ func TestGreedyMatchesMonteCarloTieHeavy(t *testing.T) {
 	}
 
 	// Count the candidates that share the first selection's gain.
-	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, DefaultGreedyHops, false)
-	reals, err := smp.Draw(rrset.Seeds(9, 1), nil, 1, func(int) error { return nil })
+	c, err := DrawCollection(context.Background(), p, 1, 9, 0, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := rrset.NewIndex(reals[0].Pairs, 1)
+	ix := c.Index
 	var lengths []int
 	for r := range ix.Nodes {
 		lengths = append(lengths, int(ix.Off[r+1]-ix.Off[r]))

@@ -137,7 +137,7 @@ func TestSCBGOnGeneratedNetworks(t *testing.T) {
 		draws++
 		res, err := SCBG(p, SCBGOptions{})
 		if err != nil {
-			t.Fatalf("seed %d: SCBG: %v (uncoverable=%d)", seed, err, res.UncoverableEnds)
+			t.Fatalf("seed %d: SCBG: %v", seed, err)
 		}
 		if res.CoveredEnds != p.NumEnds() {
 			t.Fatalf("seed %d: CoveredEnds = %d, want %d", seed, res.CoveredEnds, p.NumEnds())

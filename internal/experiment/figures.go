@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"lcrb/internal/core"
@@ -162,20 +161,10 @@ func RunFigureDOAMContext(ctx context.Context, inst *Instance) (*FigureResult, e
 		var scbgSeeds []int32
 		if prob.NumEnds() > 0 {
 			sres, err := core.SCBGContext(ctx, prob, core.SCBGOptions{})
-			if err != nil && !errors.Is(err, core.ErrNoBridgeEnds) {
-				// A partially-coverable instance still yields a usable
-				// (partial) seed set.
-				var uncoverable bool
-				if sres != nil && sres.UncoverableEnds > 0 {
-					uncoverable = true
-				}
-				if !uncoverable {
-					return nil, fmt.Errorf("experiment: %s: scbg: %w", cfg.Name, err)
-				}
+			if err != nil {
+				return nil, fmt.Errorf("experiment: %s: scbg: %w", cfg.Name, err)
 			}
-			if sres != nil {
-				scbgSeeds = sres.Protectors
-			}
+			scbgSeeds = sres.Protectors
 		}
 		budget := len(scbgSeeds)
 		panel.Budget = budget

@@ -121,7 +121,7 @@ func TestRunTable(t *testing.T) {
 		if row.SCBG < 0 || row.Proximity < 0 || row.MaxDegree < 0 {
 			t.Fatalf("row %d: negative counts: %+v", i, row)
 		}
-		if row.MeanEnds > 0 && row.SCBG == 0 && row.SCBGUncovered == 0 {
+		if row.MeanEnds > 0 && row.SCBG == 0 {
 			// Possible only when the baseline already protects everything,
 			// which DOAM cannot do without protectors when ends exist and
 			// are reachable — ends are reachable by construction.

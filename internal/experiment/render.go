@@ -112,9 +112,6 @@ func WriteTable(w io.Writer, tr *TableResult) error {
 		if row.MaxDegreeShort > 0 {
 			notes += fmt.Sprintf(" [maxdegree short in %d/%d trials]", row.MaxDegreeShort, row.Trials)
 		}
-		if row.SCBGUncovered > 0 {
-			notes += fmt.Sprintf(" [scbg partial in %d/%d trials]", row.SCBGUncovered, row.Trials)
-		}
 		fmt.Fprintf(tw, "%d\t%.0f%%\t%.1f\t%.1f\t%.1f\t%.1f\t%s\n",
 			row.NumRumors, row.RumorFraction*100, row.MeanEnds,
 			row.SCBG, row.Proximity, row.MaxDegree, notes)

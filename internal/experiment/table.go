@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"lcrb/internal/core"
@@ -30,9 +29,6 @@ type TableRow struct {
 	// end (its whole ranking size is then charged as the cost).
 	ProximityShort int
 	MaxDegreeShort int
-	// SCBGUncovered counts trials where the BBST inversion left ends
-	// uncoverable.
-	SCBGUncovered int
 	// Trials is the number of rumor draws averaged.
 	Trials int
 }
@@ -70,15 +66,10 @@ func RunTableContext(ctx context.Context, inst *Instance) (*TableResult, error) 
 			}
 
 			sres, err := core.SCBGContext(ctx, prob, core.SCBGOptions{})
-			if err != nil && !errors.Is(err, core.ErrNoBridgeEnds) {
-				if sres == nil || sres.UncoverableEnds == 0 {
-					return nil, fmt.Errorf("experiment: %s: scbg: %w", cfg.Name, err)
-				}
-				row.SCBGUncovered++
+			if err != nil {
+				return nil, fmt.Errorf("experiment: %s: scbg: %w", cfg.Name, err)
 			}
-			if sres != nil {
-				row.SCBG += float64(len(sres.Protectors))
-			}
+			row.SCBG += float64(len(sres.Protectors))
 
 			hctx := heuristic.Context{Graph: inst.Net.Graph, Rumors: rumors, BridgeEnds: prob.Ends}
 			for _, sel := range []heuristic.Selector{heuristic.Proximity{}, heuristic.MaxDegree{}} {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -51,14 +50,10 @@ func RunModelTransferContext(ctx context.Context, inst *Instance) (*ModelTransfe
 		return nil, fmt.Errorf("experiment: transfer: no bridge ends")
 	}
 	sres, err := core.SCBGContext(ctx, prob, core.SCBGOptions{})
-	if err != nil && !errors.Is(err, core.ErrNoBridgeEnds) &&
-		(sres == nil || sres.UncoverableEnds == 0) {
+	if err != nil {
 		return nil, fmt.Errorf("experiment: transfer: scbg: %w", err)
 	}
-	var protectors []int32
-	if sres != nil {
-		protectors = sres.Protectors
-	}
+	protectors := sres.Protectors
 	out := &ModelTransfer{Config: cfg, NumEnds: prob.NumEnds(), Seeds: len(protectors)}
 
 	for _, m := range []diffusion.Model{diffusion.DOAM{}, diffusion.OPOAO{}} {

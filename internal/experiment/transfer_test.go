@@ -50,13 +50,8 @@ func TestRunModelTransfer(t *testing.T) {
 		t.Fatalf("re-solved |B| = %d with %d seeds, transfer reported %d with %d",
 			prob.NumEnds(), len(sres.Protectors), tr.NumEnds, tr.Seeds)
 	}
-	floor := 0.75
-	if sres.UncoverableEnds == 0 {
-		floor = 1
-	}
-	if tr.Rows[0].EndsProtectedFraction < floor {
-		t.Fatalf("DOAM protection %.4f, want at least %v (%d uncoverable ends)",
-			tr.Rows[0].EndsProtectedFraction, floor, sres.UncoverableEnds)
+	if tr.Rows[0].EndsProtectedFraction < 1 {
+		t.Fatalf("DOAM protection %.4f, want 1", tr.Rows[0].EndsProtectedFraction)
 	}
 
 	var buf bytes.Buffer

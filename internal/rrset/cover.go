@@ -16,11 +16,6 @@ type CoverOptions struct {
 	// is written, instead of recounting lazily. The selection is
 	// identical; only Evaluations grows.
 	Plain bool
-	// Budget, when non-nil, runs before every row count with the number
-	// of counts made so far; a non-nil error stops the cover with the
-	// selection made so far. Callers enforce evaluation and wall-clock
-	// budgets with it.
-	Budget func(evaluations int) error
 	// OnSelect, when non-nil, runs after every selection with the cover so
 	// far. Its slices are the cover's own: it must not retain or modify
 	// them.
@@ -56,15 +51,9 @@ type Cover struct {
 // not depend on the kernel.
 //
 // The context is checked before every recount and selection. On
-// cancellation or a Budget error the cover so far is returned with the
-// error.
+// cancellation the cover so far is returned with the context's error.
 func (ix *Index) Cover(ctx context.Context, opts CoverOptions) (Cover, error) {
-	var c Cover
-	for range ix.Nodes {
-		if err := c.charge(opts.Budget); err != nil {
-			return c, err
-		}
-	}
+	c := Cover{Evaluations: len(ix.Nodes)}
 	k := newGains(ix)
 	if opts.Plain {
 		return ix.coverPlain(ctx, opts, c, k)
@@ -85,9 +74,7 @@ func (ix *Index) Cover(ctx context.Context, opts CoverOptions) (Cover, error) {
 			// coverage. A lower gain moves it down to that bucket; an
 			// equal one leaves it at the head, fresh, to be selected next.
 			q.round[r] = round
-			if err := c.charge(opts.Budget); err != nil {
-				return c, err
-			}
+			c.Evaluations++
 			if fresh := k.count(r); fresh < g {
 				q.pop()
 				q.push(r, fresh)
@@ -120,9 +107,7 @@ func (ix *Index) coverPlain(ctx context.Context, opts CoverOptions, c Cover, k *
 				if err := ctx.Err(); err != nil {
 					return c, err
 				}
-				if err := c.charge(opts.Budget); err != nil {
-					return c, err
-				}
+				c.Evaluations++
 				g = k.count(r)
 			}
 			if g > bestGain {
@@ -139,17 +124,6 @@ func (ix *Index) coverPlain(ctx context.Context, opts CoverOptions, c Cover, k *
 		rows = slices.Delete(rows, best, best+1)
 	}
 	return c, nil
-}
-
-// charge counts one row count against budget.
-func (c *Cover) charge(budget func(int) error) error {
-	if budget != nil {
-		if err := budget(c.Evaluations); err != nil {
-			return err
-		}
-	}
-	c.Evaluations++
-	return nil
 }
 
 // commit selects row r at gain g.

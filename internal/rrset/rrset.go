@@ -40,9 +40,11 @@ package rrset
 
 import (
 	"cmp"
+	"context"
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"lcrb/internal/diffusion"
 	"lcrb/internal/graph"
@@ -128,16 +130,16 @@ func NewSampler(g *graph.Graph, rumors, ends []int32, maxHops int, footprints bo
 // with its own Scratch. Slot k of the result belongs to the k-th listed
 // realization, so the output is identical for every worker count.
 //
-// check runs before every realization; its first error stops that
-// worker's stripe. Sampling itself cannot fail, so the returned error is
-// check's error at the smallest listed position.
-func (s *Sampler) Draw(seeds []uint64, which []int, workers int, check func(r int) error) ([]Realization, error) {
+// The context is checked before every realization; once it is done, each
+// worker stops its stripe. Sampling itself cannot fail, so the returned
+// error is the context's.
+func (s *Sampler) Draw(ctx context.Context, seeds []uint64, which []int, workers int) ([]Realization, error) {
 	n := len(seeds)
 	if which != nil {
 		n = len(which)
 	}
 	out := make([]Realization, n)
-	errs := make([]error, n)
+	var stopped atomic.Bool
 	stripe(n, workers, func(w, stride int) {
 		sc := s.NewScratch()
 		for k := w; k < n; k += stride {
@@ -145,16 +147,15 @@ func (s *Sampler) Draw(seeds []uint64, which []int, workers int, check func(r in
 			if which != nil {
 				r = which[k]
 			}
-			if errs[k] = check(r); errs[k] != nil {
+			if ctx.Err() != nil {
+				stopped.Store(true)
 				return
 			}
 			out[k].Pairs, out[k].Baseline, out[k].Footprint = sc.Sample(seeds[r], int32(r))
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if stopped.Load() {
+		return nil, ctx.Err() // a done context's error never reverts to nil
 	}
 	return out, nil
 }

@@ -124,11 +124,12 @@ func TestCoverPlainMatchesLazy(t *testing.T) {
 	}
 }
 
-// TestCoverBudgetStopsBeforeCount pins the Budget hook: it runs before
-// every row count, its error stops the cover with the selection so far,
-// and Evaluations counts exactly the counts it allowed — with the arena
-// on and off, on a dense and a sparse index.
-func TestCoverBudgetStopsBeforeCount(t *testing.T) {
+// TestCoverCancelStopsWithPrefix pins the cover's cancellation contract:
+// the context is checked before every recount and selection, so canceling
+// it from OnSelect at the k-th selection stops the cover with exactly the
+// first k selections of the uncanceled cover and context.Canceled — lazy
+// and plain, with the arena on and off, on a dense and a sparse index.
+func TestCoverCancelStopsWithPrefix(t *testing.T) {
 	for _, pairs := range [][]rrset.Pair{syntheticPairs(rng.New(7), 200, 40), densePairs(rng.New(8), 200, 24)} {
 		ix := rrset.NewIndex(pairs, 1)
 		opts := rrset.CoverOptions{Target: ix.NumPairs, MaxSelect: 40}
@@ -138,21 +139,22 @@ func TestCoverBudgetStopsBeforeCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stop := errors.New("stop")
-			for budget := 0; budget < full.Evaluations; budget++ {
-				capped := opts
-				capped.Budget = func(evals int) error {
-					if evals >= budget {
-						return stop
+			for k := 1; k < len(full.Selected); k++ {
+				for _, arena := range []bool{true, false} {
+					rrset.SetArena(ix, arena)
+					ctx, cancel := context.WithCancel(context.Background())
+					capped := opts
+					capped.OnSelect = func(c rrset.Cover) {
+						if len(c.Selected) == k {
+							cancel()
+						}
 					}
-					return nil
-				}
-				c, _, err := coverBothModes(t, ix, capped)
-				if !errors.Is(err, stop) || c.Evaluations != budget {
-					t.Fatalf("plain=%v budget %d: (%d evaluations, %v)", plain, budget, c.Evaluations, err)
-				}
-				if len(c.Selected) > len(full.Selected) || !slices.Equal(c.Selected, full.Selected[:len(c.Selected)]) {
-					t.Fatalf("plain=%v budget %d: %v is not a prefix of %v", plain, budget, c.Selected, full.Selected)
+					c, err := ix.Cover(ctx, capped)
+					cancel()
+					if !errors.Is(err, context.Canceled) || !slices.Equal(c.Selected, full.Selected[:k]) {
+						t.Fatalf("plain=%v arena=%v k=%d: (%v, %v), want the prefix %v and context.Canceled",
+							plain, arena, k, c.Selected, err, full.Selected[:k])
+					}
 				}
 			}
 		}
@@ -219,7 +221,7 @@ func communityProblem(b *testing.B, net *gen.Network, size int32, rumorDiv int) 
 func samplePairs(b *testing.B, p *core.Problem, n int) ([]rrset.Pair, int) {
 	b.Helper()
 	smp := rrset.NewSampler(p.Graph, p.Rumors, p.Ends, core.DefaultGreedyHops, false)
-	reals, err := smp.Draw(rrset.Seeds(7, n), nil, 2, func(int) error { return nil })
+	reals, err := smp.Draw(context.Background(), rrset.Seeds(7, n), nil, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

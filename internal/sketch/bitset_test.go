@@ -106,14 +106,14 @@ func checkIndexMatchesReference(t *testing.T, src *rng.Source, set *Set) {
 	ri := NewReferenceIndex(set)
 	ix := set.index
 
-	if got, want := set.Candidates(), ri.Candidates(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Candidates = %v, want %v", got, want)
+	if got, want := ix.Nodes, ri.Candidates(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("index Nodes = %v, want %v", got, want)
 	}
 
 	// Random protector subsets: Sigma and the covered-pair count must match
 	// the map-based probes exactly (both are integer counts under a common
 	// divisor, so == is the right comparison even through the float).
-	cands := set.Candidates()
+	cands := ix.Nodes
 	for trial := 0; trial < 20; trial++ {
 		var protectors []int32
 		for _, u := range cands {

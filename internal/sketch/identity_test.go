@@ -46,7 +46,7 @@ func TestSigmaEqualsCRNRealizationCount(t *testing.T) {
 				}
 				// The greedy never seeds a protector on a rumor seed, so no
 				// RR set may hold one.
-				candidates := set.Candidates()
+				candidates := set.index.Nodes
 				for _, u := range candidates {
 					if rumor[u] {
 						t.Fatalf("rumor seed %d is in an RR set", u)
@@ -144,6 +144,10 @@ func TestGreedyBitIdenticalToSketchSolve(t *testing.T) {
 					if got.ProtectedEnds != want.ProtectedEnds || got.Achieved != want.Achieved {
 						t.Fatalf("greedy (protected, achieved) = (%v, %v), sketch solve (%v, %v)",
 							got.ProtectedEnds, got.Achieved, want.ProtectedEnds, want.Achieved)
+					}
+					if got.Evaluations != want.Evaluations || !reflect.DeepEqual(got.Gains, want.Gains) {
+						t.Fatalf("greedy (evaluations, gains) = (%d, %v), sketch solve (%d, %v)",
+							got.Evaluations, got.Gains, want.Evaluations, want.Gains)
 					}
 				})
 			}

@@ -135,8 +135,7 @@ func RepairContext(ctx context.Context, oldP, newP *core.Problem, set *Set, dirt
 	// re-draw the hit realizations against the new snapshot into slots, so
 	// the repaired sketch is worker-count invariant.
 	smp := rrset.NewSampler(newP.Graph, newP.Rumors, newP.Ends, set.MaxHops, true)
-	results, err := smp.Draw(rrset.Seeds(set.Seed, set.Samples), redraw, workers,
-		func(int) error { return ctx.Err() })
+	results, err := smp.Draw(ctx, rrset.Seeds(set.Seed, set.Samples), redraw, workers)
 	if err != nil {
 		return nil, nil, err
 	}

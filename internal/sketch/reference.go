@@ -52,8 +52,8 @@ func (ri *ReferenceIndex) CoveredPairs(protectors []int32) int {
 	return len(covered)
 }
 
-// Candidates returns the sorted candidate nodes, the oracle for
-// Set.Candidates.
+// Candidates returns the sorted candidate nodes, the oracle for the live
+// index's Nodes.
 func (ri *ReferenceIndex) Candidates() []int32 {
 	out := make([]int32, 0, len(ri.byNode))
 	for u := range ri.byNode {

@@ -109,11 +109,11 @@ func TestSketchRRSetInvariants(t *testing.T) {
 		}
 	}
 	// Seeding every candidate covers every pair: σ̂ = |B|.
-	if got := set.Sigma(set.Candidates()); got != float64(p.NumEnds()) {
+	if got := set.Sigma(set.index.Nodes); got != float64(p.NumEnds()) {
 		t.Fatalf("σ̂(all candidates) = %v, want full |B| = %d", got, p.NumEnds())
 	}
 	// σ̂ is monotone in S.
-	if set.Sigma(nil) > set.Sigma(set.Candidates()[:1]) {
+	if set.Sigma(nil) > set.Sigma(set.index.Nodes[:1]) {
 		t.Fatal("σ̂ decreased when adding a protector")
 	}
 }
@@ -192,8 +192,11 @@ func TestSketchBuildCancellation(t *testing.T) {
 		}
 	}
 
-	if _, err := Build(p, Options{Samples: 512, Seed: 1, MaxDuration: time.Nanosecond}); !errors.Is(err, core.ErrBudgetExhausted) {
-		t.Fatalf("budget-starved build returned %v, want ErrBudgetExhausted", err)
+	// A passed deadline fails the whole build: there is no partial sketch.
+	ctx, cancel = context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	if set, err := BuildContext(ctx, p, Options{Samples: 512, Seed: 1}); !errors.Is(err, context.DeadlineExceeded) || set != nil {
+		t.Fatalf("deadline-starved build returned (%v, %v), want no set and context.DeadlineExceeded", set, err)
 	}
 }
 

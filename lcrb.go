@@ -17,8 +17,9 @@
 //   - the Set-Cover-Based Greedy for LCRB-D (SolveSCBG) and the
 //     submodular greedy for LCRB-P (SolveGreedy), as lazy max coverage
 //     over the RR sets of its own realizations
-//   - the RR-set sketch path for LCRB-P: BuildSketches, then
-//     SolveGreedyRIS with zero diffusion simulations per solve
+//   - the RR-set sketch path for LCRB-P: BuildSketches keeps the draw
+//     SolveGreedy makes per solve, then SolveGreedyRIS covers it with
+//     zero diffusion simulations and no sampling per solve
 //   - simulation under the OPOAO and DOAM models and a Monte-Carlo driver
 //     (Simulate, MonteCarlo)
 //   - the MaxDegree and Proximity baselines (SelectHeuristic)
@@ -137,12 +138,6 @@ type (
 // bridge ends (nothing to protect).
 var ErrNoBridgeEnds = core.ErrNoBridgeEnds
 
-// ErrBudgetExhausted is returned (wrapped) by SolveGreedy when
-// GreedyOptions.MaxEvaluations or MaxDuration expires; the result then
-// carries the best seed set found so far with Partial set. Test with
-// errors.Is.
-var ErrBudgetExhausted = core.ErrBudgetExhausted
-
 // Re-exported RR-set sketch types: the sampling-based σ̂ estimation layer
 // (internal/sketch). A one-time BuildSketches samples fixed OPOAO
 // realizations and records, for every (realization, bridge end) pair, the
@@ -165,9 +160,9 @@ func BuildSketches(p *Problem, opts SketchOptions) (*SketchSet, error) {
 	return sketch.Build(p, opts)
 }
 
-// SolveGreedyRIS solves LCRB-P over a prebuilt sketch by lazy-greedy max
-// coverage, returning the same GreedyResult shape as SolveGreedy with
-// sketch-based σ̂ — and running zero diffusion simulations.
+// SolveGreedyRIS solves LCRB-P over a prebuilt sketch by the same
+// lazy-greedy max coverage as SolveGreedy, returning the same GreedyResult
+// — and running zero diffusion simulations.
 func SolveGreedyRIS(p *Problem, set *SketchSet, opts SketchSolveOptions) (*GreedyResult, error) {
 	return sketch.SolveGreedyRIS(p, set, opts)
 }
@@ -209,10 +204,10 @@ func SolveSCBG(p *Problem, opts SCBGOptions) (*SCBGResult, error) {
 // SolveGreedy runs the submodular greedy algorithm for LCRB-P (protect an
 // α fraction of the bridge ends under the OPOAO model). (1-1/e)-approximate
 // with respect to σ̂ over its GreedyOptions.Samples fixed realizations,
-// which it counts exactly as RR-set coverage. When a GreedyOptions budget
-// expires mid-selection it returns the best-so-far seed set with
-// GreedyResult.Partial set, alongside an error wrapping
-// ErrBudgetExhausted.
+// which it counts exactly as RR-set coverage. It draws those realizations
+// and covers them as SolveGreedyRIS covers a prebuilt sketch, so for equal
+// seed, sample count and horizon the two answer the same. Invalid options
+// (α outside (0, 1), negative samples or horizon) are errors.
 func SolveGreedy(p *Problem, opts GreedyOptions) (*GreedyResult, error) {
 	return core.Greedy(p, opts)
 }

@@ -1,7 +1,6 @@
 package lcrb_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -109,9 +108,9 @@ func TestFacadeStatusNames(t *testing.T) {
 	}
 }
 
-// TestFacadeRobustness checks SolveGreedy's budget contract: an
-// exhausted evaluation budget yields a partial result plus
-// ErrBudgetExhausted.
+// TestFacadeRobustness checks that SolveGreedy rejects options it cannot
+// honour instead of answering: a negative horizon used to yield an empty
+// protector set that claimed to meet α.
 func TestFacadeRobustness(t *testing.T) {
 	net, err := lcrb.GenerateHep(0.04, 99)
 	if err != nil {
@@ -128,11 +127,13 @@ func TestFacadeRobustness(t *testing.T) {
 		t.Skip("no bridge ends for this draw")
 	}
 
-	res, err := lcrb.SolveGreedy(prob, lcrb.GreedyOptions{Alpha: 0.8, Samples: 8, Seed: 2, MaxEvaluations: 2})
-	if !errors.Is(err, lcrb.ErrBudgetExhausted) {
-		t.Fatalf("SolveGreedy: err = %v, want ErrBudgetExhausted", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatalf("SolveGreedy: result = %+v, want non-nil partial", res)
+	for _, opts := range []lcrb.GreedyOptions{
+		{Alpha: 0.8, Samples: 8, Seed: 2, MaxHops: -1},
+		{Alpha: 0.8, Samples: -8, Seed: 2},
+		{Alpha: 1, Samples: 8, Seed: 2},
+	} {
+		if res, err := lcrb.SolveGreedy(prob, opts); err == nil || res != nil {
+			t.Fatalf("SolveGreedy(%+v) = (%+v, %v), want an error and no result", opts, res, err)
+		}
 	}
 }
